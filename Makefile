@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race chaos cover fuzz fuzz-smoke bench bench-json ratchet docs-algorithms live-smoke repro figures datasets examples serve clean
+.PHONY: all build vet lint lint-json test perfbench-test race chaos cover fuzz fuzz-smoke bench bench-json ratchet docs-algorithms live-smoke repro figures datasets examples serve clean
 
 # Packages with concurrency worth racing: the parallel runtime, both solver
 # families, the fault injector, graph I/O, the live-mutation subsystem, and
@@ -47,6 +47,12 @@ test: vet
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
+# perfbench/ is a nested module the root `go test ./...` never compiles,
+# yet it reads the server's wire types; vet and test it on its own so a
+# wire change cannot break the benchmark unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race $(RACE_PKGS) ./internal/dist .
 
@@ -58,7 +64,7 @@ race:
 # schedule-dependent bugs the first pass can miss.
 chaos:
 	$(GO) test -race -count=2 \
-		-run 'TestChaos|TestCoalesce|TestQuota|TestDegrade|TestSnapshot|TestLivePublishMidFlight|TestSolveDeadline|TestOverloaded' \
+		-run 'TestChaos|TestCoalesce|TestQuota|TestDegrade|TestSnapshot|TestLivePublishMidFlight|TestSolveDeadline|TestOverloaded|TestSolvePathEquivalence' \
 		./internal/server
 	$(GO) test -race -count=2 \
 		-run 'TestRunWarmRestart|TestParseQuotaSpec|TestParseArgsServingTier' \

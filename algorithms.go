@@ -50,9 +50,6 @@ type AlgorithmInfo struct {
 	// answer.
 	Serial   bool `json:"serial,omitempty"`
 	Budgeted bool `json:"budgeted,omitempty"`
-	// CLI and Server record where the algorithm is reachable.
-	CLI    bool `json:"cli"`
-	Server bool `json:"server"`
 }
 
 func infoOf(d solver.Descriptor) AlgorithmInfo {
@@ -69,8 +66,6 @@ func infoOf(d solver.Descriptor) AlgorithmInfo {
 		DegradeRank:  d.DegradeRank,
 		Serial:       d.Serial,
 		Budgeted:     d.Budgeted,
-		CLI:          d.CLI,
-		Server:       d.Server,
 	}
 }
 

@@ -172,7 +172,7 @@ func TestRunAlgorithmsJSON(t *testing.T) {
 			fista = &catalog["uds"][i]
 		}
 	}
-	if fista == nil || fista.Grade != "1+eps" || !fista.CLI || !fista.Server {
+	if fista == nil || fista.Grade != "1+eps" {
 		t.Fatalf("fista entry missing or wrong: %+v", fista)
 	}
 	// -json without -algorithms is a usage error.

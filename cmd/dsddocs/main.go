@@ -123,23 +123,15 @@ func writeFamily(b *bytes.Buffer, title string, problem dsd.Problem) {
 	fmt.Fprintf(b, "## %s\n\n", title)
 	infos := dsd.Algorithms(problem)
 	fmt.Fprintf(b, "Default (empty `Algo`): `%s`.\n\n", dsd.DefaultAlgorithm(problem))
-	b.WriteString("| name | algorithm | grade | source | trace columns | available | notes |\n")
-	b.WriteString("|---|---|---|---|---|---|---|\n")
+	b.WriteString("| name | algorithm | grade | source | trace columns | notes |\n")
+	b.WriteString("|---|---|---|---|---|---|\n")
 	for _, a := range infos {
 		traces := "—"
 		if len(a.TraceColumns) > 0 {
 			traces = strings.Join(a.TraceColumns, ", ")
 		}
-		var avail []string
-		if a.CLI {
-			avail = append(avail, "CLI")
-		}
-		if a.Server {
-			avail = append(avail, "server")
-		}
-		fmt.Fprintf(b, "| `%s` | %s | `%s` | %s | %s | %s | %s |\n",
-			a.Name, a.Display, a.Grade, a.Paper, traces,
-			strings.Join(avail, ", "), notes(a))
+		fmt.Fprintf(b, "| `%s` | %s | `%s` | %s | %s | %s |\n",
+			a.Name, a.Display, a.Grade, a.Paper, traces, notes(a))
 	}
 	b.WriteString("\nGuarantees:\n\n")
 	for _, a := range infos {

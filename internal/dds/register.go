@@ -32,7 +32,6 @@ func init() {
 		Paper:        "Algorithms 3–4 (the reproduced paper)",
 		TraceColumns: []string{"phases", "counters"},
 		Default:      true, DegradeRank: 1,
-		CLI: true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			return toSolver(PWCTraced(d, p.Workers, p.Trace)), nil
 		},
@@ -42,7 +41,6 @@ func init() {
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2-approximation via [x, y]-core enumeration",
 		Paper:     "Ma et al. Core-Approx (baseline of the reproduced paper's Exp-5)",
-		CLI:       true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			return toSolver(PXY(d, p.Workers)), nil
 		},
@@ -53,7 +51,6 @@ func init() {
 		Guarantee: "2-approximation via the O(n²)-ratio Charikar sweep",
 		Paper:     "Charikar directed sweep (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		CLI:       true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			r, err := PBSCtx(ctx, d, p.Workers, p.Budget)
 			return toSolver(r), err
@@ -65,7 +62,6 @@ func init() {
 		Guarantee: "2-approximation via the fixed n-ratio Khuller–Saha sweep",
 		Paper:     "Khuller–Saha, fixed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		CLI:       true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			r, err := PFKSCtx(ctx, d, p.Workers, p.Budget)
 			return toSolver(r), err
@@ -77,7 +73,6 @@ func init() {
 		Guarantee: "2δ(1+ε)-approximation via directed batch peeling (Options.Delta/Epsilon, defaults 2.0/1.0)",
 		Paper:     "Bahmani et al., directed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		CLI:       true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			r, err := PBDCtx(ctx, d, p.Delta, p.Epsilon, p.Workers, p.Budget)
 			return toSolver(r), err
@@ -89,7 +84,6 @@ func init() {
 		Guarantee: "(1+ε)-approximation as directed Frank–Wolfe sweeps grow (Options.Iterations, default 100)",
 		Paper:     "Danisch–Chan–Sozio, directed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		CLI:       true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			r, err := PFWCtx(ctx, d, p.Iterations, p.Workers, p.Budget)
 			return toSolver(r), err
@@ -101,7 +95,6 @@ func init() {
 		Guarantee: "exact via the ratio-enumerating parameterized min-cut search",
 		Paper:     "Khuller–Saha flow formulation; the reproduced paper's exactness baseline",
 		Serial:    true, Degradable: true,
-		CLI: true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			r, err := ExactCtx(ctx, d)
 			return toSolver(r), err
@@ -113,7 +106,6 @@ func init() {
 		Guarantee:  "exact: PWC lower bound prunes to the ⌈ρ̃²/4⌉-induced subgraph before the flow search",
 		Paper:      "core-pruned variant of the Khuller–Saha flow search",
 		Degradable: true,
-		CLI:        true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			r, err := ExactPrunedCtx(ctx, d, p.Workers)
 			return toSolver(r), err
@@ -125,7 +117,6 @@ func init() {
 		Guarantee: "exact by subset enumeration (≤13 vertices)",
 		Paper:     "test oracle; Definition 4 evaluated directly",
 		Serial:    true, Degradable: true,
-		CLI: true, Server: true,
 		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 			return toSolver(BruteForce(d)), nil
 		},

@@ -9,7 +9,7 @@ import (
 
 // Cache is the bounded LRU over solved results. Keys are the canonical
 // (graph name@version, family, algorithm, options) strings built by the
-// solve handlers, so a cache hit is exactly "this query on this unchanged
+// solve pipeline, so a cache hit is exactly "this query on this unchanged
 // graph has been answered before" — graph replacement bumps the version
 // and orphans every stale entry, which the LRU bound then evicts.
 //

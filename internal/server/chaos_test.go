@@ -389,7 +389,7 @@ func TestChaosCoalescedLeaderPanic(t *testing.T) {
 	}
 
 	const burst = 8
-	key := cacheKey("clique", 1, "uds", "", SolveOptions{})
+	key := cacheKey("clique", 1, "uds", "pkmc", SolveOptions{})
 	type outcome struct {
 		status int
 		code   string

@@ -49,7 +49,7 @@ func TestCoalesceBurstSingleSolve(t *testing.T) {
 	}
 
 	const burst = 64
-	key := cacheKey("clique", 1, "uds", "", SolveOptions{})
+	key := cacheKey("clique", 1, "uds", "pkmc", SolveOptions{})
 	type outcome struct {
 		status    int
 		coalesced bool
@@ -152,7 +152,7 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 		once.Do(func() { close(admitted); <-release })
 	}
 
-	key := cacheKey("clique", 1, "uds", "", SolveOptions{})
+	key := cacheKey("clique", 1, "uds", "pkmc", SolveOptions{})
 
 	// The leader has no deadline of its own.
 	patient := make(chan UDSResponse, 1)
@@ -219,7 +219,7 @@ func TestCoalesceLastWaiterCancels(t *testing.T) {
 
 	// The abandoned flight drains (its context is canceled, so the solver
 	// exits without caching); the key must come free again.
-	key := cacheKey("clique", 1, "uds", "", SolveOptions{})
+	key := cacheKey("clique", 1, "uds", "pkmc", SolveOptions{})
 	for deadline := time.Now().Add(5 * time.Second); s.flights.waiting(key) != 0; {
 		if time.Now().After(deadline) {
 			t.Fatalf("abandoned flight still has %d waiters", s.flights.waiting(key))

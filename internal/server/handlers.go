@@ -97,17 +97,20 @@ type SolveOptions struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// UDSResponse is the POST /solve/uds answer.
-type UDSResponse struct {
-	Graph      string  `json:"graph"`
-	Version    int64   `json:"version"`
-	Algorithm  string  `json:"algorithm"`
-	Density    float64 `json:"density"`
-	Size       int     `json:"size"`
-	KStar      int32   `json:"k_star,omitempty"`
-	Iterations int     `json:"iterations,omitempty"`
-	Vertices   []int32 `json:"vertices,omitempty"`
-	Cached     bool    `json:"cached"`
+// SolveAnswer is the family-neutral head of a solve response: the graph
+// state solved, the solver that ran, and the density it found.
+type SolveAnswer struct {
+	Graph     string  `json:"graph"`
+	Version   int64   `json:"version"`
+	Algorithm string  `json:"algorithm"`
+	Density   float64 `json:"density"`
+}
+
+// SolveMeta is the per-request tail of a solve response: how this request
+// was served. The pipeline stamps it on every answer it writes, fresh or
+// from the cache; cached entries are stored without it.
+type SolveMeta struct {
+	Cached bool `json:"cached"`
 	// Coalesced marks an answer that rode another request's identical
 	// in-flight solve instead of running its own.
 	Coalesced bool `json:"coalesced,omitempty"`
@@ -123,12 +126,22 @@ type UDSResponse struct {
 	Trace *dsd.Trace `json:"trace,omitempty"`
 }
 
+func (a *SolveAnswer) answer() *SolveAnswer { return a }
+func (m *SolveMeta) meta() *SolveMeta       { return m }
+
+// UDSResponse is the POST /solve/uds answer.
+type UDSResponse struct {
+	SolveAnswer
+	Size       int     `json:"size"`
+	KStar      int32   `json:"k_star,omitempty"`
+	Iterations int     `json:"iterations,omitempty"`
+	Vertices   []int32 `json:"vertices,omitempty"`
+	SolveMeta
+}
+
 // DDSResponse is the POST /solve/dds answer.
 type DDSResponse struct {
-	Graph      string  `json:"graph"`
-	Version    int64   `json:"version"`
-	Algorithm  string  `json:"algorithm"`
-	Density    float64 `json:"density"`
+	SolveAnswer
 	SizeS      int     `json:"size_s"`
 	SizeT      int     `json:"size_t"`
 	XStar      int32   `json:"x_star,omitempty"`
@@ -137,15 +150,7 @@ type DDSResponse struct {
 	TimedOut   bool    `json:"timed_out,omitempty"`
 	S          []int32 `json:"s,omitempty"`
 	T          []int32 `json:"t,omitempty"`
-	Cached     bool    `json:"cached"`
-	// Coalesced / Degraded / DegradedFrom / Guarantee: see UDSResponse.
-	Coalesced    bool    `json:"coalesced,omitempty"`
-	Degraded     bool    `json:"degraded,omitempty"`
-	DegradedFrom string  `json:"degraded_from,omitempty"`
-	Guarantee    string  `json:"guarantee,omitempty"`
-	ElapsedMs    float64 `json:"elapsed_ms"`
-	// Trace is present only when the request set options.trace.
-	Trace *dsd.Trace `json:"trace,omitempty"`
+	SolveMeta
 }
 
 // decodeJSON strictly parses the request body into v.
@@ -277,18 +282,12 @@ func (s *Server) requestTimeout(o SolveOptions) time.Duration {
 	return timeout
 }
 
-// solveContext derives the request's solver context: the client deadline
-// (request timeout or the server default, capped by the server maximum)
-// layered over the HTTP request context, so both a timeout and a client
-// disconnect cancel the solver. On the coalesced path this context bounds
-// only the request's own wait — the shared solve runs under the flight
-// context, so one impatient waiter cannot kill an answer others still want.
-func (s *Server) solveContext(r *http.Request, o SolveOptions) (context.Context, context.CancelFunc) {
-	timeout := s.requestTimeout(o)
+// withTimeout layers timeout over parent; 0 means no deadline.
+func withTimeout(parent context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout <= 0 {
-		return context.WithCancel(r.Context())
+		return context.WithCancel(parent)
 	}
-	return context.WithTimeout(r.Context(), timeout)
+	return context.WithTimeout(parent, timeout)
 }
 
 // solveError maps a solver failure to a structured response. A recovered
@@ -317,325 +316,228 @@ func (s *Server) solveError(ctx context.Context, err error) *apiError {
 	}
 }
 
-// newTrace returns the trace to attach to one solve: non-nil when the
-// client asked for one (options.trace) or the server records phase metrics
-// (Config.TracePhases); nil keeps the solver on its untraced fast path.
-func (s *Server) newTrace(o SolveOptions) *dsd.Trace {
-	if o.Trace || s.cfg.TracePhases {
-		return &dsd.Trace{}
-	}
-	return nil
+// solveFamily adapts the solve pipeline to one problem family: G is the
+// graph state a solve reads, R the family's wire response. Everything else
+// about serving a solve is shared.
+type solveFamily[G, R any] struct {
+	problem dsd.Problem
+	// resolve pins the graph state a request solves and its version.
+	resolve func(e *GraphEntry) (G, int64)
+	// solve runs algo on g and fills the family's answer fields;
+	// cacheable is false for answers that must not be stored.
+	solve func(g G, algo dsd.Algo, o dsd.Options, omitVertices bool) (resp R, cacheable bool, err error)
 }
 
-// observeSolve records one completed, uncached solve in the metrics. Phase
-// timings are folded in only under Config.TracePhases — a client-requested
-// trace alone should not perturb the server's aggregate phase metrics
-// half-armed.
-func (s *Server) observeSolve(graphName, algo, wireAlgo string, start time.Time, tr *dsd.Trace) {
-	var phases []dsd.TracePhase
-	if s.cfg.TracePhases && tr != nil {
-		phases = tr.Phases
-	}
-	s.metrics.ObserveSolve(graphName, algo, wireAlgo, time.Since(start), phases)
+// solveResponse is what the pipeline needs of a wire response R: its
+// shared head and per-request tail.
+type solveResponse[R any] interface {
+	*R
+	answer() *SolveAnswer
+	meta() *SolveMeta
 }
 
-// flightContext derives the shared solve's context from the flight
-// context: capped by the server maximum only. Individual waiters' deadlines
-// deliberately do not bound it — the solve outlives any one impatient
-// waiter and stops only when the last waiter detaches (the flight context
-// is canceled) or the server cap expires.
-func (s *Server) flightContext(fctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.MaxTimeout > 0 {
-		return context.WithTimeout(fctx, s.cfg.MaxTimeout)
-	}
-	return context.WithCancel(fctx)
-}
-
-// handleSolveUDS serves POST /solve/uds.
-func (s *Server) handleSolveUDS(w http.ResponseWriter, r *http.Request) *apiError {
-	var req SolveRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
-	release, aerr := s.quota.admit(tenantOf(r))
-	if aerr != nil {
-		return aerr
-	}
-	defer release()
-	e, err := s.reg.Get(req.Graph)
-	if err != nil {
-		return &apiError{status: http.StatusNotFound, code: CodeUnknownGraph, message: err.Error()}
-	}
-	if e.Directed {
-		return &apiError{status: http.StatusBadRequest, code: CodeWrongFamily, message: fmt.Sprintf("graph %q is directed; use /solve/dds", e.Name)}
-	}
-	if err := dsd.ValidateAlgorithm(dsd.ProblemUDS, dsd.Algo(req.Algo)); err != nil {
-		return &apiError{status: http.StatusBadRequest, code: CodeUnknownAlgorithm, message: err.Error()}
-	}
+var udsFamily = solveFamily[*dsd.Graph, UDSResponse]{
+	problem: dsd.ProblemUDS,
 	// Live graphs solve against an immutable snapshot: the (graph, version)
 	// pair is taken atomically, so concurrent mutations neither perturb the
 	// running solver nor let a result land in the cache under a version it
 	// does not match.
-	g, version := e.G, e.Version
-	if e.Live != nil {
-		g, version = e.Live.Snapshot()
-	}
-	solveAlgo := dsd.Algo(req.Algo)
-	run, degradedFrom, guarantee, aerr := s.planSolve("uds", e.Name,
-		effectiveAlgo("uds", req.Algo), s.requestTimeout(req.Options))
-	if aerr != nil {
-		return aerr
-	}
-	if degradedFrom != "" {
-		// The degraded request keys, coalesces, and caches as the algorithm
-		// it actually runs; the cached entry stays canonical (undegraded) so
-		// direct requesters of the approximation never see degraded: true.
-		solveAlgo = run
-	}
-	wireAlgo := string(effectiveAlgo("uds", string(solveAlgo)))
-	key := cacheKey(e.Name, version, "uds", string(solveAlgo), req.Options)
-	start := time.Now()
-	finish := func(resp UDSResponse) *apiError {
-		if degradedFrom != "" {
-			resp.Degraded = true
-			resp.DegradedFrom = degradedFrom
-			resp.Guarantee = guarantee
+	resolve: func(e *GraphEntry) (*dsd.Graph, int64) {
+		if e.Live != nil {
+			return e.Live.Snapshot()
 		}
-		resp.ElapsedMs = msSince(start)
-		writeJSON(w, http.StatusOK, resp)
-		return nil
-	}
-	if !req.Options.Trace {
-		if v, ok := s.cache.Get(key); ok {
-			resp := v.(UDSResponse) // copy; Cached/ElapsedMs are per-request
-			resp.Cached = true
-			return finish(resp)
-		}
-	}
-	solve := func(ctx context.Context) (UDSResponse, *apiError) {
-		sstart := time.Now()
-		tr := s.newTrace(req.Options)
-		res, err := dsd.SolveUDS(g, solveAlgo, dsd.Options{
-			Workers:    req.Options.Workers,
-			Epsilon:    req.Options.Epsilon,
-			Delta:      req.Options.Delta,
-			Iterations: req.Options.Iterations,
-			Budget:     time.Duration(req.Options.BudgetMs) * time.Millisecond,
-			Ctx:        ctx,
-			Trace:      tr,
-		})
+		return e.G, e.Version
+	},
+	solve: func(g *dsd.Graph, algo dsd.Algo, o dsd.Options, omitVertices bool) (UDSResponse, bool, error) {
+		res, err := dsd.SolveUDS(g, algo, o)
 		if err != nil {
-			return UDSResponse{}, s.solveError(ctx, err)
+			return UDSResponse{}, false, err
 		}
-		s.observeSolve(e.Name, res.Algorithm, wireAlgo, sstart, tr)
 		resp := UDSResponse{
-			Graph:      e.Name,
-			Version:    version,
-			Algorithm:  res.Algorithm,
-			Density:    res.Density,
-			Size:       len(res.Vertices),
-			KStar:      res.KStar,
-			Iterations: res.Iterations,
+			SolveAnswer: SolveAnswer{Algorithm: res.Algorithm, Density: res.Density},
+			Size:        len(res.Vertices),
+			KStar:       res.KStar,
+			Iterations:  res.Iterations,
 		}
-		if !req.Options.OmitVertices {
+		if !omitVertices {
 			resp.Vertices = res.Vertices
 		}
-		s.cache.Put(key, resp) // stored without the per-run trace
-		if req.Options.Trace {
-			resp.Trace = tr
-		}
-		return resp, nil
-	}
-	if req.Options.Trace {
-		// A trace is a per-run artifact: traced solves never coalesce and
-		// run under the request's own context, exactly as before.
-		if aerr := s.acquire(r.Context()); aerr != nil {
-			return aerr
-		}
-		defer s.release()
-		ctx, cancel := s.solveContext(r, req.Options)
-		defer cancel()
-		if s.solveGate != nil {
-			s.solveGate()
-		}
-		resp, aerr := solve(ctx)
-		if aerr != nil {
-			return aerr
-		}
-		return finish(resp)
-	}
-	waitCtx, cancel := s.solveContext(r, req.Options)
-	defer cancel()
-	v, aerr, shared := s.flights.do(key, waitCtx, func(fctx context.Context) (any, *apiError) {
-		if aerr := s.acquire(fctx); aerr != nil {
-			return nil, aerr
-		}
-		defer s.release()
-		ctx, cancel := s.flightContext(fctx)
-		defer cancel()
-		if s.solveGate != nil {
-			s.solveGate()
-		}
-		if err := faultinject.Hit(faultinject.SiteFlightLeader); err != nil {
-			return nil, &apiError{status: http.StatusInternalServerError, code: CodeInternal,
-				message: "injected flight-leader fault: " + err.Error()}
-		}
-		resp, aerr := solve(ctx)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return resp, nil
-	})
-	if shared {
-		s.metrics.CoalescedSolves.Add(1)
-	}
-	if aerr != nil {
-		return aerr
-	}
-	resp := v.(UDSResponse)
-	resp.Coalesced = shared
-	return finish(resp)
+		return resp, true, nil
+	},
 }
 
-// handleSolveDDS serves POST /solve/dds.
-func (s *Server) handleSolveDDS(w http.ResponseWriter, r *http.Request) *apiError {
-	var req SolveRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return err
-	}
-	release, aerr := s.quota.admit(tenantOf(r))
-	if aerr != nil {
-		return aerr
-	}
-	defer release()
-	e, err := s.reg.Get(req.Graph)
-	if err != nil {
-		return &apiError{status: http.StatusNotFound, code: CodeUnknownGraph, message: err.Error()}
-	}
-	if !e.Directed {
-		return &apiError{status: http.StatusBadRequest, code: CodeWrongFamily, message: fmt.Sprintf("graph %q is undirected; use /solve/uds", e.Name)}
-	}
-	if err := dsd.ValidateAlgorithm(dsd.ProblemDDS, dsd.Algo(req.Algo)); err != nil {
-		return &apiError{status: http.StatusBadRequest, code: CodeUnknownAlgorithm, message: err.Error()}
-	}
-	solveAlgo := dsd.Algo(req.Algo)
-	run, degradedFrom, guarantee, aerr := s.planSolve("dds", e.Name,
-		effectiveAlgo("dds", req.Algo), s.requestTimeout(req.Options))
-	if aerr != nil {
-		return aerr
-	}
-	if degradedFrom != "" {
-		solveAlgo = run // see handleSolveUDS
-	}
-	wireAlgo := string(effectiveAlgo("dds", string(solveAlgo)))
-	key := cacheKey(e.Name, e.Version, "dds", string(solveAlgo), req.Options)
-	start := time.Now()
-	finish := func(resp DDSResponse) *apiError {
-		if degradedFrom != "" {
-			resp.Degraded = true
-			resp.DegradedFrom = degradedFrom
-			resp.Guarantee = guarantee
-		}
-		resp.ElapsedMs = msSince(start)
-		writeJSON(w, http.StatusOK, resp)
-		return nil
-	}
-	if !req.Options.Trace {
-		if v, ok := s.cache.Get(key); ok {
-			resp := v.(DDSResponse)
-			resp.Cached = true
-			return finish(resp)
-		}
-	}
-	solve := func(ctx context.Context) (DDSResponse, *apiError) {
-		sstart := time.Now()
-		tr := s.newTrace(req.Options)
-		res, err := dsd.SolveDDS(e.D, solveAlgo, dsd.Options{
-			Workers:    req.Options.Workers,
-			Epsilon:    req.Options.Epsilon,
-			Delta:      req.Options.Delta,
-			Iterations: req.Options.Iterations,
-			Budget:     time.Duration(req.Options.BudgetMs) * time.Millisecond,
-			Ctx:        ctx,
-			Trace:      tr,
-		})
+var ddsFamily = solveFamily[*dsd.Digraph, DDSResponse]{
+	problem: dsd.ProblemDDS,
+	resolve: func(e *GraphEntry) (*dsd.Digraph, int64) { return e.D, e.Version },
+	solve: func(d *dsd.Digraph, algo dsd.Algo, o dsd.Options, omitVertices bool) (DDSResponse, bool, error) {
+		res, err := dsd.SolveDDS(d, algo, o)
 		if err != nil {
-			return DDSResponse{}, s.solveError(ctx, err)
+			return DDSResponse{}, false, err
 		}
-		s.observeSolve(e.Name, res.Algorithm, wireAlgo, sstart, tr)
 		resp := DDSResponse{
-			Graph:      e.Name,
-			Version:    e.Version,
-			Algorithm:  res.Algorithm,
-			Density:    res.Density,
-			SizeS:      len(res.S),
-			SizeT:      len(res.T),
-			XStar:      res.XStar,
-			YStar:      res.YStar,
-			Iterations: res.Iterations,
-			TimedOut:   res.TimedOut,
+			SolveAnswer: SolveAnswer{Algorithm: res.Algorithm, Density: res.Density},
+			SizeS:       len(res.S),
+			SizeT:       len(res.T),
+			XStar:       res.XStar,
+			YStar:       res.YStar,
+			Iterations:  res.Iterations,
+			TimedOut:    res.TimedOut,
 		}
-		if !req.Options.OmitVertices {
+		if !omitVertices {
 			resp.S, resp.T = res.S, res.T
 		}
 		// A budget-truncated sweep is wall-clock dependent — rerunning it
 		// with more time may do better, so best-so-far answers are not
 		// cached.
-		if !res.TimedOut {
-			s.cache.Put(key, resp) // stored without the per-run trace
+		return resp, !res.TimedOut, nil
+	},
+}
+
+// solveHandler serves POST /solve/{family} through the one solve pipeline.
+// Stages, in order: decode, quota, registry lookup, family check,
+// algorithm validation, graph resolution, degradation plan, cache key,
+// cache read, then the traced path or the coalesced flight — both via
+// solveInSlot — and the response.
+func solveHandler[G, R any, P solveResponse[R]](s *Server, f solveFamily[G, R]) apiHandler {
+	family := string(f.problem)
+	return func(w http.ResponseWriter, r *http.Request) *apiError {
+		var req SolveRequest
+		if err := decodeJSON(r, &req); err != nil {
+			return err
 		}
+		release, aerr := s.quota.admit(tenantOf(r))
+		if aerr != nil {
+			return aerr
+		}
+		defer release()
+		e, err := s.reg.Get(req.Graph)
+		if err != nil {
+			return &apiError{status: http.StatusNotFound, code: CodeUnknownGraph, message: err.Error()}
+		}
+		if e.Directed != (f.problem == dsd.ProblemDDS) {
+			kind, route := "undirected", "uds"
+			if e.Directed {
+				kind, route = "directed", "dds"
+			}
+			return &apiError{status: http.StatusBadRequest, code: CodeWrongFamily,
+				message: fmt.Sprintf("graph %q is %s; use /solve/%s", e.Name, kind, route)}
+		}
+		if err := dsd.ValidateAlgorithm(f.problem, dsd.Algo(req.Algo)); err != nil {
+			return &apiError{status: http.StatusBadRequest, code: CodeUnknownAlgorithm, message: err.Error()}
+		}
+		g, version := f.resolve(e)
+		timeout := s.requestTimeout(req.Options)
+		// The request keys, coalesces, and caches as the algorithm it
+		// actually runs: the family default for an empty name, the ladder
+		// rung when degraded. The cached entry stays canonical (undegraded)
+		// so direct requesters of the approximation never see degraded: true.
+		algo, degradedFrom, guarantee, aerr := s.planSolve(family, e.Name, effectiveAlgo(family, req.Algo), timeout)
+		if aerr != nil {
+			return aerr
+		}
+		key := cacheKey(e.Name, version, family, string(algo), req.Options)
+		start := time.Now()
+		finish := func(resp R, cached, coalesced bool) *apiError {
+			m := P(&resp).meta()
+			m.Cached, m.Coalesced = cached, coalesced
+			if degradedFrom != "" {
+				m.Degraded, m.DegradedFrom, m.Guarantee = true, degradedFrom, guarantee
+			}
+			m.ElapsedMs = msSince(start)
+			writeJSON(w, http.StatusOK, resp)
+			return nil
+		}
+		if !req.Options.Trace {
+			if v, ok := s.cache.Get(key); ok {
+				return finish(v.(R), true, false)
+			}
+		}
+		solve := func(ctx context.Context) (any, *apiError) {
+			sstart := time.Now()
+			var tr *dsd.Trace // nil keeps the solver on its untraced fast path
+			if req.Options.Trace || s.cfg.TracePhases {
+				tr = &dsd.Trace{}
+			}
+			resp, cacheable, err := f.solve(g, algo, dsd.Options{
+				Workers:    req.Options.Workers,
+				Epsilon:    req.Options.Epsilon,
+				Delta:      req.Options.Delta,
+				Iterations: req.Options.Iterations,
+				Budget:     time.Duration(req.Options.BudgetMs) * time.Millisecond,
+				Ctx:        ctx,
+				Trace:      tr,
+			}, req.Options.OmitVertices)
+			if err != nil {
+				return nil, s.solveError(ctx, err)
+			}
+			a := P(&resp).answer()
+			a.Graph, a.Version = e.Name, version
+			// Phase timings feed the aggregate metrics only under
+			// Config.TracePhases, never from a client-requested trace alone.
+			var phases []dsd.TracePhase
+			if s.cfg.TracePhases {
+				phases = tr.Phases
+			}
+			s.metrics.ObserveSolve(e.Name, a.Algorithm, string(algo), time.Since(sstart), phases)
+			if cacheable {
+				s.cache.Put(key, resp) // stored without the per-run trace
+			}
+			if req.Options.Trace {
+				P(&resp).meta().Trace = tr
+			}
+			return resp, nil
+		}
+		var (
+			v      any
+			shared bool
+		)
 		if req.Options.Trace {
-			resp.Trace = tr
+			// A trace is a per-run artifact: traced solves never coalesce
+			// and run under the request's own deadline.
+			v, aerr = s.solveInSlot(r.Context(), timeout, solve)
+		} else {
+			// The request's deadline bounds only its own wait. The shared
+			// solve runs under the flight context, capped by the server
+			// maximum only: it outlives any one impatient waiter and stops
+			// when the last waiter detaches or the cap expires.
+			waitCtx, cancel := withTimeout(r.Context(), timeout)
+			defer cancel()
+			v, aerr, shared = s.flights.do(key, waitCtx, func(fctx context.Context) (any, *apiError) {
+				return s.solveInSlot(fctx, s.cfg.MaxTimeout, func(ctx context.Context) (any, *apiError) {
+					if err := faultinject.Hit(faultinject.SiteFlightLeader); err != nil {
+						return nil, &apiError{status: http.StatusInternalServerError, code: CodeInternal,
+							message: "injected flight-leader fault: " + err.Error()}
+					}
+					return solve(ctx)
+				})
+			})
+			if shared {
+				s.metrics.CoalescedSolves.Add(1)
+			}
 		}
-		return resp, nil
-	}
-	if req.Options.Trace {
-		if aerr := s.acquire(r.Context()); aerr != nil {
-			return aerr
-		}
-		defer s.release()
-		ctx, cancel := s.solveContext(r, req.Options)
-		defer cancel()
-		if s.solveGate != nil {
-			s.solveGate()
-		}
-		resp, aerr := solve(ctx)
 		if aerr != nil {
 			return aerr
 		}
-		return finish(resp)
+		return finish(v.(R), false, shared)
 	}
-	waitCtx, cancel := s.solveContext(r, req.Options)
+}
+
+// solveInSlot runs one solve in an admission slot: acquire under parent,
+// layer timeout over it, pass the test gate, solve. Both a deadline and a
+// canceled parent (client disconnect, last flight waiter gone) stop the
+// solver. The traced path and the flight leader differ only in parent and
+// timeout.
+func (s *Server) solveInSlot(parent context.Context, timeout time.Duration, solve func(context.Context) (any, *apiError)) (any, *apiError) {
+	if aerr := s.acquire(parent); aerr != nil {
+		return nil, aerr
+	}
+	defer s.release()
+	ctx, cancel := withTimeout(parent, timeout)
 	defer cancel()
-	v, aerr, shared := s.flights.do(key, waitCtx, func(fctx context.Context) (any, *apiError) {
-		if aerr := s.acquire(fctx); aerr != nil {
-			return nil, aerr
-		}
-		defer s.release()
-		ctx, cancel := s.flightContext(fctx)
-		defer cancel()
-		if s.solveGate != nil {
-			s.solveGate()
-		}
-		if err := faultinject.Hit(faultinject.SiteFlightLeader); err != nil {
-			return nil, &apiError{status: http.StatusInternalServerError, code: CodeInternal,
-				message: "injected flight-leader fault: " + err.Error()}
-		}
-		resp, aerr := solve(ctx)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return resp, nil
-	})
-	if shared {
-		s.metrics.CoalescedSolves.Add(1)
+	if s.solveGate != nil {
+		s.solveGate()
 	}
-	if aerr != nil {
-		return aerr
-	}
-	resp := v.(DDSResponse)
-	resp.Coalesced = shared
-	return finish(resp)
+	return solve(ctx)
 }
 
 // MutationOp is one edge change in a POST /graphs/{name}/edges batch.
@@ -750,12 +652,9 @@ func (s *Server) handleDensest(w http.ResponseWriter, r *http.Request) *apiError
 	start := time.Now()
 	d := e.Live.Densest()
 	resp := UDSResponse{
-		Graph:     e.Name,
-		Version:   d.Version,
-		Algorithm: "DynamicKStarCore",
-		Density:   d.Density,
-		Size:      len(d.Vertices),
-		KStar:     d.KStar,
+		SolveAnswer: SolveAnswer{Graph: e.Name, Version: d.Version, Algorithm: "DynamicKStarCore", Density: d.Density},
+		Size:        len(d.Vertices),
+		KStar:       d.KStar,
 	}
 	if v := r.URL.Query().Get("omit_vertices"); v != "true" && v != "1" {
 		resp.Vertices = d.Vertices

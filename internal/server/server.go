@@ -94,7 +94,7 @@ type Server struct {
 	flights *flightGroup
 	quota   *tenantLimiter
 
-	// solveGate, when set (tests only), runs inside the solve handlers
+	// solveGate, when set (tests only), runs inside solveInSlot
 	// after admission and before the solver call.
 	solveGate func()
 }
@@ -135,8 +135,8 @@ func New(cfg Config) *Server {
 	s.mux.Handle("DELETE /graphs/{name}", s.route("delete_graph", s.handleDeleteGraph))
 	s.mux.Handle("POST /graphs/{name}/edges", s.route("mutate_graph", s.handleMutateGraph))
 	s.mux.Handle("GET /graphs/{name}/densest", s.route("densest", s.handleDensest))
-	s.mux.Handle("POST /solve/uds", s.route("solve_uds", s.handleSolveUDS))
-	s.mux.Handle("POST /solve/dds", s.route("solve_dds", s.handleSolveDDS))
+	s.mux.Handle("POST /solve/uds", s.route("solve_uds", solveHandler(s, udsFamily)))
+	s.mux.Handle("POST /solve/dds", s.route("solve_dds", solveHandler(s, ddsFamily)))
 	s.mux.Handle("GET /debug/vars", m.handler())
 	if cfg.EnablePprof {
 		// No method in the patterns: pprof.Symbol serves both GET and POST.

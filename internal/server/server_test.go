@@ -210,8 +210,10 @@ func TestSolveUDS(t *testing.T) {
 		if resp.Size != len(resp.Vertices) {
 			t.Fatalf("algo=%q size %d != |vertices| %d", algo, resp.Size, len(resp.Vertices))
 		}
-		if resp.Cached {
-			t.Fatalf("algo=%q first answer claims cached", algo)
+		// "" resolves to the family default before keying, so "pkmc" hits
+		// the entry the empty name filled.
+		if want := algo == "pkmc"; resp.Cached != want {
+			t.Fatalf("algo=%q cached = %v, want %v", algo, resp.Cached, want)
 		}
 	}
 
@@ -239,6 +241,9 @@ func TestSolveDDS(t *testing.T) {
 		if resp.SizeS != len(resp.S) || resp.SizeT != len(resp.T) {
 			t.Fatalf("algo=%q sizes (%d,%d) != arrays (%d,%d)",
 				algo, resp.SizeS, resp.SizeT, len(resp.S), len(resp.T))
+		}
+		if want := algo == "pwc"; resp.Cached != want {
+			t.Fatalf("algo=%q cached = %v, want %v", algo, resp.Cached, want)
 		}
 	}
 }
@@ -308,6 +313,20 @@ func TestCacheHitAndMiss(t *testing.T) {
 	}
 	if fourth.Version != 2 {
 		t.Fatalf("post-replace version = %d, want 2", fourth.Version)
+	}
+
+	// An empty algorithm keys as the family default, in either order: the
+	// default request hits the "pkmc" entry, and "pwc" hits the default's.
+	var byDefault UDSResponse
+	doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "clique"}, &byDefault)
+	if !byDefault.Cached {
+		t.Fatal(`algo "" missed the entry "pkmc" filled`)
+	}
+	var ddsDefault, ddsNamed DDSResponse
+	doJSON(t, "POST", ts.URL+"/solve/dds", SolveRequest{Graph: "biclique"}, &ddsDefault)
+	doJSON(t, "POST", ts.URL+"/solve/dds", SolveRequest{Graph: "biclique", Algo: "pwc"}, &ddsNamed)
+	if ddsDefault.Cached || !ddsNamed.Cached {
+		t.Fatalf(`dds cached flags for "" then "pwc" = %t, %t; want false, true`, ddsDefault.Cached, ddsNamed.Cached)
 	}
 
 	// The counters surface on /debug/vars.

@@ -106,11 +106,6 @@ type Descriptor struct {
 	// Budgeted marks solvers that honor Params.Budget by returning their
 	// best-so-far answer with TimedOut set.
 	Budgeted bool
-	// CLI and Server record where the algorithm is reachable. Everything
-	// registered today is available in both; the docs table is generated
-	// from these fields rather than from that assumption.
-	CLI    bool
-	Server bool
 	// SolveUDS runs a KindUDS descriptor. The context may be nil (never
 	// cancel); implementations poll it at iteration boundaries.
 	SolveUDS func(ctx context.Context, g *graph.Undirected, p Params) (Result, error)

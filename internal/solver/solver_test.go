@@ -26,7 +26,7 @@ func descUDS(name string) Descriptor {
 	return Descriptor{
 		Name: name, Kind: KindUDS, Display: strings.ToUpper(name),
 		Grade: Grade2Approx, Guarantee: "test", Paper: "test",
-		CLI: true, Server: true, SolveUDS: udsSolve,
+		SolveUDS: udsSolve,
 	}
 }
 

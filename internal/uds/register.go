@@ -32,7 +32,6 @@ func init() {
 		Paper:        "Algorithm 2 (the reproduced paper)",
 		TraceColumns: []string{"phases", "iterations"},
 		Default:      true, DegradeRank: 2,
-		CLI: true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			return toSolver(PKMCTraced(g, p.Workers, p.Trace)), nil
 		},
@@ -43,7 +42,6 @@ func init() {
 		Guarantee:    "2-approximation via full h-index core decomposition",
 		Paper:        "Sariyüce et al. (baseline of the reproduced paper's Exp-1)",
 		TraceColumns: []string{"phases", "iterations"},
-		CLI:          true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			return toSolver(LocalTraced(g, p.Workers, p.Trace)), nil
 		},
@@ -53,7 +51,6 @@ func init() {
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2-approximation via parallel level peeling",
 		Paper:     "Kabir–Madduri (baseline of the reproduced paper's Exp-1)",
-		CLI:       true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			return toSolver(PKC(g, p.Workers)), nil
 		},
@@ -64,7 +61,6 @@ func init() {
 		Guarantee: "2-approximation via serial bucket-queue k*-core",
 		Paper:     "Batagelj–Zaveršnik (baseline of the reproduced paper's Exp-1)",
 		Serial:    true,
-		CLI:       true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			return toSolver(BZ(g)), nil
 		},
@@ -75,7 +71,6 @@ func init() {
 		Guarantee: "2-approximation via greedy min-degree peeling",
 		Paper:     "Charikar (APPROX 2000)",
 		Serial:    true,
-		CLI:       true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			return toSolver(Charikar(g)), nil
 		},
@@ -86,7 +81,6 @@ func init() {
 		Guarantee: "2-approximation, converging toward exact as rounds grow (Options.Iterations, default 16)",
 		Paper:     "Boob et al. \"Flowless\" (WWW 2020)",
 		Serial:    true, DegradeRank: 1,
-		CLI: true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := GreedyPPCtx(ctx, g, p.Iterations)
 			return toSolver(r), err
@@ -97,7 +91,6 @@ func init() {
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2(1+ε)-approximation via batch peeling (Options.Epsilon, default 0.5)",
 		Paper:     "Bahmani et al. (baseline of the reproduced paper's Exp-1)",
-		CLI:       true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			return toSolver(PBU(g, p.Epsilon, p.Workers)), nil
 		},
@@ -107,7 +100,6 @@ func init() {
 		Grade:     solver.GradeEps,
 		Guarantee: "(1+ε)-approximation as Frank–Wolfe sweeps grow (Options.Iterations, default 100)",
 		Paper:     "Danisch–Chan–Sozio (baseline of the reproduced paper's Exp-1)",
-		CLI:       true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := PFWCtx(ctx, g, p.Iterations, p.Workers)
 			return toSolver(r), err
@@ -119,7 +111,6 @@ func init() {
 		Guarantee:    "(1+ε)-approximation certified per iteration by the duality gap (Options.Epsilon, default 0.01)",
 		Paper:        "Harb–Quanrud–Chekuri (NeurIPS 2022) accelerated-gradient framing",
 		TraceColumns: []string{"phases", "convergence", "counters"},
-		CLI:          true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := FISTACtx(ctx, g, p.Iterations, p.Epsilon, p.Workers, p.Trace)
 			return toSolver(r), err
@@ -131,7 +122,6 @@ func init() {
 		Guarantee:    "(1+ε)-approximation: Frank–Wolfe loads rounded by fractional peeling, never below PFW's prefix rounding",
 		Paper:        "Danisch–Chan–Sozio loads + Harb et al. fractional-peeling rounding",
 		TraceColumns: []string{"phases", "convergence"},
-		CLI:          true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := FracPeelCtx(ctx, g, p.Iterations, p.Workers, p.Trace)
 			return toSolver(r), err
@@ -144,7 +134,6 @@ func init() {
 		Paper:        "Goldberg (1984); the reproduced paper's exactness baseline",
 		TraceColumns: []string{"phases"},
 		Serial:       true, Degradable: true,
-		CLI: true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := ExactTraced(ctx, g, p.Trace)
 			return toSolver(r), err
@@ -157,7 +146,6 @@ func init() {
 		Paper:        "Fang et al. (the reproduced paper's [6])",
 		TraceColumns: []string{"phases"},
 		Degradable:   true,
-		CLI:          true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := ExactPrunedTraced(ctx, g, p.Workers, p.Trace)
 			return toSolver(r), err
@@ -169,7 +157,6 @@ func init() {
 		Guarantee:  "(1+ε)-approximation via O(log 1/ε) min-cuts (Options.Epsilon, default 0.1)",
 		Paper:      "Goldberg's search truncated at gap ε·ρ̃",
 		Degradable: true,
-		CLI:        true, Server: true,
 		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 			r, err := ExactEpsilonCtx(ctx, g, p.Epsilon, p.Workers)
 			return toSolver(r), err
