@@ -54,7 +54,7 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race $(RACE_PKGS) ./internal/dist .
+	$(GO) test -race $(RACE_PKGS) .
 
 # The overload tier under the race detector, twice: request coalescing,
 # per-tenant quotas, deadline degradation, snapshot/warm-restart, and the
@@ -138,10 +138,7 @@ examples:
 	$(GO) run ./examples/community
 	$(GO) run ./examples/fraud
 	$(GO) run ./examples/webspam
-	$(GO) run ./examples/motifs
 	$(GO) run ./examples/streaming
-	$(GO) run ./examples/cluster
-	$(GO) run ./examples/ecommerce
 	$(GO) run ./examples/serve
 
 # Run the query service with the PT scale model preloaded (make datasets

@@ -19,13 +19,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dds"
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/truss"
 	"repro/internal/uds"
-	"repro/internal/webgraph"
 )
 
 // benchScale keeps the slowest lineup members (PXY, PFW) inside the default
@@ -443,78 +440,8 @@ func BenchmarkAblationGrainSize(b *testing.B) {
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
-// BenchmarkExtensionTrussVsCore explores the paper's future-work question:
-// how does the maximum-k truss compare to the k*-core as a
-// densest-subgraph certificate? Reports time side by side with the
-// densities ("density" metric) on the undirected models.
-func BenchmarkExtensionTrussVsCore(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range []string{"PT", "EW"} {
-		g := undGraph(b, abbr)
-		b.Run(abbr+"/PKMC", func(b *testing.B) {
-			b.ReportAllocs()
-			var density float64
-			for i := 0; i < b.N; i++ {
-				res := core.PKMC(g, benchWorkers)
-				density = g.InducedDensity(res.Vertices)
-			}
-			b.ReportMetric(density, "density")
-		})
-		b.Run(abbr+"/MaxTruss", func(b *testing.B) {
-			b.ReportAllocs()
-			var density float64
-			for i := 0; i < b.N; i++ {
-				_, density, _ = truss.Densest(g, benchWorkers)
-			}
-			b.ReportMetric(density, "density")
-		})
-	}
-}
-
-// BenchmarkExtensionDistributed measures the BSP simulation of PKMC (the
-// paper's future-work deployment) across worker counts, reporting the
-// communication volume as metrics.
-func BenchmarkExtensionDistributed(b *testing.B) {
-	b.ReportAllocs()
-	g := undGraph(b, "EU")
-	for _, w := range []int{2, 4, 8} {
-		b.Run("w="+itoa(w), func(b *testing.B) {
-			b.ReportAllocs()
-			var stats dist.Stats
-			for i := 0; i < b.N; i++ {
-				stats = dist.KStarCore(g, w).Stats
-			}
-			b.ReportMetric(float64(stats.Supersteps), "supersteps")
-			b.ReportMetric(float64(stats.ValuesSent), "values_sent")
-		})
-	}
-}
-
-// BenchmarkExtensionCompressed compares PKMC over CSR and over the
-// WebGraph-style compressed adjacency, with the memory footprints as
-// metrics: the decode overhead buys a 2-3x smaller graph.
-func BenchmarkExtensionCompressed(b *testing.B) {
-	b.ReportAllocs()
-	g := undGraph(b, "SK")
-	c := webgraph.FromUndirected(g)
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers)
-		}
-		b.ReportMetric(float64(2*g.M()*4+int64(g.N()+1)*8), "adj_bytes")
-	})
-	b.Run("compressed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.KStarCore(benchWorkers)
-		}
-		b.ReportMetric(float64(c.SizeBytes()), "adj_bytes")
-	})
-}
-
 // BenchmarkAblationDegreeOrder quantifies the locality effect of
-// hub-first relabeling on the PKMC sweeps and on the compressed size.
+// hub-first relabeling on the PKMC sweeps.
 func BenchmarkAblationDegreeOrder(b *testing.B) {
 	b.ReportAllocs()
 	g := undGraph(b, "UN")
@@ -524,13 +451,11 @@ func BenchmarkAblationDegreeOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.PKMC(g, benchWorkers)
 		}
-		b.ReportMetric(float64(webgraph.FromUndirected(g).SizeBytes()), "compressed_bytes")
 	})
 	b.Run("degree-ordered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			core.PKMC(relabeled, benchWorkers)
 		}
-		b.ReportMetric(float64(webgraph.FromUndirected(relabeled).SizeBytes()), "compressed_bytes")
 	})
 }

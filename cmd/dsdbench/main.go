@@ -40,11 +40,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
+
+// experiments lists the valid -exp names ("all" selects every one).
+var experiments = []string{
+	"datasets", "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8",
+	"ratios", "accuracy", "live",
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -56,7 +63,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dsdbench", flag.ContinueOnError)
 	var (
-		exps    = fs.String("exp", "all", "comma-separated experiments (all | datasets | exp1..exp8 | ratios | accuracy | live | extensions)")
+		exps    = fs.String("exp", "all", "comma-separated experiments (all | "+strings.Join(experiments, " | ")+")")
 		scale   = fs.Float64("scale", 0.1, "dataset scale multiplier")
 		workers = fs.Int("p", 0, "default thread count (0 = GOMAXPROCS)")
 		budget  = fs.Duration("budget", 30*time.Second, "per-run budget for slow baselines")
@@ -101,7 +108,11 @@ func run(args []string, w io.Writer) error {
 
 	selected := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
-		selected[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(experiments, e) {
+			return fmt.Errorf("unknown experiment %q (valid: all, %s)", e, strings.Join(experiments, ", "))
+		}
+		selected[e] = true
 	}
 	runAll := selected["all"]
 	run := func(name string) bool { return runAll || selected[name] }
@@ -127,10 +138,6 @@ func run(args []string, w io.Writer) error {
 		collect("ratios", bench.Ratios)
 		collect("accuracy", bench.Accuracy)
 		collect("live", bench.LiveReplay)
-		if selected["extensions"] {
-			all = append(all, bench.Extensions(cfg)...)
-			ran = append(ran, "extensions")
-		}
 		now := time.Now()
 		report := bench.NewReport(cfg, ran, all, now)
 		path := filepath.Join(*outDir, bench.ReportFilename(now))
@@ -220,9 +227,6 @@ func run(args []string, w io.Writer) error {
 	if run("live") {
 		bench.FormatRows(w, "Live replay: incremental k*-core repair vs full BZ recompute (per-batch mean seconds)", bench.LiveReplay(cfg))
 	}
-	if selected["extensions"] { // opt-in: not part of the paper's "all"
-		bench.FormatRows(w, "Extensions: k*-core vs max truss vs triangle peel", bench.Extensions(cfg))
-	}
 	return nil
 }
 
@@ -230,7 +234,9 @@ func run(args []string, w io.Writer) error {
 // returns an error (nonzero exit) when any row regressed. Incomparable
 // baselines — a different machine, toolchain, or runtime configuration —
 // are noted and skipped rather than failed, so a committed fallback
-// baseline generated elsewhere degrades to a no-op instead of noise.
+// baseline generated elsewhere degrades to a no-op instead of noise. A
+// comparable baseline that shares no rows with the run (another
+// experiment's report) is an error: it would otherwise pass vacuously.
 func ratchet(w io.Writer, path string, current bench.Report, opts bench.RatchetOptions) error {
 	base, err := bench.ReadReport(path)
 	if err != nil {
@@ -239,6 +245,10 @@ func ratchet(w io.Writer, path string, current bench.Report, opts bench.RatchetO
 	if ok, why := bench.Comparable(base, current); !ok {
 		fmt.Fprintf(w, "ratchet: baseline %s is not comparable to this run (%s); skipping\n", path, why)
 		return nil
+	}
+	if bench.SharedRows(base, current) == 0 {
+		return fmt.Errorf("baseline %s shares no rows with this run (experiments %v vs %v)",
+			path, base.Selected, current.Selected)
 	}
 	regs := bench.CompareReports(base, current, opts)
 	if len(regs) == 0 {

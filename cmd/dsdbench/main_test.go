@@ -114,6 +114,53 @@ func TestRunJSONMode(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment proves a misspelled or retired -exp name is an
+// error that lists the valid names, never an empty report (in -json mode
+// an empty report would also pass any ratchet).
+func TestRunUnknownExperiment(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "extensions", "-scale", "0.005"},
+		{"-exp", "acuracy", "-scale", "0.005", "-json"},
+	} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		err := run(append(args, "-out", dir), &out)
+		if err == nil {
+			t.Fatalf("%v accepted:\n%s", args, out.String())
+		}
+		if !strings.Contains(err.Error(), args[1]) || !strings.Contains(err.Error(), "accuracy") {
+			t.Fatalf("%v: error %q does not name the bad entry and the valid ones", args, err)
+		}
+		if matches, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json")); len(matches) != 0 {
+			t.Fatalf("%v wrote %v", args, matches)
+		}
+	}
+}
+
+// TestRatchetRejectsDisjointBaseline proves a comparable baseline from
+// another experiment fails the ratchet instead of passing vacuously: the
+// two reports share no row, so nothing would be compared.
+func TestRatchetRejectsDisjointBaseline(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "datasets", "-scale", "0.005", "-json", "-out", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("artifact files = %v (err %v), want exactly one", matches, err)
+	}
+	var out2 bytes.Buffer
+	err = run([]string{"-exp", "exp2", "-scale", "0.005", "-json",
+		"-out", t.TempDir(), "-baseline", matches[0]}, &out2)
+	if err == nil {
+		t.Fatalf("disjoint baseline passed the ratchet:\n%s", out2.String())
+	}
+	if !strings.Contains(err.Error(), "shares no rows") {
+		t.Fatalf("ratchet error %q does not explain the disjoint baseline", err)
+	}
+}
+
 func TestBaselineRequiresJSON(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-baseline", "nope.json"}, &out); err == nil {

@@ -325,43 +325,6 @@ func TestWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-func TestTrussAPI(t *testing.T) {
-	// K4 plus a pendant: the K4 is the 4-truss.
-	g := dsd.NewGraph(5, []dsd.Edge{
-		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3},
-		{U: 3, V: 4},
-	})
-	edges, nums := dsd.TrussNumbers(g, 2)
-	if len(edges) != 7 || len(nums) != 7 {
-		t.Fatalf("%d edges, %d nums", len(edges), len(nums))
-	}
-	k, vs := dsd.MaxTruss(g, 2)
-	if k != 4 || len(vs) != 4 {
-		t.Fatalf("max truss k=%d |V|=%d", k, len(vs))
-	}
-	vs2, density, kmax := dsd.TrussDensest(g, 2)
-	if kmax != 4 || len(vs2) != 4 || density != 1.5 {
-		t.Fatalf("truss densest: k=%d |V|=%d density=%v", kmax, len(vs2), density)
-	}
-}
-
-func TestTriangleAPI(t *testing.T) {
-	g := dsd.NewGraph(4, []dsd.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 3},
-	})
-	counts := dsd.TriangleCounts(g, 2)
-	want := []int64{1, 1, 1, 0}
-	for v, c := range want {
-		if counts[v] != c {
-			t.Fatalf("triangle counts = %v, want %v", counts, want)
-		}
-	}
-	vs, tri, edge := dsd.TriangleDensest(g, 2)
-	if len(vs) != 3 || tri != 1.0/3 || edge != 1.0 {
-		t.Fatalf("triangle densest: %v tri=%v edge=%v", vs, tri, edge)
-	}
-}
-
 func TestDynamicGraphAPI(t *testing.T) {
 	g := dsd.NewGraph(4, []dsd.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	dg := dsd.NewDynamicGraph(g)
@@ -402,54 +365,6 @@ func TestInduceNumbersAPI(t *testing.T) {
 	}
 }
 
-func TestSolveUDSDistributed(t *testing.T) {
-	g := dsd.GenerateChungLu(2000, 16000, 2.3, 30)
-	local, _ := dsd.SolveUDS(g, dsd.AlgoPKMC, dsd.Options{Workers: 2})
-	distRes, stats := dsd.SolveUDSDistributed(g, 4)
-	if distRes.KStar != local.KStar || math.Abs(distRes.Density-local.Density) > 1e-9 {
-		t.Fatalf("distributed (%v) != local (%v)", distRes, local)
-	}
-	if stats.Workers != 4 || stats.Supersteps == 0 || stats.ValuesSent == 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
-func TestSolveDDSDistributed(t *testing.T) {
-	base := dsd.GenerateChungLuDirected(1500, 9000, 3.0, 3.0, 31)
-	d, _, _ := dsd.PlantBiclique(base, 12, 18, 32)
-	local, _ := dsd.SolveDDS(d, dsd.AlgoPWC, dsd.Options{Workers: 2})
-	distRes, stats := dsd.SolveDDSDistributed(d, 4)
-	if int64(distRes.XStar)*int64(distRes.YStar) != int64(local.XStar)*int64(local.YStar) {
-		t.Fatalf("distributed cn-pair %d·%d != local %d·%d",
-			distRes.XStar, distRes.YStar, local.XStar, local.YStar)
-	}
-	if math.Abs(distRes.Density-local.Density) > 1e-9 {
-		t.Fatalf("distributed density %v != local %v", distRes.Density, local.Density)
-	}
-	if stats.Workers != 4 || stats.Supersteps == 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
-func TestCompressedGraphAPI(t *testing.T) {
-	g := dsd.GenerateChungLu(3000, 30000, 2.2, 33)
-	cg := dsd.Compress(g)
-	if cg.N() != g.N() || cg.M() != g.M() {
-		t.Fatal("size mismatch")
-	}
-	if cg.SizeBytes() >= cg.CSRSizeBytes() {
-		t.Fatalf("no compression: %d vs %d", cg.SizeBytes(), cg.CSRSizeBytes())
-	}
-	want, _ := dsd.SolveUDS(g, dsd.AlgoPKMC, dsd.Options{Workers: 2})
-	got := cg.DensestSubgraph(2)
-	if got.KStar != want.KStar || math.Abs(got.Density-want.Density) > 1e-9 {
-		t.Fatalf("compressed %+v != uncompressed %+v", got, want)
-	}
-	if back := cg.Decompress(); back.M() != g.M() {
-		t.Fatal("decompress lost edges")
-	}
-}
-
 func TestCNPairSkylineAPI(t *testing.T) {
 	sky := dsd.CNPairSkyline(fig1b(), 2)
 	if len(sky) == 0 {
@@ -477,31 +392,6 @@ func TestDensityFriendlyDecompositionAPI(t *testing.T) {
 		if tiers[i].Density > tiers[i-1].Density+1e-9 {
 			t.Fatal("tier densities must be non-increasing")
 		}
-	}
-}
-
-func TestBipartiteAPI(t *testing.T) {
-	var edges []dsd.BipartiteEdge
-	for l := int32(0); l < 4; l++ {
-		for r := int32(0); r < 5; r++ {
-			edges = append(edges, dsd.BipartiteEdge{L: l, R: r})
-		}
-	}
-	edges = append(edges, dsd.BipartiteEdge{L: 5, R: 6})
-	bg := dsd.NewBipartite(8, 8, edges)
-	if bg.NL() != 8 || bg.NR() != 8 || bg.M() != 21 {
-		t.Fatalf("nl=%d nr=%d m=%d", bg.NL(), bg.NR(), bg.M())
-	}
-	l, r := bg.ABCore(5, 4)
-	if len(l) != 4 || len(r) != 5 {
-		t.Fatalf("(5,4)-core: %v / %v", l, r)
-	}
-	if bm := bg.BetaMax(5); bm != 4 {
-		t.Fatalf("BetaMax(5) = %d, want 4", bm)
-	}
-	dl, dr, density := bg.DensestSubgraph()
-	if density < 20.0/9/2 || len(dl) == 0 || len(dr) == 0 {
-		t.Fatalf("densest: %v / %v @ %v", dl, dr, density)
 	}
 }
 

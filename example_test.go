@@ -48,18 +48,6 @@ func ExampleXYCore() {
 	// Output: S = [0 1], T = [2 3]
 }
 
-// Truss numbers grade edges by triangle support: the K4's edges form the
-// 4-truss, the pendant edge only the 2-truss.
-func ExampleMaxTruss() {
-	g := dsd.NewGraph(5, []dsd.Edge{
-		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3},
-		{U: 3, V: 4},
-	})
-	k, vs := dsd.MaxTruss(g, 1)
-	fmt.Printf("k_max = %d, truss = %v\n", k, vs)
-	// Output: k_max = 4, truss = [0 1 2 3]
-}
-
 // The dynamic graph keeps the densest subgraph current while edges come
 // and go.
 func ExampleDynamicGraph() {
@@ -82,14 +70,4 @@ func ExampleCNPairSkyline() {
 	})
 	fmt.Println(dsd.CNPairSkyline(d, 1))
 	// Output: [[2 2]]
-}
-
-// Compressing a graph trades decode time for memory; the densest-subgraph
-// answer is unchanged.
-func ExampleCompress() {
-	g := dsd.NewGraph(4, []dsd.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 3}})
-	cg := dsd.Compress(g)
-	res := cg.DensestSubgraph(1)
-	fmt.Printf("k* = %d, density %.1f\n", res.KStar, res.Density)
-	// Output: k* = 2, density 1.0
 }

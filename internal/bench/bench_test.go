@@ -273,20 +273,3 @@ func TestRenderSeries(t *testing.T) {
 		t.Fatal("empty rendering")
 	}
 }
-
-func TestExtensionsExperiment(t *testing.T) {
-	rows := Extensions(tiny)
-	if len(rows) != 9 {
-		t.Fatalf("rows = %d, want 9", len(rows))
-	}
-	byAlgo := map[string]int{}
-	for _, r := range rows {
-		byAlgo[r.Algorithm]++
-		if r.Density <= 0 {
-			t.Fatalf("bad density in %+v", r)
-		}
-	}
-	if byAlgo["PKMC"] != 3 || byAlgo["MaxTruss"] != 3 || byAlgo["TriPeel"] != 3 {
-		t.Fatalf("algorithm mix: %v", byAlgo)
-	}
-}

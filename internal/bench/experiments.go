@@ -5,13 +5,10 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dds"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/kclique"
 	"repro/internal/solver"
-	"repro/internal/truss"
 	"repro/internal/uds"
 )
 
@@ -384,42 +381,3 @@ func Accuracy(cfg Config) []Row {
 
 func pLabel(p int) string        { return "p=" + strconv.Itoa(p) }
 func fracLabel(f float64) string { return strconv.Itoa(int(f*100+0.5)) + "%" }
-
-// Extensions compares the paper's k*-core answer with the future-work
-// dense-subgraph models implemented beyond the paper: the maximum-k truss
-// and the triangle-densest peel. Rows carry both runtimes and densities so
-// the quality/cost trade-off is visible (the truss pays triangle
-// enumeration for a certificate at least as tight as the core's).
-func Extensions(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.UndirectedCatalog()[:3] {
-		g := ds.BuildUndirected(cfg.Scale)
-		var kstarDensity float64
-		sec := timeIt(func() {
-			res := core.PKMC(g, cfg.Workers)
-			kstarDensity = g.InducedDensity(res.Vertices)
-		})
-		rows = append(rows, Row{Experiment: "extensions", Dataset: ds.Abbr,
-			Algorithm: "PKMC", Seconds: sec, Density: kstarDensity})
-
-		var trussDensity float64
-		var kmax int32
-		sec = timeIt(func() {
-			_, trussDensity, kmax = truss.Densest(g, cfg.Workers)
-		})
-		rows = append(rows, Row{Experiment: "extensions", Dataset: ds.Abbr,
-			Algorithm: "MaxTruss", Seconds: sec, Density: trussDensity,
-			Extra: map[string]int64{"kmax": int64(kmax)}})
-
-		var triDensity, triEdgeDensity float64
-		sec = timeIt(func() {
-			res := kclique.Densest(g, cfg.Workers)
-			triDensity, triEdgeDensity = res.TriangleDensity, res.EdgeDensity
-		})
-		rows = append(rows, Row{Experiment: "extensions", Dataset: ds.Abbr,
-			Algorithm: "TriPeel", Seconds: sec, Density: triEdgeDensity,
-			Extra: map[string]int64{"tri_density_x10": int64(triDensity * 10)}})
-	}
-	return rows
-}

@@ -95,6 +95,23 @@ func Comparable(baseline, current Report) (bool, string) {
 	return true, ""
 }
 
+// SharedRows counts the current report's rows whose key also appears in
+// the baseline. Zero means the two reports measured disjoint experiments,
+// so CompareReports would vacuously find no regressions.
+func SharedRows(baseline, current Report) int {
+	base := make(map[string]bool, len(baseline.Rows))
+	for _, r := range baseline.Rows {
+		base[rowKey(r)] = true
+	}
+	n := 0
+	for _, r := range current.Rows {
+		if base[rowKey(r)] {
+			n++
+		}
+	}
+	return n
+}
+
 // CompareReports diffs current against baseline row by row and returns
 // the regressions, sorted by key for stable output. Rows present in only
 // one report are skipped (experiments come and go), as are rows that

@@ -126,17 +126,3 @@ func TestClaimGraphSizeCollapse(t *testing.T) {
 		t.Fatalf("w*-subgraph has %d of %d vertices — no collapse", len(vs), d.N())
 	}
 }
-
-// Claim (future work, distributed): the BSP port computes identical
-// answers with supersteps equal to PKMC's iterations.
-func TestClaimDistributedParity(t *testing.T) {
-	g := buildUDSModel(t, "EU")
-	local, _ := dsd.SolveUDS(g, dsd.AlgoPKMC, dsd.Options{})
-	distRes, stats := dsd.SolveUDSDistributed(g, 4)
-	if distRes.KStar != local.KStar || distRes.Density != local.Density {
-		t.Fatalf("distributed %v != local %v", distRes, local)
-	}
-	if stats.Supersteps != local.Iterations {
-		t.Fatalf("supersteps %d != PKMC iterations %d", stats.Supersteps, local.Iterations)
-	}
-}

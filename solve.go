@@ -8,9 +8,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/dds"
-	"repro/internal/kclique"
 	"repro/internal/solver"
-	"repro/internal/truss"
 	"repro/internal/uds"
 )
 
@@ -286,47 +284,6 @@ func WStar(d *Digraph, workers int) (int64, []int32) {
 	out := append([]int32(nil), res.Original...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return res.WStar, out
-}
-
-// TrussNumbers computes the truss number of every edge (the k-truss
-// extension from the paper's future-work direction): the i-th returned
-// edge has truss number truss[i] >= 2. Uses the parallel h-index local
-// decomposition.
-func TrussNumbers(g *Graph, workers int) (edges []Edge, trussNum []int32) {
-	dec, _ := truss.DecomposeLocal(g.g, workers)
-	return dec.Edges, dec.Truss
-}
-
-// MaxTruss returns k_max and the vertex set of the maximum-k truss — a
-// tighter dense-subgraph certificate than the k*-core (every k-truss sits
-// inside the (k-1)-core).
-func MaxTruss(g *Graph, workers int) (int32, []int32) {
-	return truss.MaxTruss(g.g, workers)
-}
-
-// TrussDensest returns the maximum-k truss as a densest-subgraph
-// heuristic, with its density. Unlike PKMC's k*-core it carries no proven
-// approximation ratio — that relationship is precisely the open question
-// the paper's conclusion poses — but on triangle-rich nuclei it is often
-// the sharper answer; see the extension bench.
-func TrussDensest(g *Graph, workers int) (vertices []int32, density float64, kmax int32) {
-	return truss.Densest(g.g, workers)
-}
-
-// TriangleCounts returns the number of triangles through every vertex
-// (parallel adjacency intersection).
-func TriangleCounts(g *Graph, workers int) []int64 {
-	return kclique.TriangleCounts(g.g, workers)
-}
-
-// TriangleDensest solves the k-clique-density variant for k = 3 (the
-// paper's second future-work model): it returns the subgraph found by the
-// triangle peel — a 3-approximation of the set maximizing
-// #triangles(S)/|S| — with both its triangle density and its ordinary edge
-// density for comparison with SolveUDS answers.
-func TriangleDensest(g *Graph, workers int) (vertices []int32, triangleDensity, edgeDensity float64) {
-	res := kclique.Densest(g.g, workers)
-	return res.Vertices, res.TriangleDensity, res.EdgeDensity
 }
 
 // InduceNumbers computes the induce-number of every arc of a digraph
