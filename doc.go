@@ -10,7 +10,7 @@
 // with the paper's parallel 2-approximation algorithms as defaults — PKMC
 // (Algorithm 2: k*-core via h-index sweeps with the Theorem-1 early stop)
 // for UDS and PWC (Algorithms 3–4: the [x*, y*]-core extracted from one
-// w*-induced subgraph decomposition, sound by Theorem 2's w* = x*·y*) for
+// w*-induced subgraph decomposition, sound because w* >= x*·y*) for
 // DDS — plus every baseline the paper compares against, and exact
 // flow-based solvers for small graphs.
 //

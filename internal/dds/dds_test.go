@@ -3,6 +3,7 @@ package dds
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -276,8 +277,10 @@ func TestWStarMatchesDecomposeMax(t *testing.T) {
 	}
 }
 
-// TestTheorem2 machine-checks the paper's central claim: w* equals the
-// maximum x·y over all non-empty [x, y]-cores.
+// TestTheorem2 machine-checks the paper's central claim on small random
+// digraphs, where it holds: w* equals the maximum x·y over all non-empty
+// [x, y]-cores. On larger graphs w* can exceed it; see
+// TestPWCNonEmptyWhenWStarExceedsProduct.
 func TestTheorem2(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDigraph(seed, 25, 4)
@@ -405,12 +408,91 @@ func TestPWCStats(t *testing.T) {
 	}
 }
 
+// catalogSample is one 95% edge sample of a catalog digraph model.
+func catalogSample(t *testing.T, abbr string, scale float64, seed int64) *graph.Directed {
+	t.Helper()
+	ds, ok := gen.FindDataset(abbr)
+	if !ok {
+		t.Fatalf("no dataset %q", abbr)
+	}
+	return ds.BuildDirected(scale).SampleEdges(0.95, seed)
+}
+
+func sortedCopy(v []int32) []int32 {
+	out := slices.Clone(v)
+	slices.Sort(out)
+	return out
+}
+
+// TestPWCParallelConsistent pins the w-peel's ownership rule: the whole
+// PWC answer, its Table-7 statistics and every induce-number must not
+// depend on the worker count.
 func TestPWCParallelConsistent(t *testing.T) {
-	d := randomDigraph(77, 200, 6)
-	a := PWC(d, 1)
-	b := PWC(d, 8)
-	if int64(a.XStar)*int64(a.YStar) != int64(b.XStar)*int64(b.YStar) {
-		t.Fatalf("worker counts disagree: %d·%d vs %d·%d", a.XStar, a.YStar, b.XStar, b.YStar)
+	// WE sample 9 takes the certified fallback walk; the others do not.
+	for _, c := range []struct {
+		abbr  string
+		scale float64
+		seeds []int64
+	}{{"AM", 0.05, []int64{1, 2}}, {"DL", 0.01, []int64{1, 2}}, {"WE", 0.01, []int64{1, 9}}} {
+		for _, seed := range c.seeds {
+			d := catalogSample(t, c.abbr, c.scale, seed)
+			a, sa := PWCWithStats(d, 1)
+			b, sb := PWCWithStats(d, 8)
+			if !slices.Equal(sortedCopy(a.S), sortedCopy(b.S)) || !slices.Equal(sortedCopy(a.T), sortedCopy(b.T)) ||
+				a.Density != b.Density || a.XStar != b.XStar || a.YStar != b.YStar || a.Iterations != b.Iterations {
+				t.Errorf("%s/%d: p=1 and p=8 answers differ: [%d, %d] %v vs [%d, %d] %v",
+					c.abbr, seed, a.XStar, a.YStar, a.Density, b.XStar, b.YStar, b.Density)
+			}
+			if sa != sb {
+				t.Errorf("%s/%d: stats differ: %+v vs %+v", c.abbr, seed, sa, sb)
+			}
+			if len(a.S) == 0 {
+				t.Errorf("%s/%d: empty answer", c.abbr, seed)
+			}
+			da, db := WDecompose(d, 1), WDecompose(d, 8)
+			if da.WStar != db.WStar || da.Levels != db.Levels || !slices.Equal(da.InduceNumber, db.InduceNumber) {
+				t.Errorf("%s/%d: induce-numbers differ between p=1 and p=8", c.abbr, seed)
+			}
+		}
+	}
+}
+
+// TestPWCNonEmptyWhenWStarExceedsProduct covers samples on which w* is
+// strictly larger than x*·y*, so the w*-induced subgraph holds no core of
+// product w*. PWC must still return the [x*, y*]-core with the maximum
+// product over all x of x·YMax(d, x).
+func TestPWCNonEmptyWhenWStarExceedsProduct(t *testing.T) {
+	for _, seed := range []int64{7, 12} {
+		d := catalogSample(t, "WE", 0.1, seed)
+		res, stats := PWCWithStats(d, 2)
+		if len(res.S) == 0 || len(res.T) == 0 {
+			t.Fatalf("seed %d: empty answer (w* = %d)", seed, stats.WStar)
+		}
+		if got := d.DensityST(res.S, res.T); res.Density != got {
+			t.Fatalf("seed %d: density %v, but DensityST gives %v", seed, res.Density, got)
+		}
+		s, tt := XYCore(d, res.XStar, res.YStar)
+		if !sameSet(res.S, s) || !sameSet(res.T, tt) {
+			t.Fatalf("seed %d: answer is not the [%d, %d]-core of the input", seed, res.XStar, res.YStar)
+		}
+		// The core is non-empty, so YMax(d, x*) >= y*: the maximum product
+		// is at least x*·y*. YMax is non-increasing in x, so x·YMax(d, x')
+		// for x' < x bounds x·YMax(d, x), and YMax only has to run where
+		// that bound exceeds x*·y*.
+		want := int64(res.XStar) * int64(res.YStar)
+		if want >= stats.WStar {
+			t.Fatalf("seed %d: x*·y* = %d is not below w* = %d", seed, want, stats.WStar)
+		}
+		yBound := d.MaxInDegree()
+		for x := int32(1); x <= d.MaxOutDegree(); x++ {
+			if int64(x)*int64(yBound) <= want {
+				continue
+			}
+			yBound = YMax(d, x)
+			if prod := int64(x) * int64(yBound); prod > want {
+				t.Fatalf("seed %d: [%d, %d]-core has product %d > x*·y* = %d", seed, x, yBound, prod, want)
+			}
+		}
 	}
 }
 

@@ -8,9 +8,11 @@
 // w*-induced subgraph decomposition (Algorithms 3 and 4).
 //
 // The w-induced subgraph is the paper's Theorem 2 at work: with arc weight
-// w(u→v) = d⁺(u)·d⁻(v), the maximum induce-number w* satisfies w* = x*·y*,
-// so the densest pair's core lives inside the (much smaller) w*-induced
-// subgraph and one decomposition replaces PXY's enumeration over all (x, y)
-// candidates. WStarSubgraph is Algorithm 3; PWC (with its traced and
+// w(u→v) = d⁺(u)·d⁻(v), the maximum induce-number w* satisfies w* >= x*·y*
+// (the paper claims equality, which fails on some graphs). When equality
+// holds, the densest pair's core lives inside the (much smaller)
+// w*-induced subgraph and one decomposition replaces PXY's enumeration
+// over all (x, y) candidates; when it does not, PWC walks down the peel
+// levels to the graph that holds the core. WStarSubgraph is Algorithm 3; PWC (with its traced and
 // Table-7-instrumented variants) is Algorithm 4.
 package dds

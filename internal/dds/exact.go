@@ -235,7 +235,7 @@ func ExactPrunedCtx(ctx context.Context, d *graph.Directed, p int) (Result, erro
 	}
 	st := newWState(d, p)
 	st.peelLevel(w0-1, nil, p)
-	st.refreshActive(p)
+	st.refreshActive()
 	sub, orig := induceFromArcs(d, st.snapshotArcs())
 	res, err := ExactCtx(ctx, sub)
 	if err != nil {

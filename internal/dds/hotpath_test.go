@@ -46,20 +46,29 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 2}, {U: 3, V: 0},
 	})
 	st := newWState(d, 1) // p = 1 keeps the parallel helpers inline
+	induce := make([]int64, d.M())
 	var sinkI64 int64
-	var sinkB bool
 	runners := map[string]func(){
-		// weight/remove on arc 0 (tail 0). After the warm-up removal wins,
-		// every measured remove exercises the common CAS-failure path.
-		"wState.weight":    func() { sinkI64 = st.weight(0, 0) },
-		"wState.remove":    func() { sinkB = st.remove(0, 0) },
+		"wState.weight": func() { sinkI64 = st.weight(0, 0) },
+		// remove arc 0 (0 -> 1), then put it back by hand, so every
+		// measured run performs the same real removal.
+		"wState.remove": func() {
+			st.remove(0, 0)
+			st.alive[0] = true
+			st.dplus[0]++
+			st.dminus[1].Add(1)
+		},
 		"wState.minWeight": func() { sinkI64 = st.minWeight(1) },
 		"wState.minBlock":  func() { st.minBlock(0, len(st.active)) },
 		// Level -1 is below every weight, so the sweep removes nothing and
-		// converges in one pass — repeatable under AllocsPerRun.
-		"wState.peelLevel": func() { st.peelLevel(-1, nil, 1) },
+		// converges in one pass — repeatable under AllocsPerRun. The
+		// second call passes an induce sink, as WStarSubgraph always does.
+		"wState.peelLevel": func() {
+			sinkI64 = st.peelLevel(-1, nil, 1)
+			sinkI64 += st.peelLevel(-1, induce, 1)
+		},
 		"wState.peelBlock": func() { st.peelBlock(0, len(st.active)) },
 	}
 	checkZeroAlloc(t, HotPaths(), runners)
-	_, _ = sinkI64, sinkB
+	_ = sinkI64
 }

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,10 @@ type PWCStats struct {
 // with Algorithm 3 plus the d_max warm start, (2) locates the maximum
 // cn-pair [x*, y*] inside it by deleting exact-weight edges per candidate
 // in-degree until the subgraph collapses (Lemma 6), and (3) peels the
-// [x*, y*]-core out of the w*-induced subgraph (legitimate since the core
-// is contained in it by Lemma 4 + Theorem 2).
+// [x*, y*]-core out of the w*-induced subgraph (legitimate when w* = x*·y*,
+// since the core is contained in it by Lemma 4). Only w* >= x*·y* holds
+// in general; when the core comes back empty, certifiedMaxPair walks down
+// the peel levels to the true maximum pair.
 func PWC(d *graph.Directed, p int) Result {
 	r, _ := pwcImpl(d, p, nil)
 	return r
@@ -79,27 +82,28 @@ func pwcImpl(d *graph.Directed, p int, tr *trace.Trace) (Result, PWCStats) {
 	endSearch := tr.StartPhase("cnpair-search")
 	x, y := findMaxCNPair(h, ws.WStar, p)
 	endSearch()
-	if x < 1 || y < 1 {
-		return Result{Algorithm: "PWC"}, stats
-	}
-	// Extract the [x*, y*]-core from the w*-induced subgraph. The peel on
-	// h equals the peel on d restricted to h because the core of d is a
-	// subgraph of h.
+	// Extract the [x*, y*]-core from the w*-induced subgraph. When
+	// w* = x*·y* the core of d is a subgraph of h, so the peel on h equals
+	// the peel on d restricted to h.
 	endExtract := tr.StartPhase("core-extraction")
+	defer endExtract()
 	s, t := XYCore(h, x, y)
+	orig := ws.Original
 	if len(s) == 0 || len(t) == 0 {
-		// Defensive fallback (see findMaxCNPair): scan the divisor pairs
-		// of w* for a non-empty core; Theorem 2 guarantees one exists.
-		x, y, s, t = bestDivisorCore(h, ws.WStar)
-		if len(s) == 0 {
-			endExtract()
+		// w* exceeded x*·y*, so h holds no core of product w*. Certify
+		// the maximum pair by walking down the levels instead, and peel
+		// its core out of the warm-start remainder, which contains it.
+		// This runs inside the extraction phase.
+		x, y = certifiedMaxPair(ws, p)
+		s, t = XYCore(ws.base, x, y)
+		orig = ws.baseOrig
+		if len(s) == 0 || len(t) == 0 {
 			return Result{Algorithm: "PWC"}, stats
 		}
 	}
-	sOrig := mapBack(s, ws.Original)
-	tOrig := mapBack(t, ws.Original)
+	sOrig := mapBack(s, orig)
+	tOrig := mapBack(t, orig)
 	stats.ArcsDensest = d.EdgesST(sOrig, tOrig)
-	endExtract()
 	return Result{
 		Algorithm:  "PWC",
 		S:          sOrig,
@@ -123,17 +127,17 @@ func findMaxCNPair(h *graph.Directed, wstar int64, p int) (xstar, ystar int32) {
 		return 0, 0
 	}
 	st := newWState(h, p)
-	for st.arcsLeft.Load() > 0 {
+	for st.arcsLeft > 0 {
 		cands := exactInDegrees(st, wstar, p)
 		if len(cands) == 0 {
 			// No arc currently weighs exactly w*: every live arc weighs
 			// more, which contradicts w* being the maximum induce-number
 			// (Proposition 4) unless rounding races delayed a cleanup.
 			// One cleanup pass below w* restores the invariant.
-			if st.peelBelow(wstar, p) == 0 {
+			if st.peelLevel(wstar-1, nil, p) == 0 {
 				break // defensive: avoid looping on a theory violation
 			}
-			st.refreshActive(p)
+			st.refreshActive()
 			continue
 		}
 		for _, dstar := range cands {
@@ -141,8 +145,8 @@ func findMaxCNPair(h *graph.Directed, wstar int64, p int) (xstar, ystar int32) {
 			if st.deleteExact(wstar, dstar, p) {
 				xstar, ystar = xc, dstar
 			}
-			st.refreshActive(p)
-			if st.arcsLeft.Load() == 0 {
+			st.refreshActive()
+			if st.arcsLeft == 0 {
 				return xstar, ystar
 			}
 		}
@@ -160,13 +164,13 @@ func exactInDegrees(st *wState, wstar int64, p int) []int32 {
 		local := map[int32]struct{}{}
 		for i := lo; i < hi; i++ {
 			u := st.active[i]
-			du := int64(st.dplus[u].Load())
+			du := int64(st.dplus[u])
 			if du == 0 {
 				continue
 			}
 			alo, ahi := st.d.OutArcRange(u)
 			for a := alo; a < ahi; a++ {
-				if !st.alive[a].Load() {
+				if !st.alive[a] {
 					continue
 				}
 				dv := st.dminus[st.d.ArcHead(a)].Load()
@@ -191,81 +195,80 @@ func exactInDegrees(st *wState, wstar int64, p int) []int32 {
 	return out
 }
 
-// peelBelow removes, to a fixpoint, arcs whose weight dropped strictly
-// below wstar; returns how many arcs were removed.
-func (st *wState) peelBelow(wstar int64, p int) int64 {
-	before := st.arcsLeft.Load()
-	st.peelLevel(wstar-1, nil, p)
-	return before - st.arcsLeft.Load()
-}
-
 // deleteExact removes, to a fixpoint, both sub-w* arcs and arcs whose
 // endpoint degrees are exactly (w*/d*, d*); reports whether any exact-pair
 // arc was removed (Algorithm 4, lines 14-17).
 func (st *wState) deleteExact(wstar int64, dstar int32, p int) bool {
 	var removedExact atomic.Bool
 	for {
-		var changed atomic.Bool
+		st.removed.Store(0)
 		parallel.ForBlocks(len(st.active), p, 256, func(lo, hi int) {
-			localChanged := false
+			var removed int64
+			exact := false
 			for i := lo; i < hi; i++ {
 				u := st.active[i]
 				alo, ahi := st.d.OutArcRange(u)
 				for a := alo; a < ahi; a++ {
-					if !st.alive[a].Load() {
+					if !st.alive[a] {
 						continue
 					}
-					du := int64(st.dplus[u].Load())
 					dv := st.dminus[st.d.ArcHead(a)].Load()
-					w := du * int64(dv)
+					w := int64(st.dplus[u]) * int64(dv)
 					if w < wstar {
-						if st.remove(u, a) {
-							localChanged = true
-						}
+						st.remove(u, a)
+						removed++
 					} else if w == wstar && dv == dstar {
-						if st.remove(u, a) {
-							removedExact.Store(true)
-							localChanged = true
-						}
+						st.remove(u, a)
+						removed++
+						exact = true
 					}
 				}
 			}
-			if localChanged {
-				changed.Store(true)
+			if exact {
+				removedExact.Store(true)
+			}
+			if removed > 0 {
+				st.removed.Add(removed)
 			}
 		})
-		if !changed.Load() {
+		swept := st.removed.Load()
+		if swept == 0 {
 			return removedExact.Load()
 		}
+		st.arcsLeft -= swept
 	}
 }
 
-// bestDivisorCore enumerates the divisor pairs (x, w*/x) of w* and returns
-// the non-empty [x, y]-core of h with the highest density — the provably
-// safe route from Theorem 2 when the edge-deletion search is inconclusive.
-func bestDivisorCore(h *graph.Directed, wstar int64) (x, y int32, s, t []int32) {
-	bestDensity := -1.0
-	maxX := int64(h.MaxOutDegree())
-	maxY := int64(h.MaxInDegree())
-	for xd := int64(1); xd*xd <= wstar; xd++ {
-		if wstar%xd != 0 {
-			continue
+// certifiedMaxPair finds the maximum cn-pair when the w*-induced subgraph
+// holds no core of product w* (w* can exceed x*·y*). Let H_L be the arcs
+// whose removal level is at least L. Every [x, y]-core with x·y >= L lies
+// in H_L, and H_L is the same graph for every L in (L_{j-1}, L_j] of two
+// consecutive levels. So the walk runs PXY's enumeration on H_{L_j} for
+// the levels L_j of the working graph, from w* down, and stops at the
+// first whose best product P reaches L_{j-1}: a larger product would
+// exceed L_{j-1}, lie in H_{L_j}, and have been found. Once the walk
+// reaches the working graph's first level it searches the warm-start
+// remainder instead, which holds the [x*, y*]-core because x*·y* >= d_max.
+func certifiedMaxPair(ws WStarResult, p int) (x, y int32) {
+	levels := slices.Clone(ws.workLevel)
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	slices.Reverse(levels)
+	for j := 0; j+1 < len(levels); j++ {
+		var arcs []int64
+		for a, level := range ws.workLevel {
+			if level >= levels[j] {
+				arcs = append(arcs, int64(a))
+			}
 		}
-		for _, pair := range [][2]int64{{xd, wstar / xd}, {wstar / xd, xd}} {
-			if pair[0] > maxX || pair[1] > maxY {
-				continue // no vertex can meet the degree bound
-			}
-			cs, ct := XYCore(h, int32(pair[0]), int32(pair[1]))
-			if len(cs) == 0 || len(ct) == 0 {
-				continue
-			}
-			if dd := h.DensityST(cs, ct); dd > bestDensity {
-				bestDensity = dd
-				x, y, s, t = int32(pair[0]), int32(pair[1]), cs, ct
-			}
+		h, _ := induceFromArcs(ws.work, arcs)
+		x, y, _ = maxProductPair(h, p)
+		if int64(x)*int64(y) >= levels[j+1] {
+			return x, y
 		}
 	}
-	return x, y, s, t
+	x, y, _ = maxProductPair(ws.base, p)
+	return x, y
 }
 
 func mapBack(local []int32, original []int32) []int32 {

@@ -2,8 +2,6 @@ package dds
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -26,59 +24,57 @@ import (
 // decomposition; the dynamic assignment here mitigates but cannot remove
 // the critical path.
 func PXY(d *graph.Directed, p int) Result {
-	m := d.M()
-	if m == 0 {
+	x, y, candidates := maxProductPair(d, p)
+	if x == 0 {
 		return Result{Algorithm: "PXY"}
 	}
-	limit := int32(math.Sqrt(float64(m)))
-	if limit < 1 {
-		limit = 1
-	}
-	// Candidates 1..limit for the x sweep, then 1..limit for the y sweep.
-	total := int(limit) * 2
-	var bestProduct atomic.Int64
-	var mu sync.Mutex
-	var bestX, bestY int32
-	rev := d.Reverse()
-	var nextCandidate atomic.Int64
-	parallel.Workers(p, func(int) {
-		for {
-			i := int(nextCandidate.Add(1)) - 1
-			if i >= total {
-				return
-			}
-			var x, y int32
-			if i < int(limit) {
-				x = int32(i) + 1
-				y = YMax(d, x)
-			} else {
-				y = int32(i-int(limit)) + 1
-				x = YMax(rev, y)
-			}
-			prod := int64(x) * int64(y)
-			if prod > 0 && parallel.MaxInt64(&bestProduct, prod) {
-				mu.Lock()
-				// Re-check under the lock: another worker may have raised
-				// bestProduct between our CAS and here with an even larger
-				// product; only record if we still hold the max.
-				if prod == bestProduct.Load() {
-					bestX, bestY = x, y
-				}
-				mu.Unlock()
-			}
-		}
-	})
-	if bestProduct.Load() == 0 {
-		return Result{Algorithm: "PXY"}
-	}
-	s, t := XYCore(d, bestX, bestY)
+	s, t := XYCore(d, x, y)
 	return Result{
 		Algorithm:  "PXY",
 		S:          s,
 		T:          t,
 		Density:    d.DensityST(s, t),
-		XStar:      bestX,
-		YStar:      bestY,
-		Iterations: total,
+		XStar:      x,
+		YStar:      y,
+		Iterations: candidates,
 	}
+}
+
+// maxProductPair is PXY's enumeration: YMax for every x in [1, √m] and,
+// on the reversed digraph, XMax for every y in [1, √m]. It returns the
+// first pair in candidate order with the largest product x·y (0, 0 when D
+// has no arcs), so the answer does not depend on p, together with the
+// number of candidates.
+func maxProductPair(d *graph.Directed, p int) (x, y int32, candidates int) {
+	m := d.M()
+	if m == 0 {
+		return 0, 0, 0
+	}
+	limit := int(math.Sqrt(float64(m)))
+	if limit < 1 {
+		limit = 1
+	}
+	// Candidates 1..limit for the x sweep, then 1..limit for the y sweep;
+	// grain 1 hands them out one at a time, as their costs vary wildly.
+	total := 2 * limit
+	other := make([]int32, total)
+	rev := d.Reverse()
+	parallel.ForGrain(total, p, 1, func(i int) {
+		if i < limit {
+			other[i] = YMax(d, int32(i)+1)
+		} else {
+			other[i] = YMax(rev, int32(i-limit)+1)
+		}
+	})
+	var best int64
+	for i, o := range other {
+		cx, cy := int32(i)+1, o
+		if i >= limit {
+			cx, cy = o, int32(i-limit)+1
+		}
+		if prod := int64(cx) * int64(cy); prod > best {
+			best, x, y = prod, cx, cy
+		}
+	}
+	return x, y, total
 }

@@ -1,8 +1,6 @@
 package dds
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -14,25 +12,36 @@ import (
 // (u, v) within a subgraph H is d⁺_H(u)·d⁻_H(v); the w-induced subgraph is
 // the maximal subgraph whose every arc weighs at least w; w* is the largest
 // w with a non-empty w-induced subgraph. Theorem 2 states w* = x*·y*, which
-// is what lets PWC find the [x*, y*]-core from one decomposition.
+// is what lets PWC find the [x*, y*]-core from one decomposition; only
+// w* >= x*·y* holds in general, and PWC falls back on the peel levels
+// when the two differ.
 
 // wState is the mutable arc-peeling state over a Directed: per-arc alive
-// flags (arc ids are out-CSR positions) plus atomic degree counters. The
+// flags (arc ids are out-CSR positions) plus degree counters. The
 // level-sweep block bodies are prebound as method values at construction
 // (with their per-call inputs staged in fields), so the //dsd:hotpath peel
 // and min-weight kernels never allocate a closure per sweep.
+//
+// Ownership rule: every parallel sweep (peelBlock, minBlock, deleteExact,
+// exactInDegrees) partitions st.active, and active lists each tail once,
+// so a tail's out-arc range of alive and its dplus entry are read and
+// written only by the one block that owns the tail. That is why alive and
+// dplus are plain slices and remove is plain stores. dminus is the only
+// cross-block write (many tails share a head) and stays atomic. arcsLeft
+// is touched only between regions: each block adds its removal count to
+// removed once, and the caller subtracts the total after the region.
 type wState struct {
 	d        *graph.Directed
-	alive    []atomic.Bool
-	dplus    []atomic.Int32
+	alive    []bool  // owned by the arc's tail block
+	dplus    []int32 // owned by the vertex's tail block
 	dminus   []atomic.Int32
-	arcsLeft atomic.Int64
-	active   []int32 // vertices that may still have out-arcs (refreshed between levels)
+	arcsLeft int64   // written between regions only
+	active   []int32 // vertices that may still have out-arcs, ascending
 
 	// Staged inputs and accumulators of the prebound sweep bodies.
 	level   int64   // peel threshold of the sweep in flight
 	induce  []int64 // optional induce-number sink of the sweep in flight
-	changed atomic.Bool
+	removed atomic.Int64
 	minW    atomic.Int64
 	peelFn  func(lo, hi int)
 	minFn   func(lo, hi int)
@@ -41,54 +50,51 @@ type wState struct {
 func newWState(d *graph.Directed, p int) *wState {
 	n := d.N()
 	st := &wState{
-		d:      d,
-		alive:  make([]atomic.Bool, d.M()),
-		dplus:  make([]atomic.Int32, n),
-		dminus: make([]atomic.Int32, n),
+		d:        d,
+		alive:    make([]bool, d.M()),
+		dplus:    make([]int32, n),
+		dminus:   make([]atomic.Int32, n),
+		arcsLeft: d.M(),
 	}
 	st.peelFn = st.peelBlock
 	st.minFn = st.minBlock
 	parallel.For(n, p, func(v int) {
-		st.dplus[v].Store(d.OutDegree(int32(v)))
+		st.dplus[v] = d.OutDegree(int32(v))
 		st.dminus[v].Store(d.InDegree(int32(v)))
 	})
 	parallel.For(int(d.M()), p, func(a int) {
-		st.alive[a].Store(true)
+		st.alive[a] = true
 	})
-	st.arcsLeft.Store(d.M())
-	st.refreshActive(p)
+	for v := int32(0); int(v) < n; v++ {
+		if st.dplus[v] > 0 {
+			st.active = append(st.active, v)
+		}
+	}
 	return st
 }
 
-// refreshActive rebuilds the list of vertices with live out-arcs.
-func (st *wState) refreshActive(p int) {
-	var mu sync.Mutex
-	var act []int32
-	parallel.ForBlocks(st.d.N(), p, parallel.DefaultGrain, func(lo, hi int) {
-		var local []int32
-		for v := lo; v < hi; v++ {
-			if st.dplus[v].Load() > 0 {
-				local = append(local, int32(v))
-			}
+// refreshActive drops the vertices that lost their last out-arc from the
+// active list, in place. Out-degrees only fall, so no vertex ever rejoins
+// and the filtered list stays ascending.
+func (st *wState) refreshActive() {
+	act := st.active[:0]
+	for _, v := range st.active {
+		if st.dplus[v] > 0 {
+			act = append(act, v)
 		}
-		if len(local) > 0 {
-			mu.Lock()
-			act = append(act, local...)
-			mu.Unlock()
-		}
-	})
-	sort.Slice(act, func(i, j int) bool { return act[i] < act[j] })
+	}
 	st.active = act
 }
 
-// weight returns the current weight of the arc u -> head(a). Degrees only
-// decrease, so a stale read can only overestimate — the peel sweeps repeat
-// to a fixpoint, which makes overestimates safe (an arc is never removed
-// above the level, only kept one sweep too long).
+// weight returns the current weight of the arc u -> head(a). The caller
+// owns u, so d⁺(u) is exact; d⁻(head) may be read while other blocks lower
+// it. Degrees only decrease, so a stale read can only overestimate — the
+// peel sweeps repeat to a fixpoint, which makes overestimates safe (an arc
+// is never removed above the level, only kept one sweep too long).
 //
 //dsd:hotpath
 func (st *wState) weight(u int32, a int64) int64 {
-	return int64(st.dplus[u].Load()) * int64(st.dminus[st.d.ArcHead(a)].Load())
+	return int64(st.dplus[u]) * int64(st.dminus[st.d.ArcHead(a)].Load())
 }
 
 // minWeight returns the minimum live arc weight, or -1 if no arcs remain.
@@ -113,12 +119,12 @@ func (st *wState) minBlock(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		u := st.active[i]
 		alo, ahi := st.d.OutArcRange(u)
-		du := int64(st.dplus[u].Load())
+		du := int64(st.dplus[u])
 		if du == 0 {
 			continue
 		}
 		for a := alo; a < ahi; a++ {
-			if !st.alive[a].Load() {
+			if !st.alive[a] {
 				continue
 			}
 			if w := du * int64(st.dminus[st.d.ArcHead(a)].Load()); w < local {
@@ -129,19 +135,15 @@ func (st *wState) minBlock(lo, hi int) {
 	parallel.MinInt64(&st.minW, local)
 }
 
-// remove deletes arc a = (u, head) if still alive; returns whether this call
-// won the removal. Exactly one caller wins via the CAS, so degrees are
-// decremented once per arc.
+// remove deletes the live arc a = (u, head). Only the block owning tail u
+// calls it, so the alive flag and d⁺(u) are plain stores; the head's d⁻ is
+// the one shared counter. The caller accounts for the removal in arcsLeft.
 //
 //dsd:hotpath
-func (st *wState) remove(u int32, a int64) bool {
-	if !st.alive[a].CompareAndSwap(true, false) {
-		return false
-	}
-	st.dplus[u].Add(-1)
+func (st *wState) remove(u int32, a int64) {
+	st.alive[a] = false
+	st.dplus[u]--
 	st.dminus[st.d.ArcHead(a)].Add(-1)
-	st.arcsLeft.Add(-1)
-	return true
 }
 
 // peelLevel removes, to a fixpoint, every live arc whose current weight is
@@ -149,20 +151,22 @@ func (st *wState) remove(u int32, a int64) bool {
 // while-loop of Algorithm 3 (lines 6-15): each sweep walks the active
 // vertices in parallel; removals lower neighbor degrees, which can pull
 // more arcs under the level, so sweeps repeat until one changes nothing.
-// Returns the number of sweeps.
+// Returns the number of arcs removed.
 //
 //dsd:hotpath
-func (st *wState) peelLevel(level int64, induce []int64, p int) int {
+func (st *wState) peelLevel(level int64, induce []int64, p int) int64 {
 	st.level = level
 	st.induce = induce
-	sweeps := 0
+	var total int64
 	for {
-		sweeps++
-		st.changed.Store(false)
+		st.removed.Store(0)
 		parallel.ForBlocks(len(st.active), p, 256, st.peelFn)
-		if !st.changed.Load() {
-			return sweeps
+		swept := st.removed.Load()
+		if swept == 0 {
+			st.arcsLeft -= total
+			return total
 		}
+		total += swept
 	}
 }
 
@@ -171,26 +175,22 @@ func (st *wState) peelLevel(level int64, induce []int64, p int) int {
 //
 //dsd:hotpath
 func (st *wState) peelBlock(lo, hi int) {
-	localChanged := false
+	var removed int64
 	for i := lo; i < hi; i++ {
 		u := st.active[i]
 		alo, ahi := st.d.OutArcRange(u)
 		for a := alo; a < ahi; a++ {
-			if !st.alive[a].Load() {
-				continue
-			}
-			if st.weight(u, a) <= st.level {
-				if st.remove(u, a) {
-					if st.induce != nil {
-						st.induce[a] = st.level
-					}
-					localChanged = true
+			if st.alive[a] && st.weight(u, a) <= st.level {
+				st.remove(u, a)
+				if st.induce != nil {
+					st.induce[a] = st.level
 				}
+				removed++
 			}
 		}
 	}
-	if localChanged {
-		st.changed.Store(true)
+	if removed > 0 {
+		st.removed.Add(removed)
 	}
 }
 
@@ -200,7 +200,7 @@ func (st *wState) snapshotArcs() []int64 {
 	for _, u := range st.active {
 		alo, ahi := st.d.OutArcRange(u)
 		for a := alo; a < ahi; a++ {
-			if st.alive[a].Load() {
+			if st.alive[a] {
 				arcs = append(arcs, a)
 			}
 		}
@@ -225,10 +225,10 @@ func WDecompose(d *graph.Directed, p int) DecomposeResult {
 	st := newWState(d, p)
 	induce := make([]int64, d.M())
 	res := DecomposeResult{InduceNumber: induce}
-	for st.arcsLeft.Load() > 0 {
+	for st.arcsLeft > 0 {
 		level := st.minWeight(p)
 		st.peelLevel(level, induce, p)
-		st.refreshActive(p)
+		st.refreshActive()
 		res.Levels++
 		if level > res.WStar {
 			res.WStar = level
@@ -252,6 +252,14 @@ type WStarResult struct {
 	// Levels is the number of weight levels processed (including the warm
 	// start), i.e. the t counter of Algorithm 3.
 	Levels int
+
+	// What PWC's certified fallback walks down: the working graph the last
+	// levels were peeled on with each arc's removal level, and the
+	// warm-start remainder with its mapping back to the input.
+	work      *graph.Directed
+	workLevel []int64
+	base      *graph.Directed
+	baseOrig  []int32
 }
 
 // WStarSubgraph computes only the w*-induced subgraph, using the paper's
@@ -288,47 +296,45 @@ func WStarSubgraphOpts(d *graph.Directed, p int, warmStart bool) WStarResult {
 		// Warm start: remove everything strictly below d_max. The
 		// remainder is the d_max-induced subgraph, non-empty by the Remark.
 		st.peelLevel(dmax-1, nil, p)
-		st.refreshActive(p)
+		st.refreshActive()
 		res.Levels = 1
 	}
-	res.ArcsAfterWarmStart = st.arcsLeft.Load()
+	res.ArcsAfterWarmStart = st.arcsLeft
 
 	// cur is the current working graph; orig maps its vertex ids back to
 	// d's ids (nil = identity).
-	cur := d
-	var orig []int32
-	cur, orig, st = compactState(cur, orig, st, p)
-	lastCompact := st.arcsLeft.Load()
+	cur, orig, st := compactState(d, nil, st, p)
+	res.base, res.baseOrig = cur, orig
+	lastCompact := st.arcsLeft
 
-	// Level loop: remember the state entering each level; when a level's
-	// peel empties the graph, that snapshot is the w*-induced subgraph.
-	prevArcs := st.snapshotArcs()
-	prevGraph, prevOrig := cur, orig
-	for {
-		level := st.minWeight(p)
-		if level < 0 {
-			// Defensive: cannot happen (the warm-start remainder is
-			// non-empty); treat the previous snapshot as final.
-			break
-		}
-		st.peelLevel(level, nil, p)
-		st.refreshActive(p)
+	// Level loop: levels strictly increase, and removal records the level
+	// that removed each arc of the working graph. The last level empties
+	// the graph, so the arcs it removed are the w*-induced subgraph.
+	removal := make([]int64, cur.M())
+	for st.arcsLeft > 0 {
+		res.WStar = st.minWeight(p)
+		st.peelLevel(res.WStar, removal, p)
+		st.refreshActive()
 		res.Levels++
-		if st.arcsLeft.Load() == 0 {
-			res.WStar = level
-			break
-		}
-		if st.arcsLeft.Load() < lastCompact/8 {
+		if st.arcsLeft > 0 && st.arcsLeft < lastCompact/8 {
 			cur, orig, st = compactState(cur, orig, st, p)
-			lastCompact = st.arcsLeft.Load()
+			lastCompact = st.arcsLeft
+			// Every arc of the new working graph is removed by a later
+			// level, so the stale entries get overwritten.
+			removal = removal[:cur.M()]
 		}
-		prevArcs = st.snapshotArcs()
-		prevGraph, prevOrig = cur, orig
 	}
-	res.ArcsAtWStar = int64(len(prevArcs))
-	sub, subOrig := induceFromArcs(prevGraph, prevArcs)
+	var wArcs []int64
+	for a, level := range removal {
+		if level == res.WStar {
+			wArcs = append(wArcs, int64(a))
+		}
+	}
+	res.work, res.workLevel = cur, removal
+	res.ArcsAtWStar = int64(len(wArcs))
+	sub, subOrig := induceFromArcs(cur, wArcs)
 	res.Subgraph = sub
-	res.Original = composeMapping(prevOrig, subOrig)
+	res.Original = composeMapping(orig, subOrig)
 	return res
 }
 

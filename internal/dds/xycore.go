@@ -168,8 +168,9 @@ func XMax(d *graph.Directed, y int32) int32 {
 // with dominated entries removed, sorted by ascending x. Every [x, y]-core
 // of D is dominated by some skyline pair (x' >= x, y' >= y), so the
 // skyline is the complete summary of the directed core structure — the
-// object PXY implicitly enumerates, and whose maximum product is w*
-// (Theorem 2). Candidates are computed in parallel like PXY.
+// object PXY implicitly enumerates, and whose maximum product is x*·y*, at
+// most w* (the paper's Theorem 2 claims equality). Candidates are computed
+// in parallel like PXY.
 func CNPairSkyline(d *graph.Directed, p int) [][2]int32 {
 	xmax := d.MaxOutDegree()
 	if xmax == 0 {

@@ -289,7 +289,8 @@ func WStar(d *Digraph, workers int) (int64, []int32) {
 // InduceNumbers computes the induce-number of every arc of a digraph
 // (Definition 10 of the paper) via the full parallel w-induced
 // decomposition (Algorithm 3): arcs[i] has induce-number nums[i], and the
-// maximum over all arcs is w* = x*·y* (Theorem 2).
+// maximum over all arcs is w*, at least x*·y* (the paper's Theorem 2
+// claims equality, which fails on some graphs).
 func InduceNumbers(d *Digraph, workers int) (arcs []Edge, nums []int64) {
 	res := dds.WDecompose(d.d, workers)
 	return d.d.Arcs(), res.InduceNumber
@@ -297,7 +298,7 @@ func InduceNumbers(d *Digraph, workers int) (arcs []Edge, nums []int64) {
 
 // CNPairSkyline returns the maximal [x, y]-core pairs of a digraph (every
 // core is dominated by a skyline pair; the maximum x·y over the skyline is
-// w*, Theorem 2) — the complete directed core-structure summary.
+// x*·y*, at most w*) — the complete directed core-structure summary.
 func CNPairSkyline(d *Digraph, workers int) [][2]int32 {
 	return dds.CNPairSkyline(d.d, workers)
 }
