@@ -27,12 +27,13 @@ vet:
 	$(GO) vet -copylocks -atomic -loopclosure ./...
 
 # The project-specific static-analysis suite: proves the parallel
-# runtime's invariants (atomic captured writes, context polling, probe
-# registry, trace nil-safety, atomic/plain mixing), the serving tier's
-# concurrency contracts (lock ordering, error-code registry, goroutine
-# lifecycle, expvar metric names), and the hot-path allocation discipline
-# (//dsd:hotpath kernels must not allocate and must carry zero-alloc
-# tests). See DESIGN.md's "Static analysis" section and
+# runtime's invariants (atomic captured writes, context polling, trace
+# nil-safety, atomic/plain mixing), the serving tier's concurrency
+# contracts (lock ordering, goroutine lifecycle), the name registries
+# (probe sites, error codes, expvar names and HotPaths() list exactly
+# their declared names, and use sites name a registered entry), and the
+# hot-path allocation discipline (//dsd:hotpath kernels must not
+# allocate). See DESIGN.md's "Static analysis" section and
 # `go run ./cmd/dsdlint -list`.
 lint:
 	$(GO) run ./cmd/dsdlint ./...

@@ -23,7 +23,7 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestListAnalyzers checks the suite is wired: all eleven invariants are
+// TestListAnalyzers checks the suite is wired: all eight analyzers are
 // registered with the driver, and each -list row carries the analyzer's
 // one-line doc so the listing stays self-describing.
 func TestListAnalyzers(t *testing.T) {
@@ -32,16 +32,16 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exited %d: %s", code, stderr.String())
 	}
 	for _, name := range []string{
-		"sharedwrite", "ctxpoll", "probename", "tracenil", "atomicmix",
-		"lockorder", "errcode", "gorolife", "expvarname", "hotalloc", "hotbench",
+		"sharedwrite", "ctxpoll", "tracenil", "atomicmix",
+		"lockorder", "gorolife", "hotalloc", "registry",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output is missing analyzer %q:\n%s", name, stdout.String())
 		}
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 11 {
-		t.Errorf("-list printed %d rows, want 11:\n%s", len(lines), stdout.String())
+	if len(lines) != 8 {
+		t.Errorf("-list printed %d rows, want 8:\n%s", len(lines), stdout.String())
 	}
 	for _, line := range lines {
 		fields := strings.Fields(line)
@@ -81,9 +81,9 @@ replace repro => `+root+`
 	// scratch module seeds the violations expressible through the public
 	// API and plain stdlib: a dropped Options.Ctx and an ignored context
 	// parameter (ctxpoll), a mixed atomic/plain counter (atomicmix), an
-	// expvar registration through a raw string literal (expvarname), and
+	// expvar registration through a raw string literal (registry), and
 	// a //dsd:hotpath kernel that both allocates (hotalloc) and is missing
-	// from a HotPaths() registry (hotbench). The internal-facing analyzers
+	// from a HotPaths() registry (registry). The internal-facing analyzers
 	// get their seeded violations from the golden-file tests and
 	// TestSeededLockInversion below.
 	writeFile(t, dir, "bad.go", `package scratch
@@ -136,9 +136,9 @@ var _ = kernel
 		"atomicmix: non-atomic access to variable hits",
 		"ctxpoll: exported Solve takes dsd.Options",
 		"ctxpoll: exported Ignore takes a context.Context",
-		`expvarname: expvar.NewInt name must be a registered Metric* constant from a metric registry package, not the string literal "scratch_hits"`,
+		`registry: expvar.NewInt name must be a registered Metric* constant from a metric registry package, not the string literal "scratch_hits"`,
 		"hotalloc: hot path kernel: makes a []int32",
-		"hotbench: package has //dsd:hotpath kernels but no HotPaths() registry",
+		"registry: package has //dsd:hotpath kernels but no HotPaths() registry",
 	} {
 		if !strings.Contains(out, wantFrag) {
 			t.Errorf("diagnostics missing %q:\n%s", wantFrag, out)
@@ -251,8 +251,8 @@ func Drop(ctx context.Context, v int) int {
 	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
 		t.Fatalf("-json output does not parse: %v\n%s", err, stdout.String())
 	}
-	if len(report.Analyzers) != 11 {
-		t.Errorf("report names %d analyzers, want 11: %v", len(report.Analyzers), report.Analyzers)
+	if len(report.Analyzers) != 8 {
+		t.Errorf("report names %d analyzers, want 8: %v", len(report.Analyzers), report.Analyzers)
 	}
 	if report.Packages < 1 {
 		t.Errorf("report covers %d packages, want at least 1", report.Packages)

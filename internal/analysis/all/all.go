@@ -7,13 +7,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/ctxpoll"
-	"repro/internal/analysis/errcode"
-	"repro/internal/analysis/expvarname"
 	"repro/internal/analysis/gorolife"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/hotbench"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/probename"
+	"repro/internal/analysis/registry"
 	"repro/internal/analysis/sharedwrite"
 	"repro/internal/analysis/tracenil"
 )
@@ -23,13 +20,10 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicmix.Analyzer,
 		ctxpoll.Analyzer,
-		errcode.Analyzer,
-		expvarname.Analyzer,
 		gorolife.Analyzer,
 		hotalloc.Analyzer,
-		hotbench.Analyzer,
 		lockorder.Analyzer,
-		probename.Analyzer,
+		registry.Analyzer,
 		sharedwrite.Analyzer,
 		tracenil.Analyzer,
 	}

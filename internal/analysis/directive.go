@@ -13,7 +13,7 @@ import (
 //	//dsd:hotpath
 //	    on a function declaration's doc comment: the function is an
 //	    inner-loop kernel that must be allocation-free, transitively
-//	    (checked by hotalloc) and registered + benchmarked (hotbench).
+//	    (checked by hotalloc) and listed in HotPaths() (registry).
 //
 //	//dsd:alloc-ok <reason>
 //	    trailing a statement, or standalone on the line above it:

@@ -33,12 +33,12 @@
 //     is mandatory; a bare directive suppresses nothing. Waived sites
 //     are also excluded from the function's summary, so the waiver
 //     covers callers.
-//   - TrustedPkgs (the parallel runtime and the fault injector) are
+//   - trustedPkgs (the parallel runtime and the fault injector) are
 //     exempt: parallel.For spawns goroutines per region at p > 1,
 //     an amortized fan-out cost that vanishes on the p = 1 path the
 //     zero-alloc tests measure; the discipline polices per-element
 //     allocation, not region setup.
-//   - CleanPkgs (math, sync, sync/atomic, ...) are stdlib packages
+//   - cleanPkgs (math, sync, sync/atomic, ...) are stdlib packages
 //     audited as allocation-free for the calls this codebase makes.
 //     Any other external call is rejected as unaudited.
 package hotalloc
@@ -53,19 +53,18 @@ import (
 	"repro/internal/analysis"
 )
 
-// Configuration, overridable by golden tests.
 var (
-	// TrustedPkgs are module packages whose calls are exempt from the
+	// trustedPkgs are module packages whose calls are exempt from the
 	// discipline: the parallel runtime's region fan-out is an amortized
 	// cost the p = 1 measurement path never pays, and the fault
 	// injector's hooks compile to an atomic load when disarmed.
-	TrustedPkgs = []string{
+	trustedPkgs = []string{
 		"repro/internal/parallel",
 		"repro/internal/faultinject",
 	}
-	// CleanPkgs are external packages audited as allocation-free for
+	// cleanPkgs are external packages audited as allocation-free for
 	// the calls hot paths make into them.
-	CleanPkgs = []string{
+	cleanPkgs = []string{
 		"math",
 		"math/bits",
 		"sync",
@@ -73,9 +72,9 @@ var (
 		"unsafe",
 		"runtime",
 	}
-	// BannedPkgs always allocate (formatting machinery) and get a
+	// bannedPkgs always allocate (formatting machinery) and get a
 	// dedicated diagnostic.
-	BannedPkgs = []string{"fmt", "log"}
+	bannedPkgs = []string{"fmt", "log"}
 )
 
 // Analyzer is the hotalloc pass.
@@ -108,7 +107,7 @@ func run(pass *analysis.ModulePass) error {
 	index := map[*types.Func]*funcInfo{}
 	var order []*funcInfo // deterministic propagation order
 	for _, pkg := range pass.Pkgs {
-		if inList(TrustedPkgs, pkg.Path) {
+		if inList(trustedPkgs, pkg.Path) {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -167,7 +166,7 @@ func run(pass *analysis.ModulePass) error {
 	// Pass 2: report every allocating construct, and every call to a
 	// may-allocate function, inside each //dsd:hotpath function.
 	for _, pkg := range pass.Pkgs {
-		if inList(TrustedPkgs, pkg.Path) {
+		if inList(trustedPkgs, pkg.Path) {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -359,13 +358,13 @@ func (c *checker) call(call *ast.CallExpr) {
 	}
 	path := pkg.Path()
 	switch {
-	case inList(TrustedPkgs, path):
-	case inList(BannedPkgs, path):
+	case inList(trustedPkgs, path):
+	case inList(bannedPkgs, path):
 		c.emit(call.Pos(), fmt.Sprintf("calls %s.%s, which formats and allocates", pkg.Name(), fn.Name()))
 	case c.modPkgs[path]:
 		c.callArgs(call, fn)
 		c.onModuleCall(call.Pos(), fn)
-	case inList(CleanPkgs, path):
+	case inList(cleanPkgs, path):
 		c.callArgs(call, fn)
 	default:
 		c.emit(call.Pos(), fmt.Sprintf("calls %s.%s, which is not audited for allocation-freedom", pkg.Name(), fn.Name()))

@@ -4,10 +4,10 @@ package faultinject
 // repository must name its site through one of these constants: a typo in
 // a raw string literal silently turns a chaos test into a no-op (the
 // armed fault never matches the misspelled site), so the names live in
-// exactly one place and the probename analyzer in
-// internal/analysis/probename rejects call sites that bypass it. The
-// same analyzer checks that the constants are pairwise distinct and that
-// Sites() lists every one of them.
+// exactly one place and the registry analyzer in
+// internal/analysis/registry rejects call sites that bypass it. The
+// same analyzer checks that Sites() lists every constant exactly once;
+// TestSitesRegistryDistinct checks that the values are pairwise distinct.
 const (
 	// SiteParallelForChunk fires once per work chunk claimed by the
 	// parallel For/ForGrain/ForBlocks drivers (and once per region on the
@@ -63,7 +63,7 @@ const (
 
 // Sites returns every registered probe-site name. Chaos tests iterate it
 // to prove that each probe is reachable (a registered-but-dead probe is
-// as useless as a misspelled one), and the probename analyzer checks it
+// as useless as a misspelled one), and the registry analyzer checks it
 // stays in sync with the constants above.
 func Sites() []string {
 	return []string{

@@ -2,11 +2,12 @@ package faultinject
 
 import "testing"
 
-// TestSitesRegistryDistinct pins the registry's core property at test
-// time as well as lint time (the probename analyzer proves it statically;
-// this keeps the guarantee even for builds that skip `make lint`): every
-// registered probe name is non-empty and unique, so arming one site can
-// never affect another.
+// TestSitesRegistryDistinct is the only check of the probe names'
+// values: every registered name is non-empty and unique, so arming one
+// site can never affect another. The registry analyzer checks structure
+// only (every Hit/Fire site names a registered Site* constant, and
+// Sites() lists every constant exactly once), so this test covers every
+// constant.
 func TestSitesRegistryDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, site := range Sites() {

@@ -5,10 +5,11 @@ package live
 // counters it maintains on the subsystem's behalf, but the names belong
 // here: they describe live-graph behavior (mutation batches, incremental
 // repair sizes, delta-log compactions), and a dashboard keyed on them
-// must keep working even if the serving tier is rebuilt. The expvarname
-// analyzer enforces that each constant is snake_case and listed exactly
-// once in MetricNames(); TestMetricNameRegistry in internal/server pins
-// cross-package distinctness and that every name reaches the wire.
+// must keep working even if the serving tier is rebuilt. The registry
+// analyzer enforces that each constant is listed exactly once in
+// MetricNames(); TestMetricNameRegistry in internal/server pins
+// snake_case, cross-package distinctness and that every name reaches the
+// wire.
 const (
 	// MetricMutationsByGraph counts applied mutation batches per live
 	// graph; MetricMutationEdges counts the structural edge changes
@@ -27,7 +28,7 @@ const (
 )
 
 // MetricNames returns every live-owned expvar series name, in declaration
-// order. The expvarname analyzer checks the list against the Metric*
+// order. The registry analyzer checks the list against the Metric*
 // constants above in both directions (nothing missing, nothing listed
 // twice).
 func MetricNames() []string {

@@ -286,7 +286,7 @@ func TestQueueWaitExpires(t *testing.T) {
 // A probe added to the registry without a driver here — or a call site
 // whose constant stops matching its registered name — fails this test.
 // The converse direction (every call site uses a registered constant) is
-// proven statically by the probename analyzer under `make lint`.
+// proven statically by the registry analyzer under `make lint`.
 func TestChaosProbeRegistryCoverage(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	sites := faultinject.Sites()

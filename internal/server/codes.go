@@ -4,11 +4,11 @@ package server
 // {"error": {"code": ..., "message": ...}} with one of these codes, so
 // clients can switch on code instead of parsing messages. The constants
 // are the single source of truth: every apiError site must name one of
-// them (the errcode analyzer in internal/analysis enforces this), and
+// them (the registry analyzer in internal/analysis enforces this), and
 // Codes() below is the registry that keeps dashboards and client
-// switch statements honest — a code that exists but is missing from the
-// registry, or registered twice, fails both the analyzer and
-// TestErrorCodeRegistry.
+// switch statements honest — a code missing from the registry, or
+// listed twice, fails the analyzer, and a duplicate or non-snake_case
+// value fails TestErrorCodeRegistry.
 const (
 	CodeBadRequest       = "bad_request"
 	CodeUnknownGraph     = "unknown_graph"
@@ -39,7 +39,7 @@ const (
 
 // Codes returns every registered structured error code, in declaration
 // order. The list must stay in lockstep with the Code* constants above:
-// the errcode analyzer flags a constant that is missing here (or listed
+// the registry analyzer flags a constant that is missing here (or listed
 // twice), and TestErrorCodeRegistry pins pairwise distinctness of the
 // wire strings.
 func Codes() []string {

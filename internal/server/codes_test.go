@@ -1,15 +1,13 @@
 package server
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestErrorCodeRegistry pins the dynamic half of the errcode contract:
-// the registered wire strings are pairwise distinct, non-empty, and
-// snake_case. (The static half — every apiError site names a registered
-// Code* constant, and the registry lists every constant exactly once —
-// is proven by the errcode analyzer in internal/analysis.)
+// TestErrorCodeRegistry is the only check of the registered wire
+// strings' values: they are non-empty, pairwise distinct and snake_case.
+// The registry analyzer in internal/analysis checks structure only —
+// every apiError site names a registered Code* constant, and Codes()
+// lists every constant exactly once — so this test covers every
+// constant.
 func TestErrorCodeRegistry(t *testing.T) {
 	codes := Codes()
 	if len(codes) == 0 {
@@ -17,22 +15,12 @@ func TestErrorCodeRegistry(t *testing.T) {
 	}
 	seen := make(map[string]bool, len(codes))
 	for _, c := range codes {
-		if c == "" {
-			t.Error("registry contains an empty code")
-			continue
+		if !isSnake(c) {
+			t.Errorf("code %q is not snake_case", c)
 		}
 		if seen[c] {
 			t.Errorf("code %q registered twice", c)
 		}
 		seen[c] = true
-		for _, r := range c {
-			if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '_' {
-				t.Errorf("code %q is not snake_case (offending rune %q)", c, r)
-				break
-			}
-		}
-		if strings.HasPrefix(c, "_") || strings.HasSuffix(c, "_") {
-			t.Errorf("code %q has a leading/trailing underscore", c)
-		}
 	}
 }

@@ -15,11 +15,12 @@ import (
 
 // Expvar series names owned by the serving tier. Dashboards key on these
 // strings, so they are constants with a registry rather than literals
-// scattered through snapshot(): the expvarname analyzer enforces that
-// every name is snake_case and listed exactly once in MetricNames(), and
-// TestMetricNameRegistry pins distinctness across this package and
-// internal/live (which owns the mutation/compaction series) plus the
-// fact that every registered name actually appears on the wire.
+// scattered through snapshot(): the registry analyzer enforces that
+// every name is listed exactly once in MetricNames(), and
+// TestMetricNameRegistry pins that every name is snake_case, that names
+// are distinct across this package and internal/live (which owns the
+// mutation/compaction series), and that every registered name actually
+// appears on the wire.
 const (
 	MetricRequests             = "requests"
 	MetricErrors               = "errors"
@@ -47,7 +48,7 @@ const (
 
 // MetricNames returns every server-owned expvar name, in declaration
 // order (the live-graph series names live in internal/live's registry).
-// The expvarname analyzer checks the list against the Metric* constants
+// The registry analyzer checks the list against the Metric* constants
 // above in both directions.
 func MetricNames() []string {
 	return []string{

@@ -8,8 +8,8 @@ import (
 )
 
 // isSnake reports whether s matches ^[a-z][a-z0-9_]*$ without a trailing
-// or doubled underscore — the shape the expvarname analyzer enforces on
-// the Metric* constants themselves.
+// or doubled underscore: the shape of every registered error code and
+// metric name.
 func isSnake(s string) bool {
 	if s == "" || s[0] < 'a' || s[0] > 'z' {
 		return false
@@ -31,11 +31,15 @@ func isSnake(s string) bool {
 	return !prevUnderscore
 }
 
-// TestMetricNameRegistry is the dynamic half of the expvarname contract:
-// the server-owned and live-owned metric names are pairwise distinct
-// across both registries, every name is snake_case, and the snapshot's
-// wire keys are exactly the union of the two registries (minus
-// MetricRoot, which names the published document, not a series in it).
+// TestMetricNameRegistry is the only check of the metric names' values:
+// the server-owned and live-owned names are pairwise distinct across
+// both registries and every name is snake_case. The registry analyzer
+// checks structure only (every expvar registration names a registered
+// Metric* constant, and each MetricNames() lists every constant exactly
+// once), so this test covers every constant. It also checks that the
+// snapshot's wire keys are exactly the union of the two registries
+// (minus MetricRoot, which names the published document, not a series
+// in it).
 func TestMetricNameRegistry(t *testing.T) {
 	seen := map[string]string{}
 	for _, n := range MetricNames() {

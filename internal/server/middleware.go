@@ -14,7 +14,7 @@ import (
 
 // apiError carries a structured error through handler returns. Its code
 // must be one of the registered Code* constants in codes.go — the
-// errcode analyzer rejects a literal or unregistered string here.
+// registry analyzer rejects a literal or unregistered string here.
 type apiError struct {
 	status  int
 	code    string

@@ -1,7 +1,7 @@
 package uds
 
 // HotPaths lists this package's //dsd:hotpath kernels by declaration
-// name. The hotbench analyzer proves the list matches the marked
+// name. The registry analyzer proves the list matches the marked
 // functions exactly, and hotpath_test.go drives every entry under
 // testing.AllocsPerRun to corroborate the static zero-alloc claim
 // dynamically.
