@@ -5,10 +5,12 @@ GO ?= go
 
 .PHONY: all build vet lint lint-json test perfbench-test race chaos cover fuzz fuzz-smoke bench bench-json ratchet docs-algorithms live-smoke repro figures datasets examples serve clean
 
-# Packages with concurrency worth racing: the parallel runtime, both solver
-# families, the fault injector, graph I/O, the live-mutation subsystem, and
-# the HTTP service (whose chaos suite interleaves mutations with solves).
-RACE_PKGS = ./internal/parallel ./internal/core ./internal/dds \
+# Packages with concurrency worth racing: the parallel runtime, the core
+# kernels and both solver families, the fault injector, graph I/O, the
+# live-mutation subsystem, and the HTTP service (whose chaos suite
+# interleaves mutations with solves). The race target adds the root
+# package, whose SolveUDS/SolveDDS dispatch every registered solver.
+RACE_PKGS = ./internal/parallel ./internal/core ./internal/uds ./internal/dds \
             ./internal/faultinject ./internal/graph ./internal/live \
             ./internal/server
 
@@ -46,7 +48,7 @@ lint-json:
 
 test: vet
 	$(GO) test ./...
-	$(GO) test -race $(RACE_PKGS)
+	$(MAKE) race
 
 # perfbench/ is a nested module the root `go test ./...` never compiles,
 # yet it reads the server's wire types; vet and test it on its own so a

@@ -22,6 +22,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
+	"repro/internal/trace"
 	"repro/internal/uds"
 )
 
@@ -92,26 +94,17 @@ func BenchmarkTable4_5_Datasets(b *testing.B) {
 // undirected datasets at the default worker count.
 func BenchmarkFig5_UDSEfficiency(b *testing.B) {
 	b.ReportAllocs()
-	algos := []struct {
-		name string
-		run  func(g *graph.Undirected) uds.Result
-	}{
-		{"PFW", func(g *graph.Undirected) uds.Result { return uds.PFW(g, 0, benchWorkers) }},
-		{"PBU", func(g *graph.Undirected) uds.Result { return uds.PBU(g, 0.5, benchWorkers) }},
-		{"Local", func(g *graph.Undirected) uds.Result { return uds.Local(g, benchWorkers) }},
-		{"PKC", func(g *graph.Undirected) uds.Result { return uds.PKC(g, benchWorkers) }},
-		{"PKMC", func(g *graph.Undirected) uds.Result { return uds.PKMC(g, benchWorkers) }},
-	}
 	for _, abbr := range undAbbrs {
 		g := undGraph(b, abbr)
-		for _, a := range algos {
-			b.Run(abbr+"/"+a.name, func(b *testing.B) {
+		for _, name := range []string{"pfw", "pbu", "local", "pkc", "pkmc"} {
+			a := lookup(b, solver.KindUDS, name)
+			b.Run(abbr+"/"+a.Display, func(b *testing.B) {
 				b.ReportAllocs()
-				var density float64
+				var res solver.Result
 				for i := 0; i < b.N; i++ {
-					density = a.run(g).Density
+					res, _ = a.SolveUDS(nil, g, solver.Params{Workers: benchWorkers})
 				}
-				b.ReportMetric(density, "density")
+				b.ReportMetric(res.Density, "density")
 			})
 		}
 	}
@@ -135,7 +128,7 @@ func BenchmarkTable6_Iterations(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.Local(g, benchWorkers).Iterations
+				it = core.Local(g, benchWorkers, nil).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -143,7 +136,7 @@ func BenchmarkTable6_Iterations(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers).Iterations
+				it = core.PKMC(g, benchWorkers, core.PKMCOptions{}).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -160,7 +153,7 @@ func BenchmarkFig6_UDSThreads(b *testing.B) {
 			b.Run(abbr+"/PKMC/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.PKMC(g, p)
+					core.PKMC(g, p, core.PKMCOptions{})
 				}
 			})
 			b.Run(abbr+"/PKC/p="+itoa(p), func(b *testing.B) {
@@ -172,13 +165,13 @@ func BenchmarkFig6_UDSThreads(b *testing.B) {
 			b.Run(abbr+"/Local/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.Local(g, p)
+					core.Local(g, p, nil)
 				}
 			})
 			b.Run(abbr+"/PBU/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					uds.PBU(g, 0.5, p)
+					uds.PBU(nil, g, solver.Params{Epsilon: 0.5, Workers: p})
 				}
 			})
 		}
@@ -197,7 +190,7 @@ func BenchmarkFig7_UDSScalability(b *testing.B) {
 			b.Run(label+"/PKMC", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.PKMC(sub, benchWorkers)
+					core.PKMC(sub, benchWorkers, core.PKMCOptions{})
 				}
 			})
 			b.Run(label+"/PKC", func(b *testing.B) {
@@ -209,13 +202,13 @@ func BenchmarkFig7_UDSScalability(b *testing.B) {
 			b.Run(label+"/Local", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.Local(sub, benchWorkers)
+					core.Local(sub, benchWorkers, nil)
 				}
 			})
 			b.Run(label+"/PBU", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					uds.PBU(sub, 0.5, benchWorkers)
+					uds.PBU(nil, sub, solver.Params{Epsilon: 0.5, Workers: benchWorkers})
 				}
 			})
 		}
@@ -233,24 +226,20 @@ const ddsBudget = 500 * time.Millisecond
 func BenchmarkFig8_DDSEfficiency(b *testing.B) {
 	b.ReportAllocs()
 	algos := []struct {
-		name string
-		run  func(d *graph.Directed) dds.Result
+		name   string
+		budget time.Duration
 	}{
-		{"PBS", func(d *graph.Directed) dds.Result { return dds.PBS(d, benchWorkers, ddsBudget) }},
-		{"PFKS", func(d *graph.Directed) dds.Result { return dds.PFKS(d, benchWorkers, ddsBudget) }},
-		{"PFW", func(d *graph.Directed) dds.Result { return dds.PFW(d, 0, benchWorkers, 0) }},
-		{"PBD", func(d *graph.Directed) dds.Result { return dds.PBD(d, 2, 1, benchWorkers, 0) }},
-		{"PXY", func(d *graph.Directed) dds.Result { return dds.PXY(d, benchWorkers) }},
-		{"PWC", func(d *graph.Directed) dds.Result { return dds.PWC(d, benchWorkers) }},
+		{"pbs", ddsBudget}, {"pfks", ddsBudget}, {"pfw", 0}, {"pbd", 0}, {"pxy", 0}, {"pwc", 0},
 	}
 	for _, abbr := range dirAbbrs {
 		d := dirGraph(b, abbr)
-		for _, a := range algos {
-			b.Run(abbr+"/"+a.name, func(b *testing.B) {
+		for _, x := range algos {
+			a := lookup(b, solver.KindDDS, x.name)
+			b.Run(abbr+"/"+a.Display, func(b *testing.B) {
 				b.ReportAllocs()
-				var res dds.Result
+				var res solver.DirectedResult
 				for i := 0; i < b.N; i++ {
-					res = a.run(d)
+					res, _ = a.SolveDDS(nil, d, solver.Params{Workers: benchWorkers, Budget: x.budget})
 				}
 				b.ReportMetric(res.Density, "density")
 				if res.TimedOut {
@@ -270,14 +259,15 @@ func BenchmarkTable7_GraphSizes(b *testing.B) {
 		d := dirGraph(b, abbr)
 		b.Run(abbr, func(b *testing.B) {
 			b.ReportAllocs()
-			var stats dds.PWCStats
+			var tr *trace.Trace
 			for i := 0; i < b.N; i++ {
-				_, stats = dds.PWCWithStats(d, benchWorkers)
+				tr = &trace.Trace{}
+				dds.PWC(nil, d, solver.Params{Workers: benchWorkers, Trace: tr})
 			}
-			b.ReportMetric(float64(stats.ArcsInput), "arcs_input")
-			b.ReportMetric(float64(stats.ArcsAfterWarmStart), "arcs_warm")
-			b.ReportMetric(float64(stats.ArcsAtWStar), "arcs_wstar")
-			b.ReportMetric(float64(stats.ArcsDensest), "arcs_densest")
+			b.ReportMetric(float64(tr.Counters["arcs_input"]), "arcs_input")
+			b.ReportMetric(float64(tr.Counters["arcs_after_warm_start"]), "arcs_warm")
+			b.ReportMetric(float64(tr.Counters["arcs_at_wstar"]), "arcs_wstar")
+			b.ReportMetric(float64(tr.Counters["arcs_densest"]), "arcs_densest")
 		})
 	}
 }
@@ -292,19 +282,19 @@ func BenchmarkFig9_DDSThreads(b *testing.B) {
 			b.Run(abbr+"/PWC/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PWC(d, p)
+					dds.PWC(nil, d, solver.Params{Workers: p})
 				}
 			})
 			b.Run(abbr+"/PXY/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PXY(d, p)
+					dds.PXY(nil, d, solver.Params{Workers: p})
 				}
 			})
 			b.Run(abbr+"/PBD/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PBD(d, 2, 1, p, 0)
+					dds.PBD(nil, d, solver.Params{Delta: 2, Epsilon: 1, Workers: p})
 				}
 			})
 		}
@@ -323,19 +313,19 @@ func BenchmarkFig10_DDSScalability(b *testing.B) {
 			b.Run(label+"/PWC", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PWC(sub, benchWorkers)
+					dds.PWC(nil, sub, solver.Params{Workers: benchWorkers})
 				}
 			})
 			b.Run(label+"/PXY", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PXY(sub, benchWorkers)
+					dds.PXY(nil, sub, solver.Params{Workers: benchWorkers})
 				}
 			})
 			b.Run(label+"/PBD", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PBD(sub, 2, 1, benchWorkers, 0)
+					dds.PBD(nil, sub, solver.Params{Delta: 2, Epsilon: 1, Workers: benchWorkers})
 				}
 			})
 		}
@@ -352,7 +342,7 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers).Iterations
+				it = core.PKMC(g, benchWorkers, core.PKMCOptions{}).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -360,7 +350,7 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMCWithOptions(g, benchWorkers, core.PKMCOptions{DisableEarlyStop: true}).Iterations
+				it = core.PKMC(g, benchWorkers, core.PKMCOptions{DisableEarlyStop: true}).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -377,7 +367,7 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			b.ReportAllocs()
 			var lv int
 			for i := 0; i < b.N; i++ {
-				lv = dds.WStarSubgraphOpts(d, benchWorkers, true).Levels
+				lv = dds.WStarSubgraph(d, benchWorkers, true).Levels
 			}
 			b.ReportMetric(float64(lv), "levels")
 		})
@@ -385,7 +375,7 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			b.ReportAllocs()
 			var lv int
 			for i := 0; i < b.N; i++ {
-				lv = dds.WStarSubgraphOpts(d, benchWorkers, false).Levels
+				lv = dds.WStarSubgraph(d, benchWorkers, false).Levels
 			}
 			b.ReportMetric(float64(lv), "levels")
 		})
@@ -400,13 +390,13 @@ func BenchmarkAblationProp1Guard(b *testing.B) {
 	b.Run("with", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers)
+			core.PKMC(g, benchWorkers, core.PKMCOptions{})
 		}
 	})
 	b.Run("without", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMCWithOptions(g, benchWorkers, core.PKMCOptions{DisableProp1Guard: true})
+			core.PKMC(g, benchWorkers, core.PKMCOptions{DisableProp1Guard: true})
 		}
 	})
 }
@@ -440,6 +430,18 @@ func BenchmarkAblationGrainSize(b *testing.B) {
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
+// lookup resolves a lineup entry through the solver registry, so the
+// benches run exactly what dsd.SolveUDS/SolveDDS dispatch, with the
+// registered defaults (PBU ε=0.5, PBD δ=2/ε=1).
+func lookup(b *testing.B, kind solver.Kind, name string) solver.Descriptor {
+	b.Helper()
+	d, ok := solver.Lookup(kind, name)
+	if !ok {
+		b.Fatalf("%s algorithm %q not registered", kind, name)
+	}
+	return d
+}
+
 // BenchmarkAblationDegreeOrder quantifies the locality effect of
 // hub-first relabeling on the PKMC sweeps.
 func BenchmarkAblationDegreeOrder(b *testing.B) {
@@ -449,13 +451,13 @@ func BenchmarkAblationDegreeOrder(b *testing.B) {
 	b.Run("original", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers)
+			core.PKMC(g, benchWorkers, core.PKMCOptions{})
 		}
 	})
 	b.Run("degree-ordered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(relabeled, benchWorkers)
+			core.PKMC(relabeled, benchWorkers, core.PKMCOptions{})
 		}
 	})
 }

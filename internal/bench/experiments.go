@@ -3,82 +3,60 @@ package bench
 import (
 	"io"
 	"strconv"
-	"time"
 
 	"repro/internal/dds"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/solver"
+	"repro/internal/trace"
 	"repro/internal/uds"
 )
 
-// udsAlgo is one entry of the Exp-1 lineup.
-type udsAlgo struct {
-	name string
-	run  func(g *graph.Undirected, p int) solver.Result
-}
-
-// resolveUDS turns registry names into runnable lineup entries. The zero
-// Params hit each solver's registered defaults — the paper's settings
-// (PFW ε=1 → default iteration budget; PBU ε=0.5). An unregistered name
+// lineup resolves registry names into the descriptors a figure compares.
+// Runs pass only Workers (and, for DDS, the Budget), so every other knob
+// hits the solver's registered defaults — the paper's settings (PFW ε=1 →
+// default iteration budget; PBU ε=0.5; PBD δ=2, ε=1). An unregistered name
 // panics: the lineup is wired at build time and a typo should fail the
 // first run, not silently drop a bar from a figure.
-func resolveUDS(names ...string) []udsAlgo {
-	out := make([]udsAlgo, 0, len(names))
+func lineup(kind solver.Kind, names ...string) []solver.Descriptor {
+	out := make([]solver.Descriptor, 0, len(names))
 	for _, n := range names {
-		d, ok := solver.Lookup(solver.KindUDS, n)
+		d, ok := solver.Lookup(kind, n)
 		if !ok {
-			panic("bench: UDS algorithm not registered: " + n)
+			panic("bench: " + string(kind) + " algorithm not registered: " + n)
 		}
-		out = append(out, udsAlgo{name: d.Display, run: func(g *graph.Undirected, p int) solver.Result {
-			r, err := d.SolveUDS(nil, g, solver.Params{Workers: p})
-			if err != nil {
-				panic("bench: " + d.Name + ": " + err.Error())
-			}
-			return r
-		}})
+		out = append(out, d)
 	}
 	return out
 }
 
-// udsLineup returns the paper's five compared UDS algorithms, resolved
-// from the solver registry.
-func udsLineup() []udsAlgo {
-	return resolveUDS("pfw", "pbu", "local", "pkc", "pkmc")
+// udsLineup returns the paper's five compared UDS algorithms.
+func udsLineup() []solver.Descriptor {
+	return lineup(solver.KindUDS, "pfw", "pbu", "local", "pkc", "pkmc")
 }
 
-// ddsAlgo is one entry of the Exp-5 lineup.
-type ddsAlgo struct {
-	name string
-	run  func(d *graph.Directed, p int, budget time.Duration) dds.Result
+// ddsLineup returns the paper's six compared DDS algorithms.
+func ddsLineup() []solver.Descriptor {
+	return lineup(solver.KindDDS, "pbs", "pfks", "pfw", "pbd", "pxy", "pwc")
 }
 
-// resolveDDS is resolveUDS's directed twin; the budget rides through to
-// the budgeted baselines.
-func resolveDDS(names ...string) []ddsAlgo {
-	out := make([]ddsAlgo, 0, len(names))
-	for _, n := range names {
-		d, ok := solver.Lookup(solver.KindDDS, n)
-		if !ok {
-			panic("bench: DDS algorithm not registered: " + n)
-		}
-		out = append(out, ddsAlgo{name: d.Display, run: func(g *graph.Directed, p int, budget time.Duration) dds.Result {
-			r, err := d.SolveDDS(nil, g, solver.Params{Workers: p, Budget: budget})
-			if err != nil {
-				panic("bench: " + d.Name + ": " + err.Error())
-			}
-			return dds.Result{Algorithm: r.Algorithm, S: r.S, T: r.T, Density: r.Density,
-				XStar: r.XStar, YStar: r.YStar, Iterations: r.Iterations, TimedOut: r.TimedOut}
-		}})
+// runUDS solves g with one lineup entry; a solver error (impossible with
+// the nil context) panics.
+func runUDS(d solver.Descriptor, g *graph.Undirected, p solver.Params) solver.Result {
+	r, err := d.SolveUDS(nil, g, p)
+	if err != nil {
+		panic("bench: " + d.Name + ": " + err.Error())
 	}
-	return out
+	return r
 }
 
-// ddsLineup returns the paper's six compared DDS algorithms (PBD's
-// registered defaults are the paper's δ=2, ε=1), resolved from the solver
-// registry.
-func ddsLineup() []ddsAlgo {
-	return resolveDDS("pbs", "pfks", "pfw", "pbd", "pxy", "pwc")
+// runDDS is runUDS's directed twin.
+func runDDS(d solver.Descriptor, g *graph.Directed, p solver.Params) solver.DirectedResult {
+	r, err := d.SolveDDS(nil, g, p)
+	if err != nil {
+		panic("bench: " + d.Name + ": " + err.Error())
+	}
+	return r
 }
 
 // Datasets regenerates Tables 4 and 5: materialize each scale model and
@@ -111,9 +89,9 @@ func Exp1(cfg Config) []Row {
 		g := ds.BuildUndirected(cfg.Scale)
 		for _, a := range udsLineup() {
 			var res solver.Result
-			sec, allocs := timeAlloc(func() { res = a.run(g, cfg.Workers) })
+			sec, allocs := timeAlloc(func() { res = runUDS(a, g, solver.Params{Workers: cfg.Workers}) })
 			rows = append(rows, Row{
-				Experiment: "exp1", Dataset: ds.Abbr, Algorithm: a.name,
+				Experiment: "exp1", Dataset: ds.Abbr, Algorithm: a.Display,
 				Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 			})
 		}
@@ -130,13 +108,13 @@ func Exp2(cfg Config) []Row {
 	for _, ds := range gen.UndirectedCatalog() {
 		g := ds.BuildUndirected(cfg.Scale)
 		for _, a := range udsLineup() {
-			if a.name != "PKC" && a.name != "Local" && a.name != "PKMC" {
+			if a.Display != "PKC" && a.Display != "Local" && a.Display != "PKMC" {
 				continue
 			}
 			var res solver.Result
-			sec, allocs := timeAlloc(func() { res = a.run(g, cfg.Workers) })
+			sec, allocs := timeAlloc(func() { res = runUDS(a, g, solver.Params{Workers: cfg.Workers}) })
 			rows = append(rows, Row{
-				Experiment: "exp2", Dataset: ds.Abbr, Algorithm: a.name,
+				Experiment: "exp2", Dataset: ds.Abbr, Algorithm: a.Display,
 				Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 			})
 		}
@@ -153,13 +131,13 @@ func Exp3(cfg Config) []Row {
 		g := ds.BuildUndirected(cfg.Scale)
 		for _, p := range cfg.ThreadSweep {
 			for _, a := range udsLineup() {
-				if a.name == "PFW" {
+				if a.Display == "PFW" {
 					continue // dominated by orders of magnitude; Fig. 6 timing detail is about the core-based methods and PBU
 				}
 				var res solver.Result
-				sec, allocs := timeAlloc(func() { res = a.run(g, p) })
+				sec, allocs := timeAlloc(func() { res = runUDS(a, g, solver.Params{Workers: p}) })
 				rows = append(rows, Row{
-					Experiment: "exp3", Dataset: ds.Abbr, Algorithm: a.name,
+					Experiment: "exp3", Dataset: ds.Abbr, Algorithm: a.Display,
 					Param: pLabel(p), Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 				})
 			}
@@ -180,9 +158,9 @@ func Exp4(cfg Config) []Row {
 			sub := g.SampleEdges(frac, 7700+int64(frac*100))
 			for _, a := range udsLineup() {
 				var res solver.Result
-				sec, allocs := timeAlloc(func() { res = a.run(sub, cfg.Workers) })
+				sec, allocs := timeAlloc(func() { res = runUDS(a, sub, solver.Params{Workers: cfg.Workers}) })
 				rows = append(rows, Row{
-					Experiment: "exp4", Dataset: ds.Abbr, Algorithm: a.name,
+					Experiment: "exp4", Dataset: ds.Abbr, Algorithm: a.Display,
 					Param: fracLabel(frac), Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 				})
 			}
@@ -200,10 +178,10 @@ func Exp5(cfg Config) []Row {
 	for _, ds := range gen.DirectedCatalog() {
 		d := ds.BuildDirected(cfg.Scale)
 		for _, a := range ddsLineup() {
-			var res dds.Result
-			sec, allocs := timeAlloc(func() { res = a.run(d, cfg.Workers, cfg.Budget) })
+			var res solver.DirectedResult
+			sec, allocs := timeAlloc(func() { res = runDDS(a, d, solver.Params{Workers: cfg.Workers, Budget: cfg.Budget}) })
 			rows = append(rows, Row{
-				Experiment: "exp5", Dataset: ds.Abbr, Algorithm: a.name,
+				Experiment: "exp5", Dataset: ds.Abbr, Algorithm: a.Display,
 				Seconds: sec, TimedOut: res.TimedOut, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 			})
 		}
@@ -219,17 +197,19 @@ func Exp6(cfg Config) []Row {
 	var rows []Row
 	for _, ds := range gen.DirectedCatalog() {
 		d := ds.BuildDirected(cfg.Scale)
-		res, stats := dds.PWCWithStats(d, cfg.Workers)
+		tr := &trace.Trace{}
+		res, _ := dds.PWC(nil, d, solver.Params{Workers: cfg.Workers, Trace: tr}) // a nil ctx never cancels
+		c := tr.Counters
 		rows = append(rows, Row{
 			Experiment: "exp6", Dataset: ds.Abbr, Algorithm: "PWC",
-			Density: res.Density, Iterations: stats.Levels,
+			Density: res.Density, Iterations: int(c["levels"]),
 			Extra: map[string]int64{
-				"PXY":    stats.ArcsInput,
-				"PWC1":   stats.ArcsAfterWarmStart,
-				"PWCw*":  stats.ArcsAtWStar,
-				"PWCD*":  stats.ArcsDensest,
-				"wstar":  stats.WStar,
-				"levels": int64(stats.Levels),
+				"PXY":    c["arcs_input"],
+				"PWC1":   c["arcs_after_warm_start"],
+				"PWCw*":  c["arcs_at_wstar"],
+				"PWCD*":  c["arcs_densest"],
+				"wstar":  c["wstar"],
+				"levels": c["levels"],
 			},
 		})
 	}
@@ -246,13 +226,13 @@ func Exp7(cfg Config) []Row {
 		d := ds.BuildDirected(cfg.Scale)
 		for _, p := range cfg.ThreadSweep {
 			for _, a := range ddsLineup() {
-				if a.name != "PBD" && a.name != "PXY" && a.name != "PWC" {
+				if a.Display != "PBD" && a.Display != "PXY" && a.Display != "PWC" {
 					continue
 				}
-				var res dds.Result
-				sec, allocs := timeAlloc(func() { res = a.run(d, p, cfg.Budget) })
+				var res solver.DirectedResult
+				sec, allocs := timeAlloc(func() { res = runDDS(a, d, solver.Params{Workers: p, Budget: cfg.Budget}) })
 				rows = append(rows, Row{
-					Experiment: "exp7", Dataset: ds.Abbr, Algorithm: a.name,
+					Experiment: "exp7", Dataset: ds.Abbr, Algorithm: a.Display,
 					Param: pLabel(p), Seconds: sec, TimedOut: res.TimedOut,
 					Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 				})
@@ -273,13 +253,13 @@ func Exp8(cfg Config) []Row {
 		for _, frac := range cfg.Fractions {
 			sub := d.SampleEdges(frac, 8800+int64(frac*100))
 			for _, a := range ddsLineup() {
-				if a.name != "PBD" && a.name != "PXY" && a.name != "PWC" {
+				if a.Display != "PBD" && a.Display != "PXY" && a.Display != "PWC" {
 					continue
 				}
-				var res dds.Result
-				sec, allocs := timeAlloc(func() { res = a.run(sub, cfg.Workers, cfg.Budget) })
+				var res solver.DirectedResult
+				sec, allocs := timeAlloc(func() { res = runDDS(a, sub, solver.Params{Workers: cfg.Workers, Budget: cfg.Budget}) })
 				rows = append(rows, Row{
-					Experiment: "exp8", Dataset: ds.Abbr, Algorithm: a.name,
+					Experiment: "exp8", Dataset: ds.Abbr, Algorithm: a.Display,
 					Param: fracLabel(frac), Seconds: sec, TimedOut: res.TimedOut,
 					Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
 				})
@@ -302,7 +282,8 @@ func Ratios(cfg Config) []Row {
 	// Undirected: ER body with a planted clique.
 	base := gen.ErdosRenyi(400, 1200, 31)
 	g, _ := gen.PlantClique(base, 14, 32)
-	opt := uds.Exact(g).Density
+	exact, _ := uds.Exact(nil, g, solver.Params{}) // a nil ctx never cancels
+	opt := exact.Density
 	for _, d := range solver.List(solver.KindUDS) {
 		if d.Grade == solver.GradeExact {
 			continue
@@ -323,7 +304,8 @@ func Ratios(cfg Config) []Row {
 	// min-cut binary search each — n=80 keeps the oracle under a second.
 	dbase := gen.ErdosRenyiDirected(80, 320, 33)
 	d, _, _ := gen.PlantBiclique(dbase, 7, 10, 34)
-	dopt := dds.Exact(d).Density
+	dexact, _ := dds.Exact(nil, d, solver.Params{}) // a nil ctx never cancels
+	dopt := dexact.Density
 	for _, desc := range solver.List(solver.KindDDS) {
 		if desc.Grade == solver.GradeExact {
 			continue
@@ -352,22 +334,15 @@ func Accuracy(cfg Config) []Row {
 	cfg = cfg.withDefaults()
 	base := gen.ErdosRenyi(400, 1200, 31)
 	g, _ := gen.PlantClique(base, 14, 32)
-	opt := uds.Exact(g).Density
+	exact, _ := uds.Exact(nil, g, solver.Params{}) // a nil ctx never cancels
+	opt := exact.Density
 	var rows []Row
-	for _, name := range []string{"fista", "fracpeel", "greedypp"} {
-		d, ok := solver.Lookup(solver.KindUDS, name)
-		if !ok {
-			panic("bench: accuracy algorithm not registered: " + name)
-		}
+	for _, d := range lineup(solver.KindUDS, "fista", "fracpeel", "greedypp") {
 		for _, iters := range []int{5, 10, 25, 50, 100} {
 			var res solver.Result
-			var err error
 			sec, allocs := timeAlloc(func() {
-				res, err = d.SolveUDS(nil, g, solver.Params{Workers: cfg.Workers, Iterations: iters, Epsilon: 1e-9})
+				res = runUDS(d, g, solver.Params{Workers: cfg.Workers, Iterations: iters, Epsilon: 1e-9})
 			})
-			if err != nil {
-				panic("bench: " + d.Name + ": " + err.Error())
-			}
 			rows = append(rows, Row{
 				Experiment: "accuracy", Dataset: "clique", Algorithm: d.Display,
 				Param: "iters=" + strconv.Itoa(iters), Seconds: sec, Allocs: allocs,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dds"
 	"repro/internal/gen"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/uds"
 )
@@ -109,8 +110,9 @@ func CollectTraces(cfg Config) []TraceEntry {
 	pt := gen.UndirectedCatalog()[0]
 	g := pt.BuildUndirected(cfg.Scale)
 	tr := &trace.Trace{}
-	var udsRes uds.Result
-	sec := tracedRun(tr, func() { udsRes = uds.PKMCTraced(g, cfg.Workers, tr) })
+	// A nil ctx never cancels, so neither solve can fail.
+	var udsRes solver.Result
+	sec := tracedRun(tr, func() { udsRes, _ = uds.PKMC(nil, g, solver.Params{Workers: cfg.Workers, Trace: tr}) })
 	out = append(out, TraceEntry{
 		Dataset: pt.Abbr, Algorithm: udsRes.Algorithm, Seconds: sec,
 		Density: udsRes.Density, Trace: tr,
@@ -119,8 +121,8 @@ func CollectTraces(cfg Config) []TraceEntry {
 	am := gen.DirectedCatalog()[0]
 	d := am.BuildDirected(cfg.Scale)
 	tr = &trace.Trace{}
-	var ddsRes dds.Result
-	sec = tracedRun(tr, func() { ddsRes = dds.PWCTraced(d, cfg.Workers, tr) })
+	var ddsRes solver.DirectedResult
+	sec = tracedRun(tr, func() { ddsRes, _ = dds.PWC(nil, d, solver.Params{Workers: cfg.Workers, Trace: tr}) })
 	out = append(out, TraceEntry{
 		Dataset: am.Abbr, Algorithm: ddsRes.Algorithm, Seconds: sec,
 		Density: ddsRes.Density, Trace: tr,

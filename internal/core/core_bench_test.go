@@ -23,7 +23,7 @@ func BenchmarkCoreEngines(b *testing.B) {
 	b.Run("Local", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			Local(g, 0)
+			Local(g, 0, nil)
 		}
 	})
 	b.Run("PKC", func(b *testing.B) {
@@ -35,7 +35,7 @@ func BenchmarkCoreEngines(b *testing.B) {
 	b.Run("PKMC", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			PKMC(g, 0)
+			PKMC(g, 0, PKMCOptions{})
 		}
 	})
 }

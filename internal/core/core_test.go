@@ -124,7 +124,7 @@ func TestLocalMatchesBZ(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 80, 4)
 		for _, p := range []int{1, 4} {
-			res := Local(g, p)
+			res := Local(g, p, nil)
 			want := BZ(g)
 			for v := range want {
 				if res.CoreNum[v] != want[v] {
@@ -140,7 +140,7 @@ func TestLocalMatchesBZ(t *testing.T) {
 }
 
 func TestLocalFig2Converges(t *testing.T) {
-	res := Local(fig2Graph(), 2)
+	res := Local(fig2Graph(), 2, nil)
 	want := []int32{3, 3, 3, 3, 1, 1, 1, 1}
 	for v := range want {
 		if res.CoreNum[v] != want[v] {
@@ -185,7 +185,7 @@ func TestPKMCFindsKStarCore(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 80, 4)
 		for _, p := range []int{1, 4} {
-			res := PKMCWithOptions(g, p, PKMCOptions{Paranoid: true})
+			res := PKMC(g, p, PKMCOptions{Paranoid: true})
 			wantK, wantCore := KStarCore(BZ(g))
 			if res.KStar != wantK {
 				return false
@@ -202,14 +202,14 @@ func TestPKMCFindsKStarCore(t *testing.T) {
 }
 
 func TestPKMCFig2EarlyStop(t *testing.T) {
-	res := PKMC(fig2Graph(), 2)
+	res := PKMC(fig2Graph(), 2, PKMCOptions{})
 	if res.KStar != 3 {
 		t.Fatalf("k* = %d, want 3", res.KStar)
 	}
 	if !equalSets(res.Vertices, []int32{0, 1, 2, 3}) {
 		t.Fatalf("k*-core = %v, want {0,1,2,3}", res.Vertices)
 	}
-	full := Local(fig2Graph(), 2)
+	full := Local(fig2Graph(), 2, nil)
 	if res.Iterations > full.Iterations {
 		t.Fatalf("PKMC used %d iterations, Local only %d", res.Iterations, full.Iterations)
 	}
@@ -222,8 +222,8 @@ func TestPKMCEarlyStopSavesIterationsOnWebModel(t *testing.T) {
 	// filaments force Local to run ≈ chain-length sweeps.
 	body := gen.ChungLu(3000, 30000, 2.1, 42)
 	g := gen.Composite(body, 60, 4, 50, 43)
-	pk := PKMC(g, 4)
-	loc := Local(g, 4)
+	pk := PKMC(g, 4, PKMCOptions{})
+	loc := Local(g, 4, nil)
 	if pk.Iterations*3 > loc.Iterations {
 		t.Fatalf("PKMC %d iterations vs Local %d — early stop saved too little", pk.Iterations, loc.Iterations)
 	}
@@ -241,7 +241,7 @@ func TestPKMCCorrectEvenWithoutEarlyStopOpportunity(t *testing.T) {
 	// every sweep, so the Theorem-1 criterion may never fire before full
 	// convergence. PKMC must still return the exact k*-core.
 	g := gen.ChungLu(3000, 30000, 2.1, 42)
-	pk := PKMCWithOptions(g, 4, PKMCOptions{Paranoid: true})
+	pk := PKMC(g, 4, PKMCOptions{Paranoid: true})
 	wantK, wantCore := KStarCore(BZ(g))
 	if pk.KStar != wantK || !equalSets(pk.Vertices, wantCore) {
 		t.Fatalf("k*=%d want %d", pk.KStar, wantK)
@@ -251,9 +251,9 @@ func TestPKMCCorrectEvenWithoutEarlyStopOpportunity(t *testing.T) {
 func TestPKMCAblationVariantsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 60, 4)
-		base := PKMC(g, 2)
-		noStop := PKMCWithOptions(g, 2, PKMCOptions{DisableEarlyStop: true})
-		noGuard := PKMCWithOptions(g, 2, PKMCOptions{DisableProp1Guard: true, Paranoid: true})
+		base := PKMC(g, 2, PKMCOptions{})
+		noStop := PKMC(g, 2, PKMCOptions{DisableEarlyStop: true})
+		noGuard := PKMC(g, 2, PKMCOptions{DisableProp1Guard: true, Paranoid: true})
 		if base.KStar != noStop.KStar || base.KStar != noGuard.KStar {
 			return false
 		}
@@ -265,11 +265,11 @@ func TestPKMCAblationVariantsAgree(t *testing.T) {
 }
 
 func TestPKMCEmptyGraph(t *testing.T) {
-	res := PKMC(graph.NewUndirected(0, nil), 2)
+	res := PKMC(graph.NewUndirected(0, nil), 2, PKMCOptions{})
 	if res.KStar != 0 || len(res.Vertices) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
-	res = PKMC(graph.NewUndirected(5, nil), 2)
+	res = PKMC(graph.NewUndirected(5, nil), 2, PKMCOptions{})
 	if res.KStar != 0 || len(res.Vertices) != 5 {
 		t.Fatalf("edgeless graph: k*=%d |core|=%d (0-core is all vertices)", res.KStar, len(res.Vertices))
 	}
@@ -283,7 +283,7 @@ func TestPKMCClique(t *testing.T) {
 			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
-	res := PKMC(graph.NewUndirected(k, edges), 3)
+	res := PKMC(graph.NewUndirected(k, edges), 3, PKMCOptions{})
 	if res.KStar != k-1 || len(res.Vertices) != k {
 		t.Fatalf("clique: k*=%d |core|=%d", res.KStar, len(res.Vertices))
 	}

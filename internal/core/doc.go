@@ -8,8 +8,8 @@
 // a 2-approximation of the undirected densest subgraph — after only a few
 // iterations.
 //
-// The traced variants (PKMCOptions.Trace, LocalWithTrace) additionally
-// record one internal/trace iteration per synchronous h-index sweep — how
+// A trace passed to PKMC (PKMCOptions.Trace) or Local (its tr argument)
+// receives one internal/trace iteration per synchronous h-index sweep — how
 // many vertices changed, the largest single-vertex decrease, the running
 // h_max with its support count, and whether the Theorem-1 test fired — at
 // zero cost to the untraced path.

@@ -22,15 +22,10 @@ type LocalResult struct {
 // The sweeps here are Jacobi-style (read hᵗ, write hᵗ⁺¹) as in the paper's
 // pseudocode, which makes iteration counts deterministic and the sweep
 // embarrassingly parallel — no synchronization beyond the per-iteration
-// barrier.
-func Local(g *graph.Undirected, p int) LocalResult {
-	return LocalWithTrace(g, p, nil)
-}
-
-// LocalWithTrace is Local with an optional convergence trace: when tr is
-// non-nil, every sweep records its h_max / candidate count / changed-vertex
-// count (trace.Iteration); nil keeps the untraced fast path.
-func LocalWithTrace(g *graph.Undirected, p int, tr *trace.Trace) LocalResult {
+// barrier. When tr is non-nil, every sweep records its h_max / candidate
+// count / changed-vertex count (trace.Iteration); nil keeps the untraced
+// fast path.
+func Local(g *graph.Undirected, p int, tr *trace.Trace) LocalResult {
 	sw := newHSweeper(g, p)
 	iters := 0
 	for {
@@ -45,14 +40,4 @@ func LocalWithTrace(g *graph.Undirected, p int, tr *trace.Trace) LocalResult {
 		}
 	}
 	return LocalResult{CoreNum: sw.cur, Iterations: iters}
-}
-
-// LocalKStarCore runs Local and extracts the k*-core, the 2-approximate
-// undirected densest subgraph of Lemma 1. This is the "Local" baseline of
-// the paper's Exp-1: it pays for full convergence of every vertex even
-// though only the k*-core is needed.
-func LocalKStarCore(g *graph.Undirected, p int) (kstar int32, vertices []int32, iterations int) {
-	res := Local(g, p)
-	k, vs := KStarCore(res.CoreNum)
-	return k, vs, res.Iterations
 }

@@ -88,10 +88,3 @@ func PKC(g *graph.Undirected, p int) PKCResult {
 	}
 	return PKCResult{CoreNum: coreNum, Iterations: iterations}
 }
-
-// PKCKStarCore runs PKC and extracts the k*-core (the 2-approximate UDS).
-func PKCKStarCore(g *graph.Undirected, p int) (kstar int32, vertices []int32, iterations int) {
-	res := PKC(g, p)
-	k, vs := KStarCore(res.CoreNum)
-	return k, vs, res.Iterations
-}

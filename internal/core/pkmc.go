@@ -45,13 +45,9 @@ type PKMCOptions struct {
 // Because power-law graphs concentrate their high-degree vertices in a
 // small dense nucleus, the criterion typically fires after 3–5 sweeps while
 // full convergence (Local) needs tens to thousands — the entire speedup of
-// the paper's Exp-1/Exp-2 comes from this gap.
-func PKMC(g *graph.Undirected, p int) PKMCResult {
-	return PKMCWithOptions(g, p, PKMCOptions{})
-}
-
-// PKMCWithOptions is PKMC with explicit ablation switches.
-func PKMCWithOptions(g *graph.Undirected, p int, opts PKMCOptions) PKMCResult {
+// the paper's Exp-1/Exp-2 comes from this gap. The zero opts is the paper's
+// algorithm; its fields are the ablation switches and the optional trace.
+func PKMC(g *graph.Undirected, p int, opts PKMCOptions) PKMCResult {
 	sw := newHSweeper(g, p)
 
 	hmax, s := parallel.MaxIndexInt32(sw.cur, p)

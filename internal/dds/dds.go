@@ -1,29 +1,6 @@
 package dds
 
-import (
-	"fmt"
-	"math"
-)
-
-// Result is a directed densest-subgraph answer.
-type Result struct {
-	Algorithm  string
-	S, T       []int32
-	Density    float64
-	XStar      int32 // cn-pair of the returned core, when core-based
-	YStar      int32
-	Iterations int
-	// TimedOut reports that a budgeted solver (PBS, PFKS, PBD, PFW) hit
-	// its deadline before exhausting its search; the Result then holds the
-	// best answer found so far — mirroring the paper's 10⁵-second cap in
-	// Exp-5, under which PBS and PFKS never finish.
-	TimedOut bool
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%s: |S|=%d |T|=%d density=%.4f [x*=%d y*=%d]",
-		r.Algorithm, len(r.S), len(r.T), r.Density, r.XStar, r.YStar)
-}
+import "math"
 
 // densityOf is a convenience for |E(S,T)| already known.
 func densityOf(e int64, s, t int) float64 {

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,8 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/solver"
+	"repro/internal/trace"
 )
 
 func randomDigraph(seed int64, maxN, mult int) *graph.Directed {
@@ -56,8 +59,8 @@ func fig4Graph() *graph.Directed {
 func TestExactMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDigraph(seed, 8, 3)
-		ex := Exact(d)
-		bf := BruteForce(d)
+		ex := must(Exact(nil, d, solver.Params{}))
+		bf := must(BruteForce(nil, d, solver.Params{}))
 		return math.Abs(ex.Density-bf.Density) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -70,7 +73,7 @@ func TestBruteForcePaperFig1b(t *testing.T) {
 	d := graph.NewDirected(6, []graph.Edge{
 		{U: 4, V: 2}, {U: 4, V: 3}, {U: 5, V: 2}, {U: 5, V: 3}, {U: 0, V: 1},
 	})
-	res := BruteForce(d)
+	res := must(BruteForce(nil, d, solver.Params{}))
 	if math.Abs(res.Density-2.0) > 1e-9 {
 		t.Fatalf("density = %v, want 2.0", res.Density)
 	}
@@ -80,7 +83,7 @@ func TestExactPaperFig1b(t *testing.T) {
 	d := graph.NewDirected(6, []graph.Edge{
 		{U: 4, V: 2}, {U: 4, V: 3}, {U: 5, V: 2}, {U: 5, V: 3}, {U: 0, V: 1},
 	})
-	res := Exact(d)
+	res := must(Exact(nil, d, solver.Params{}))
 	if math.Abs(res.Density-2.0) > 1e-9 {
 		t.Fatalf("density = %v, want 2.0", res.Density)
 	}
@@ -92,14 +95,14 @@ func TestBruteForceRejectsLarge(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	BruteForce(graph.NewDirected(14, nil))
+	must(BruteForce(nil, graph.NewDirected(14, nil), solver.Params{}))
 }
 
 func TestExactEmpty(t *testing.T) {
-	if res := Exact(graph.NewDirected(0, nil)); res.Density != 0 {
+	if res := must(Exact(nil, graph.NewDirected(0, nil), solver.Params{})); res.Density != 0 {
 		t.Fatal("empty digraph")
 	}
-	if res := Exact(graph.NewDirected(4, nil)); res.Density != 0 {
+	if res := must(Exact(nil, graph.NewDirected(4, nil), solver.Params{})); res.Density != 0 {
 		t.Fatal("arcless digraph")
 	}
 }
@@ -241,7 +244,7 @@ func TestWDecomposeFig3Table3(t *testing.T) {
 
 func TestWStarSubgraphFig3(t *testing.T) {
 	d := fig3Graph()
-	res := WStarSubgraph(d, 2)
+	res := WStarSubgraph(d, 2, true)
 	if res.WStar != 6 {
 		t.Fatalf("w* = %d, want 6", res.WStar)
 	}
@@ -256,7 +259,7 @@ func TestWStarSubgraphFig3(t *testing.T) {
 
 func TestWStarSubgraphFig4(t *testing.T) {
 	d := fig4Graph()
-	res := WStarSubgraph(d, 2)
+	res := WStarSubgraph(d, 2, true)
 	if res.WStar != 12 {
 		t.Fatalf("w* = %d, want 12 (paper's Example 3)", res.WStar)
 	}
@@ -269,7 +272,7 @@ func TestWStarMatchesDecomposeMax(t *testing.T) {
 			return true
 		}
 		a := WDecompose(d, 2).WStar
-		b := WStarSubgraph(d, 2).WStar
+		b := WStarSubgraph(d, 2, true).WStar
 		return a == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -287,7 +290,7 @@ func TestTheorem2(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		wstar := WStarSubgraph(d, 2).WStar
+		wstar := WStarSubgraph(d, 2, true).WStar
 		best := int64(0)
 		for x := int32(1); x <= d.MaxOutDegree(); x++ {
 			y := YMax(d, x)
@@ -305,7 +308,7 @@ func TestTheorem2(t *testing.T) {
 // --- PXY ---
 
 func TestPXYFig4(t *testing.T) {
-	res := PXY(fig4Graph(), 2)
+	res := must(PXY(nil, fig4Graph(), solver.Params{Workers: 2}))
 	if int64(res.XStar)*int64(res.YStar) != 12 {
 		t.Fatalf("x*·y* = %d·%d, want product 12", res.XStar, res.YStar)
 	}
@@ -317,8 +320,8 @@ func TestPXYTwoApproximation(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PXY(d, 2)
+		opt := must(BruteForce(nil, d, solver.Params{})).Density
+		res := must(PXY(nil, d, solver.Params{Workers: 2}))
 		return res.Density*2 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -327,7 +330,7 @@ func TestPXYTwoApproximation(t *testing.T) {
 }
 
 func TestPXYEmpty(t *testing.T) {
-	if res := PXY(graph.NewDirected(3, nil), 2); res.Density != 0 {
+	if res := must(PXY(nil, graph.NewDirected(3, nil), solver.Params{Workers: 2})); res.Density != 0 {
 		t.Fatal("arcless digraph")
 	}
 }
@@ -335,7 +338,7 @@ func TestPXYEmpty(t *testing.T) {
 // --- PWC ---
 
 func TestPWCFig4(t *testing.T) {
-	res := PWC(fig4Graph(), 2)
+	res := must(PWC(nil, fig4Graph(), solver.Params{Workers: 2}))
 	if res.XStar != 4 || res.YStar != 3 {
 		t.Fatalf("[x*, y*] = [%d, %d], want [4, 3] (paper's Example 4)", res.XStar, res.YStar)
 	}
@@ -350,8 +353,8 @@ func TestPWCMatchesPXYProduct(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		pwc := PWC(d, 2)
-		pxy := PXY(d, 2)
+		pwc := must(PWC(nil, d, solver.Params{Workers: 2}))
+		pxy := must(PXY(nil, d, solver.Params{Workers: 2}))
 		return int64(pwc.XStar)*int64(pwc.YStar) == int64(pxy.XStar)*int64(pxy.YStar)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -365,8 +368,8 @@ func TestPWCTwoApproximation(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PWC(d, 2)
+		opt := must(BruteForce(nil, d, solver.Params{})).Density
+		res := must(PWC(nil, d, solver.Params{Workers: 2}))
 		return res.Density*2 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -377,7 +380,7 @@ func TestPWCTwoApproximation(t *testing.T) {
 func TestPWCRecoversPlantedBiclique(t *testing.T) {
 	base := gen.ErdosRenyiDirected(2000, 8000, 20)
 	d, s, tt := gen.PlantBiclique(base, 25, 40, 21)
-	res := PWC(d, 4)
+	res := must(PWC(nil, d, solver.Params{Workers: 4}))
 	want := d.DensityST(s, tt)
 	if res.Density < want/2 {
 		t.Fatalf("PWC density %v below half the planted %v", res.Density, want)
@@ -390,17 +393,17 @@ func TestPWCRecoversPlantedBiclique(t *testing.T) {
 func TestPWCStats(t *testing.T) {
 	base := gen.ErdosRenyiDirected(1000, 5000, 22)
 	d, _, _ := gen.PlantBiclique(base, 15, 20, 23)
-	res, stats := PWCWithStats(d, 2)
-	if stats.ArcsInput != d.M() {
-		t.Fatalf("input arcs = %d", stats.ArcsInput)
+	res, stats := pwcCounters(d, 2)
+	if stats["arcs_input"] != d.M() {
+		t.Fatalf("input arcs = %d", stats["arcs_input"])
 	}
-	if stats.ArcsAfterWarmStart >= stats.ArcsInput {
+	if stats["arcs_after_warm_start"] >= stats["arcs_input"] {
 		t.Fatal("warm start must shrink the graph")
 	}
-	if stats.ArcsAtWStar > stats.ArcsAfterWarmStart {
+	if stats["arcs_at_wstar"] > stats["arcs_after_warm_start"] {
 		t.Fatal("w*-subgraph cannot exceed the warm-start remainder")
 	}
-	if stats.ArcsDensest > stats.ArcsAtWStar {
+	if stats["arcs_densest"] > stats["arcs_at_wstar"] {
 		t.Fatal("densest core cannot exceed the w*-subgraph")
 	}
 	if res.Density <= 0 {
@@ -416,6 +419,22 @@ func catalogSample(t *testing.T, abbr string, scale float64, seed int64) *graph.
 		t.Fatalf("no dataset %q", abbr)
 	}
 	return ds.BuildDirected(scale).SampleEdges(0.95, seed)
+}
+
+// must unwraps a solver call with a nil context, which cannot fail.
+func must(r solver.DirectedResult, err error) solver.DirectedResult {
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// pwcCounters runs PWC with a fresh trace and returns its answer and the
+// trace counters that carry the Table-7 statistics.
+func pwcCounters(d *graph.Directed, p int) (solver.DirectedResult, map[string]int64) {
+	tr := &trace.Trace{}
+	res := must(PWC(nil, d, solver.Params{Workers: p, Trace: tr}))
+	return res, tr.Counters
 }
 
 func sortedCopy(v []int32) []int32 {
@@ -436,14 +455,14 @@ func TestPWCParallelConsistent(t *testing.T) {
 	}{{"AM", 0.05, []int64{1, 2}}, {"DL", 0.01, []int64{1, 2}}, {"WE", 0.01, []int64{1, 9}}} {
 		for _, seed := range c.seeds {
 			d := catalogSample(t, c.abbr, c.scale, seed)
-			a, sa := PWCWithStats(d, 1)
-			b, sb := PWCWithStats(d, 8)
+			a, sa := pwcCounters(d, 1)
+			b, sb := pwcCounters(d, 8)
 			if !slices.Equal(sortedCopy(a.S), sortedCopy(b.S)) || !slices.Equal(sortedCopy(a.T), sortedCopy(b.T)) ||
 				a.Density != b.Density || a.XStar != b.XStar || a.YStar != b.YStar || a.Iterations != b.Iterations {
 				t.Errorf("%s/%d: p=1 and p=8 answers differ: [%d, %d] %v vs [%d, %d] %v",
 					c.abbr, seed, a.XStar, a.YStar, a.Density, b.XStar, b.YStar, b.Density)
 			}
-			if sa != sb {
+			if !maps.Equal(sa, sb) {
 				t.Errorf("%s/%d: stats differ: %+v vs %+v", c.abbr, seed, sa, sb)
 			}
 			if len(a.S) == 0 {
@@ -464,9 +483,9 @@ func TestPWCParallelConsistent(t *testing.T) {
 func TestPWCNonEmptyWhenWStarExceedsProduct(t *testing.T) {
 	for _, seed := range []int64{7, 12} {
 		d := catalogSample(t, "WE", 0.1, seed)
-		res, stats := PWCWithStats(d, 2)
+		res, stats := pwcCounters(d, 2)
 		if len(res.S) == 0 || len(res.T) == 0 {
-			t.Fatalf("seed %d: empty answer (w* = %d)", seed, stats.WStar)
+			t.Fatalf("seed %d: empty answer (w* = %d)", seed, stats["wstar"])
 		}
 		if got := d.DensityST(res.S, res.T); res.Density != got {
 			t.Fatalf("seed %d: density %v, but DensityST gives %v", seed, res.Density, got)
@@ -480,8 +499,8 @@ func TestPWCNonEmptyWhenWStarExceedsProduct(t *testing.T) {
 		// for x' < x bounds x·YMax(d, x), and YMax only has to run where
 		// that bound exceeds x*·y*.
 		want := int64(res.XStar) * int64(res.YStar)
-		if want >= stats.WStar {
-			t.Fatalf("seed %d: x*·y* = %d is not below w* = %d", seed, want, stats.WStar)
+		if want >= stats["wstar"] {
+			t.Fatalf("seed %d: x*·y* = %d is not below w* = %d", seed, want, stats["wstar"])
 		}
 		yBound := d.MaxInDegree()
 		for x := int32(1); x <= d.MaxOutDegree(); x++ {
@@ -497,7 +516,7 @@ func TestPWCNonEmptyWhenWStarExceedsProduct(t *testing.T) {
 }
 
 func TestPWCEmpty(t *testing.T) {
-	if res := PWC(graph.NewDirected(0, nil), 2); res.Density != 0 {
+	if res := must(PWC(nil, graph.NewDirected(0, nil), solver.Params{Workers: 2})); res.Density != 0 {
 		t.Fatal("empty digraph")
 	}
 }
@@ -510,8 +529,8 @@ func TestPBSNearExactOnTinyGraphs(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PBS(d, 2, 0)
+		opt := must(BruteForce(nil, d, solver.Params{})).Density
+		res := must(PBS(nil, d, solver.Params{Workers: 2}))
 		return res.Density*2 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -521,7 +540,7 @@ func TestPBSNearExactOnTinyGraphs(t *testing.T) {
 
 func TestPBSTimesOut(t *testing.T) {
 	d := gen.ErdosRenyiDirected(3000, 20000, 24)
-	res := PBS(d, 2, 1) // 1ns budget: immediately out of time
+	res := must(PBS(nil, d, solver.Params{Workers: 2, Budget: 1})) // 1ns budget: immediately out of time
 	if !res.TimedOut {
 		t.Fatal("PBS must report a timeout under an impossible budget")
 	}
@@ -533,8 +552,8 @@ func TestPFKSWithinLooseBound(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PFKS(d, 2, 0)
+		opt := must(BruteForce(nil, d, solver.Params{})).Density
+		res := must(PFKS(nil, d, solver.Params{Workers: 2}))
 		// PFKS's ratio grid is coarse: allow 3x.
 		return res.Density*3 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
@@ -549,8 +568,8 @@ func TestPBDWithinItsBound(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PBD(d, 2, 1, 2, 0)
+		opt := must(BruteForce(nil, d, solver.Params{})).Density
+		res := must(PBD(nil, d, solver.Params{Delta: 2, Epsilon: 1, Workers: 2}))
 		// Guarantee is 2δ(1+ε) = 8.
 		return res.Density*8 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
@@ -561,7 +580,7 @@ func TestPBDWithinItsBound(t *testing.T) {
 
 func TestPBDDefaultsApplied(t *testing.T) {
 	d := gen.ErdosRenyiDirected(200, 1000, 25)
-	res := PBD(d, 0, 0, 2, 0) // invalid params fall back to δ=2, ε=1
+	res := must(PBD(nil, d, solver.Params{Workers: 2})) // invalid params fall back to δ=2, ε=1
 	if res.Density <= 0 {
 		t.Fatal("PBD found nothing")
 	}
@@ -573,7 +592,7 @@ func TestPFWDirectedReasonable(t *testing.T) {
 	base := gen.ErdosRenyiDirected(300, 1000, 26)
 	d, s, tt := gen.PlantBiclique(base, 10, 14, 27)
 	want := d.DensityST(s, tt)
-	res := PFW(d, 150, 2, 0)
+	res := must(PFW(nil, d, solver.Params{Iterations: 150, Workers: 2}))
 	if res.Density < want/2 {
 		t.Fatalf("PFW density %v below half the planted %v", res.Density, want)
 	}
@@ -581,7 +600,7 @@ func TestPFWDirectedReasonable(t *testing.T) {
 
 func TestPFWTimesOut(t *testing.T) {
 	d := gen.ErdosRenyiDirected(2000, 10000, 28)
-	res := PFW(d, 100000, 2, 1)
+	res := must(PFW(nil, d, solver.Params{Iterations: 100000, Workers: 2, Budget: 1}))
 	if !res.TimedOut {
 		t.Fatal("PFW must time out under an impossible budget")
 	}
@@ -614,8 +633,8 @@ func TestWStarWarmStartAblationAgrees(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		warm := WStarSubgraphOpts(d, 2, true)
-		cold := WStarSubgraphOpts(d, 2, false)
+		warm := WStarSubgraph(d, 2, true)
+		cold := WStarSubgraph(d, 2, false)
 		return warm.WStar == cold.WStar && warm.Subgraph.M() == cold.Subgraph.M()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -719,8 +738,8 @@ func inWInduced(d *graph.Directed, tails []int32, target int64, w int64) bool {
 func TestExactPrunedMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDigraph(seed, 20, 3)
-		a := Exact(d)
-		b := ExactPruned(d, 2)
+		a := must(Exact(nil, d, solver.Params{}))
+		b := must(ExactPruned(nil, d, solver.Params{Workers: 2}))
 		return math.Abs(a.Density-b.Density) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -733,7 +752,7 @@ func TestExactPrunedOnLargePlantedInstance(t *testing.T) {
 	// the ρ̃²/4 pruning collapses it to the planted block.
 	base := gen.ErdosRenyiDirected(2000, 8000, 40)
 	d, s, tt := gen.PlantBiclique(base, 12, 20, 41)
-	res := ExactPruned(d, 2)
+	res := must(ExactPruned(nil, d, solver.Params{Workers: 2}))
 	planted := d.DensityST(s, tt)
 	if res.Density < planted-1e-9 {
 		t.Fatalf("exact-pruned density %v below the planted %v", res.Density, planted)
@@ -741,7 +760,7 @@ func TestExactPrunedOnLargePlantedInstance(t *testing.T) {
 }
 
 func TestExactPrunedEmpty(t *testing.T) {
-	res := ExactPruned(graph.NewDirected(3, nil), 2)
+	res := must(ExactPruned(nil, graph.NewDirected(3, nil), solver.Params{Workers: 2}))
 	if res.Algorithm != "ExactPruned" || res.Density != 0 {
 		t.Fatalf("%+v", res)
 	}
@@ -757,7 +776,7 @@ func TestCNPairSkyline(t *testing.T) {
 		if len(sky) == 0 {
 			return false
 		}
-		wstar := WStarSubgraph(d, 2).WStar
+		wstar := WStarSubgraph(d, 2, true).WStar
 		best := int64(0)
 		prevY := int32(1 << 30)
 		for i, pr := range sky {

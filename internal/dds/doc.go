@@ -13,6 +13,11 @@
 // holds, the densest pair's core lives inside the (much smaller)
 // w*-induced subgraph and one decomposition replaces PXY's enumeration
 // over all (x, y) candidates; when it does not, PWC walks down the peel
-// levels to the graph that holds the core. WStarSubgraph is Algorithm 3; PWC (with its traced and
-// Table-7-instrumented variants) is Algorithm 4.
+// levels to the graph that holds the core. WStarSubgraph is Algorithm 3;
+// PWC is Algorithm 4, and its trace counters carry the Table-7 arc counts.
+//
+// Every registered solver is one exported function with the registry's
+// signature, func(ctx, d, solver.Params) (solver.DirectedResult, error),
+// and its descriptor names it directly. Solvers that cannot be canceled
+// name the context _.
 package dds

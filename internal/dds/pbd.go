@@ -10,6 +10,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // PBD is the directed batch-peeling algorithm of Bahmani, Kumar &
@@ -19,20 +20,19 @@ import (
 // side whose degree is at most (1+ε) times that side's average. The grid
 // coarseness and batch threshold buy O(log² n)-ish total rounds at the
 // cost of a 2δ(1+ε) approximation guarantee (=8 with the paper's δ=2,
-// ε=1). Parallelism is one ratio per claimed task.
-func PBD(d *graph.Directed, delta, eps float64, p int, budget time.Duration) Result {
-	r, _ := PBDCtx(nil, d, delta, eps, p, budget)
-	return r
-}
-
-// PBDCtx is PBD under cooperative cancellation: the sweep workers poll ctx
-// between claimed ratios. A budget expiry keeps the best-so-far answer
-// (TimedOut set); a ctx expiry abandons the run with a wrapped
-// cancel.ErrCanceled. A nil ctx never cancels.
-func PBDCtx(ctx context.Context, d *graph.Directed, delta, eps float64, p int, budget time.Duration) (Result, error) {
+// ε=1). Parallelism is one ratio per claimed task. δ and ε are
+// opts.Delta and opts.Epsilon.
+//
+// PBD runs under cooperative cancellation and opts.Budget: the sweep
+// workers poll ctx and the budget deadline between claimed ratios. A
+// budget expiry keeps the best-so-far answer (TimedOut set); a ctx expiry
+// abandons the run with a wrapped cancel.ErrCanceled. A nil ctx never
+// cancels.
+func PBD(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
+	delta, eps, p, budget := opts.Delta, opts.Epsilon, opts.Workers, opts.Budget
 	n := d.N()
 	if n == 0 || d.M() == 0 {
-		return Result{Algorithm: "PBD"}, nil
+		return solver.DirectedResult{Algorithm: "PBD"}, nil
 	}
 	if delta <= 1 {
 		delta = 2
@@ -79,9 +79,9 @@ func PBDCtx(ctx context.Context, d *graph.Directed, delta, eps float64, p int, b
 		}
 	})
 	if canceled.Load() {
-		return Result{}, cancel.Check(ctx)
+		return solver.DirectedResult{}, cancel.Check(ctx)
 	}
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PBD",
 		S:          best.s,
 		T:          best.t,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // DefaultPFWIterations is the directed Frank–Wolfe iteration budget when
@@ -28,20 +29,18 @@ const DefaultPFWIterations = 100
 // (Substitution note: the paper's PFW cites Su & Vu's distributed dual
 // algorithm; this shared-memory reformulation keeps the same convex
 // objective, per-iteration cost, and qualitative convergence behaviour.)
-func PFW(d *graph.Directed, iters, p int, budget time.Duration) Result {
-	r, _ := PFWCtx(nil, d, iters, p, budget)
-	return r
-}
-
-// PFWCtx is PFW under cooperative cancellation: ctx is polled once per
-// Frank–Wolfe sweep alongside the budget deadline. A budget expiry keeps
-// the best-so-far answer (TimedOut set); a ctx expiry abandons the run with
-// a wrapped cancel.ErrCanceled. A nil ctx never cancels.
-func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Duration) (Result, error) {
+//
+// opts.Iterations bounds the sweeps. PFW runs under cooperative
+// cancellation: ctx is polled once per Frank–Wolfe sweep alongside the
+// opts.Budget deadline. A budget expiry keeps the best-so-far answer
+// (TimedOut set); a ctx expiry abandons the run with a wrapped
+// cancel.ErrCanceled. A nil ctx never cancels.
+func PFW(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
+	iters, p, budget := opts.Iterations, opts.Workers, opts.Budget
 	n := d.N()
 	m := int(d.M())
 	if n == 0 || m == 0 {
-		return Result{Algorithm: "PFW"}, nil
+		return solver.DirectedResult{Algorithm: "PFW"}, nil
 	}
 	if iters <= 0 {
 		iters = DefaultPFWIterations
@@ -57,26 +56,23 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 	for i := range alpha {
 		alpha[i] = 0.5
 	}
+	// Each role load is gathered per vertex over its arcs in ascending arc
+	// id — the order a serial pass over the arc list adds them in — so the
+	// loads, and with them the answer, do not depend on the worker count.
+	inIDs := d.InArcIDs()
+	inLo := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		inLo[v+1] = inLo[v] + int(d.InDegree(int32(v)))
+	}
 	recompute := func() {
-		workers := parallel.Threads(p)
-		partS := make([][]float64, workers)
-		partT := make([][]float64, workers)
-		parallel.Workers(workers, func(w int) {
-			ls := make([]float64, n)
-			lt := make([]float64, n)
-			lo, hi := m*w/workers, m*(w+1)/workers
-			for i := lo; i < hi; i++ {
-				ls[arcs[i].U] += alpha[i]
-				lt[arcs[i].V] += 1 - alpha[i]
-			}
-			partS[w] = ls
-			partT[w] = lt
-		})
 		parallel.For(n, p, func(v int) {
 			var s, t float64
-			for w := 0; w < workers; w++ {
-				s += partS[w][v]
-				t += partT[w][v]
+			lo, hi := d.OutArcRange(int32(v))
+			for a := lo; a < hi; a++ {
+				s += alpha[a]
+			}
+			for _, a := range inIDs[inLo[v]:inLo[v+1]] {
+				t += 1 - alpha[a]
 			}
 			rS[v] = s
 			rT[v] = t
@@ -87,7 +83,7 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 	timedOut := false
 	for t := 0; t < iters; t++ {
 		if err := cancel.Check(ctx); err != nil {
-			return Result{}, err
+			return solver.DirectedResult{}, err
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			timedOut = true
@@ -112,7 +108,7 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 	}
 
 	s, t, density := thresholdExtract(d, rS, rT)
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PFW",
 		S:          s,
 		T:          t,

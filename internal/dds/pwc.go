@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"context"
 	"slices"
 	"sort"
 	"sync"
@@ -8,20 +9,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/trace"
+	"repro/internal/solver"
 )
-
-// PWCStats instruments a PWC run for the paper's Table 7: the arc counts of
-// the graphs actually processed, versus PXY which re-processes all m arcs
-// per candidate.
-type PWCStats struct {
-	ArcsInput          int64 // |E| of the input (the "PXY" row)
-	ArcsAfterWarmStart int64 // "PWC₁": after the first (d_max) level
-	ArcsAtWStar        int64 // "PWC_w*": the w*-induced subgraph
-	ArcsDensest        int64 // "PWC_D*": |E(S,T)| of the returned core
-	WStar              int64
-	Levels             int
-}
 
 // PWC is the paper's Algorithm 4: the parallel 2-approximate DDS solver
 // built on the w-induced subgraph. It (1) computes the w*-induced subgraph
@@ -32,51 +21,35 @@ type PWCStats struct {
 // since the core is contained in it by Lemma 4). Only w* >= x*·y* holds
 // in general; when the core comes back empty, certifiedMaxPair walks down
 // the peel levels to the true maximum pair.
-func PWC(d *graph.Directed, p int) Result {
-	r, _ := pwcImpl(d, p, nil)
-	return r
-}
-
-// PWCWithStats is PWC returning the Table-7 instrumentation.
-func PWCWithStats(d *graph.Directed, p int) (Result, PWCStats) {
-	return pwcImpl(d, p, nil)
-}
-
-// PWCTraced is PWC with the observability record: its three stages — the
-// w*-induced subgraph decomposition (Algorithm 3), the Lemma-6 edge-deletion
-// search for [x*, y*], and the final core extraction — are timed as phases,
-// and the Table-7 arc counts land in the trace counters (arcs_input,
-// arcs_after_warm_start, arcs_at_wstar, arcs_densest, wstar, levels). A nil
-// tr is exactly PWC.
-func PWCTraced(d *graph.Directed, p int, tr *trace.Trace) Result {
-	r, _ := pwcImpl(d, p, tr)
-	return r
-}
-
-// pwcImpl is the shared Algorithm-4 body behind PWC, PWCWithStats and
-// PWCTraced.
-func pwcImpl(d *graph.Directed, p int, tr *trace.Trace) (Result, PWCStats) {
+//
+// An armed opts.Trace times the three stages — the w*-induced subgraph
+// decomposition (Algorithm 3), the Lemma-6 edge-deletion search for
+// [x*, y*], and the final core extraction — as phases, and receives the
+// paper's Table-7 instrumentation as counters: the arc counts of the
+// graphs actually processed (arcs_input, the "PXY" row, which re-processes
+// all m arcs per candidate; arcs_after_warm_start, "PWC₁"; arcs_at_wstar,
+// "PWC_w*"; arcs_densest, "PWC_D*" = |E(S,T)| of the returned core), plus
+// wstar and levels. PWC cannot be canceled.
+func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
+	tr, p := opts.Trace, opts.Workers
 	tr.SetAlgorithm("PWC")
-	stats := PWCStats{ArcsInput: d.M()}
+	var ws WStarResult
+	var arcsDensest int64
 	defer func() {
-		tr.Counter("arcs_input", stats.ArcsInput)
-		tr.Counter("arcs_after_warm_start", stats.ArcsAfterWarmStart)
-		tr.Counter("arcs_at_wstar", stats.ArcsAtWStar)
-		tr.Counter("arcs_densest", stats.ArcsDensest)
-		tr.Counter("wstar", stats.WStar)
-		tr.Counter("levels", int64(stats.Levels))
-		tr.RaisePeak(stats.ArcsAfterWarmStart)
+		tr.Counter("arcs_input", d.M())
+		tr.Counter("arcs_after_warm_start", ws.ArcsAfterWarmStart)
+		tr.Counter("arcs_at_wstar", ws.ArcsAtWStar)
+		tr.Counter("arcs_densest", arcsDensest)
+		tr.Counter("wstar", ws.WStar)
+		tr.Counter("levels", int64(ws.Levels))
+		tr.RaisePeak(ws.ArcsAfterWarmStart)
 	}()
 	if d.M() == 0 {
-		return Result{Algorithm: "PWC"}, stats
+		return solver.DirectedResult{Algorithm: "PWC"}, nil
 	}
 	endDecomp := tr.StartPhase("wstar-decomposition")
-	ws := WStarSubgraph(d, p)
+	ws = WStarSubgraph(d, p, true)
 	endDecomp()
-	stats.ArcsAfterWarmStart = ws.ArcsAfterWarmStart
-	stats.ArcsAtWStar = ws.ArcsAtWStar
-	stats.WStar = ws.WStar
-	stats.Levels = ws.Levels
 
 	h := ws.Subgraph
 	endSearch := tr.StartPhase("cnpair-search")
@@ -98,21 +71,21 @@ func pwcImpl(d *graph.Directed, p int, tr *trace.Trace) (Result, PWCStats) {
 		s, t = XYCore(ws.base, x, y)
 		orig = ws.baseOrig
 		if len(s) == 0 || len(t) == 0 {
-			return Result{Algorithm: "PWC"}, stats
+			return solver.DirectedResult{Algorithm: "PWC"}, nil
 		}
 	}
 	sOrig := mapBack(s, orig)
 	tOrig := mapBack(t, orig)
-	stats.ArcsDensest = d.EdgesST(sOrig, tOrig)
-	return Result{
+	arcsDensest = d.EdgesST(sOrig, tOrig)
+	return solver.DirectedResult{
 		Algorithm:  "PWC",
 		S:          sOrig,
 		T:          tOrig,
-		Density:    densityOf(stats.ArcsDensest, len(sOrig), len(tOrig)),
+		Density:    densityOf(arcsDensest, len(sOrig), len(tOrig)),
 		XStar:      x,
 		YStar:      y,
 		Iterations: ws.Levels,
-	}, stats
+	}, nil
 }
 
 // findMaxCNPair runs the edge-deletion search of Algorithm 4 on the

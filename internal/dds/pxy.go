@@ -1,10 +1,12 @@
 package dds
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // PXY is the parallelized Core-Approx of Ma et al. (the paper's
@@ -23,13 +25,13 @@ import (
 // candidates, so big x values finish immediately while x=1 pays a full
 // decomposition; the dynamic assignment here mitigates but cannot remove
 // the critical path.
-func PXY(d *graph.Directed, p int) Result {
-	x, y, candidates := maxProductPair(d, p)
+func PXY(_ context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
+	x, y, candidates := maxProductPair(d, opts.Workers)
 	if x == 0 {
-		return Result{Algorithm: "PXY"}
+		return solver.DirectedResult{Algorithm: "PXY"}, nil
 	}
 	s, t := XYCore(d, x, y)
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PXY",
 		S:          s,
 		T:          t,
@@ -37,7 +39,7 @@ func PXY(d *graph.Directed, p int) Result {
 		XStar:      x,
 		YStar:      y,
 		Iterations: candidates,
-	}
+	}, nil
 }
 
 // maxProductPair is PXY's enumeration: YMax for every x in [1, √m] and,

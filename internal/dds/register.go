@@ -1,29 +1,11 @@
 package dds
 
-import (
-	"context"
-
-	"repro/internal/graph"
-	"repro/internal/solver"
-)
-
-// toSolver crosses the registration boundary; see the uds twin.
-func toSolver(r Result) solver.DirectedResult {
-	return solver.DirectedResult{
-		Algorithm:  r.Algorithm,
-		S:          r.S,
-		T:          r.T,
-		Density:    r.Density,
-		XStar:      r.XStar,
-		YStar:      r.YStar,
-		Iterations: r.Iterations,
-		TimedOut:   r.TimedOut,
-	}
-}
+import "repro/internal/solver"
 
 // The DDS lineup registers itself at init time: the paper's Exp-5
-// algorithms plus the exact solvers. Order here is the presentation order
-// everywhere downstream.
+// algorithms plus the exact solvers. Each descriptor names its solver
+// function directly. Order here is the presentation order everywhere
+// downstream.
 func init() {
 	solver.Register(solver.Descriptor{
 		Name: "pwc", Kind: solver.KindDDS, Display: "PWC",
@@ -32,18 +14,14 @@ func init() {
 		Paper:        "Algorithms 3–4 (the reproduced paper)",
 		TraceColumns: []string{"phases", "counters"},
 		Default:      true, DegradeRank: 1,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			return toSolver(PWCTraced(d, p.Workers, p.Trace)), nil
-		},
+		SolveDDS: PWC,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pxy", Kind: solver.KindDDS, Display: "PXY",
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2-approximation via [x, y]-core enumeration",
 		Paper:     "Ma et al. Core-Approx (baseline of the reproduced paper's Exp-5)",
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			return toSolver(PXY(d, p.Workers)), nil
-		},
+		SolveDDS:  PXY,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pbs", Kind: solver.KindDDS, Display: "PBS",
@@ -51,10 +29,7 @@ func init() {
 		Guarantee: "2-approximation via the O(n²)-ratio Charikar sweep",
 		Paper:     "Charikar directed sweep (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PBSCtx(ctx, d, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS:  PBS,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pfks", Kind: solver.KindDDS, Display: "PFKS",
@@ -62,10 +37,7 @@ func init() {
 		Guarantee: "2-approximation via the fixed n-ratio Khuller–Saha sweep",
 		Paper:     "Khuller–Saha, fixed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PFKSCtx(ctx, d, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS:  PFKS,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pbd", Kind: solver.KindDDS, Display: "PBD",
@@ -73,10 +45,7 @@ func init() {
 		Guarantee: "2δ(1+ε)-approximation via directed batch peeling (Options.Delta/Epsilon, defaults 2.0/1.0)",
 		Paper:     "Bahmani et al., directed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PBDCtx(ctx, d, p.Delta, p.Epsilon, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS:  PBD,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pfw", Kind: solver.KindDDS, Display: "PFW",
@@ -84,10 +53,7 @@ func init() {
 		Guarantee: "(1+ε)-approximation as directed Frank–Wolfe sweeps grow (Options.Iterations, default 100)",
 		Paper:     "Danisch–Chan–Sozio, directed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PFWCtx(ctx, d, p.Iterations, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS:  PFW,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact", Kind: solver.KindDDS, Display: "Exact",
@@ -95,10 +61,7 @@ func init() {
 		Guarantee: "exact via the ratio-enumerating parameterized min-cut search",
 		Paper:     "Khuller–Saha flow formulation; the reproduced paper's exactness baseline",
 		Serial:    true, Degradable: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := ExactCtx(ctx, d)
-			return toSolver(r), err
-		},
+		SolveDDS: Exact,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindDDS, Display: "Exact-Pruned",
@@ -106,10 +69,7 @@ func init() {
 		Guarantee:  "exact: PWC lower bound prunes to the ⌈ρ̃²/4⌉-induced subgraph before the flow search",
 		Paper:      "core-pruned variant of the Khuller–Saha flow search",
 		Degradable: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := ExactPrunedCtx(ctx, d, p.Workers)
-			return toSolver(r), err
-		},
+		SolveDDS:   ExactPruned,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "brute", Kind: solver.KindDDS, Display: "Brute",
@@ -117,8 +77,6 @@ func init() {
 		Guarantee: "exact by subset enumeration (≤13 vertices)",
 		Paper:     "test oracle; Definition 4 evaluated directly",
 		Serial:    true, Degradable: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			return toSolver(BruteForce(d)), nil
-		},
+		SolveDDS: BruteForce,
 	})
 }

@@ -273,15 +273,11 @@ type WStarResult struct {
 // Without this the level sweeps keep scanning the original CSR ranges,
 // whose slots are mostly dead arcs — the re-compaction is the "reduce the
 // size of the graph in each iteration" step of the paper's Exp-6.
-func WStarSubgraph(d *graph.Directed, p int) WStarResult {
-	return WStarSubgraphOpts(d, p, true)
-}
-
-// WStarSubgraphOpts is WStarSubgraph with the d_max warm start switchable —
-// warmStart=false climbs from the global minimum weight like the plain
-// Algorithm 3, which is what the warm-start ablation bench compares
-// against.
-func WStarSubgraphOpts(d *graph.Directed, p int, warmStart bool) WStarResult {
+//
+// warmStart=false skips the d_max warm start and climbs from the global
+// minimum weight like the plain Algorithm 3, which is what the warm-start
+// ablation bench compares against.
+func WStarSubgraph(d *graph.Directed, p int, warmStart bool) WStarResult {
 	var res WStarResult
 	if d.M() == 0 {
 		res.Subgraph = d

@@ -46,24 +46,40 @@ type Params struct {
 	Trace      *trace.Trace
 }
 
-// Result mirrors uds.Result across the registration boundary.
+// Result is an undirected densest-subgraph answer: the vertex set found,
+// its density, and how much iterative work it took. Every UDS solver in
+// internal/uds returns it directly.
 type Result struct {
 	Algorithm  string
 	Vertices   []int32
 	Density    float64
-	Iterations int
+	Iterations int // solver-specific: sweeps, peel rounds, or FW steps; 0 when not meaningful
 	KStar      int32
 }
 
-// DirectedResult mirrors dds.Result across the registration boundary.
+func (r Result) String() string {
+	return fmt.Sprintf("%s: |S|=%d density=%.4f iters=%d", r.Algorithm, len(r.Vertices), r.Density, r.Iterations)
+}
+
+// DirectedResult is a directed densest-subgraph answer, returned directly
+// by every DDS solver in internal/dds.
 type DirectedResult struct {
 	Algorithm  string
 	S, T       []int32
 	Density    float64
-	XStar      int32
+	XStar      int32 // cn-pair of the returned core, when core-based
 	YStar      int32
 	Iterations int
-	TimedOut   bool
+	// TimedOut reports that a budgeted solver (PBS, PFKS, PBD, PFW) hit
+	// its deadline before exhausting its search; the result then holds the
+	// best answer found so far — mirroring the paper's 10⁵-second cap in
+	// Exp-5, under which PBS and PFKS never finish.
+	TimedOut bool
+}
+
+func (r DirectedResult) String() string {
+	return fmt.Sprintf("%s: |S|=%d |T|=%d density=%.4f [x*=%d y*=%d]",
+		r.Algorithm, len(r.S), len(r.T), r.Density, r.XStar, r.YStar)
 }
 
 // Descriptor declares one registered algorithm: everything the server,
@@ -106,8 +122,11 @@ type Descriptor struct {
 	// Budgeted marks solvers that honor Params.Budget by returning their
 	// best-so-far answer with TimedOut set.
 	Budgeted bool
-	// SolveUDS runs a KindUDS descriptor. The context may be nil (never
-	// cancel); implementations poll it at iteration boundaries.
+	// SolveUDS runs a KindUDS descriptor: the solver's exported function
+	// itself (uds.PKMC), never a wrapper. The context may be nil (never
+	// cancel); cancelable implementations poll it at iteration boundaries,
+	// and the rest name it _. An armed Params.Trace receives the records
+	// TraceColumns declares.
 	SolveUDS func(ctx context.Context, g *graph.Undirected, p Params) (Result, error)
 	// SolveDDS runs a KindDDS descriptor under the same contract.
 	SolveDDS func(ctx context.Context, d *graph.Directed, p Params) (DirectedResult, error)

@@ -1,8 +1,11 @@
 package uds
 
 import (
+	"context"
+
 	"repro/internal/bucket"
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
 
 // Charikar is the classic serial 2-approximation: peel the minimum-degree
@@ -10,10 +13,10 @@ import (
 // density. O(m + n) with a bucket queue. It is inherently sequential — each
 // removal must update neighbor degrees before the next minimum is valid —
 // which is exactly the dependency the paper's parallel algorithms break.
-func Charikar(g *graph.Undirected) Result {
+func Charikar(_ context.Context, g *graph.Undirected, _ solver.Params) (solver.Result, error) {
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "Charikar"}
+		return solver.Result{Algorithm: "Charikar"}, nil
 	}
 	q := bucket.New(g.Degrees(), g.MaxDegree())
 	edgesLeft := g.M()
@@ -42,10 +45,10 @@ func Charikar(g *graph.Undirected) Result {
 			keep = append(keep, int32(v))
 		}
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "Charikar",
 		Vertices:   keep,
 		Density:    g.InducedDensity(keep),
 		Iterations: n - 1, // one peel step per vertex
-	}
+	}, nil
 }

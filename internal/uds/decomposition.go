@@ -2,6 +2,7 @@ package uds
 
 import (
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
 
 // DensityTier is one layer of the density-friendly decomposition.
@@ -27,7 +28,7 @@ func DensityFriendly(g *graph.Undirected, p int) []DensityTier {
 	// mapping from cur's ids back to g's ids (nil = identity).
 	var orig []int32
 	for cur.M() > 0 {
-		res := ExactPruned(cur, p)
+		res, _ := ExactPruned(nil, cur, solver.Params{Workers: p}) // a nil ctx never cancels
 		if len(res.Vertices) == 0 || res.Density <= 0 {
 			break
 		}

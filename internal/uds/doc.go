@@ -4,8 +4,13 @@
 // paper's Exp-1 lineup — Charikar's serial peeling, PBU (Bahmani batch
 // peeling), PFW (Frank–Wolfe), and the three k*-core routes Local, PKC and
 // PKMC (the paper's contribution, Algorithm 2 with the Theorem-1 early
-// stop). The *Traced entry points (PKMCTraced, LocalTraced, ExactTraced,
-// ExactPrunedTraced) run the same solvers with an internal/trace record
-// attached — phase timings, h-index iteration logs, pruning counters — and
-// are exactly their untraced counterparts when handed a nil trace.
+// stop).
+//
+// Every registered solver is one exported function with the registry's
+// signature, func(ctx, g, solver.Params) (solver.Result, error), and its
+// descriptor names it directly. Params.Trace, when armed, receives the
+// records the descriptor's TraceColumns declare — phase timings, h-index
+// iteration logs, convergence rows, pruning counters; a nil trace costs
+// one nil check per record. Solvers that cannot be canceled name the
+// context _.
 package uds

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/maxflow"
-	"repro/internal/trace"
+	"repro/internal/solver"
 )
 
 // Exact solves the UDS problem exactly with Goldberg's flow construction:
@@ -23,22 +23,33 @@ import (
 // Cost: O(log n) max-flows on a network with n+2 nodes and n+m arcs —
 // practical up to ~10^5-edge graphs, and the oracle every approximation
 // algorithm in this package is tested against.
-func Exact(g *graph.Undirected) Result {
-	r, _ := ExactCtx(nil, g)
-	return r
+//
+// The binary search polls ctx between min-cut probes (and inside each flow
+// computation, between blocking-flow phases) and returns a wrapped
+// cancel.ErrCanceled once ctx is done. A nil ctx never cancels. An armed
+// opts.Trace times the search as one "flow-search" phase and counts its
+// probes.
+func Exact(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	tr := opts.Trace
+	tr.SetAlgorithm("Exact")
+	endFlow := tr.StartPhase("flow-search")
+	res, err := exact(ctx, g)
+	endFlow()
+	if err == nil {
+		tr.Counter("flow_probes", int64(res.Iterations))
+	}
+	return res, err
 }
 
-// ExactCtx is Exact under cooperative cancellation: the binary search polls
-// ctx between min-cut probes (and inside each flow computation, between
-// blocking-flow phases) and returns a wrapped cancel.ErrCanceled once ctx
-// is done. A nil ctx never cancels.
-func ExactCtx(ctx context.Context, g *graph.Undirected) (Result, error) {
+// exact is Exact's untraced Goldberg search, shared with ExactPruned and
+// ExactEpsilon so their own traces carry no second flow-search record.
+func exact(ctx context.Context, g *graph.Undirected) (solver.Result, error) {
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "Exact"}, nil
+		return solver.Result{Algorithm: "Exact"}, nil
 	}
 	if g.M() == 0 {
-		return Result{Algorithm: "Exact", Vertices: []int32{0}, Density: 0}, nil
+		return solver.Result{Algorithm: "Exact", Vertices: []int32{0}, Density: 0}, nil
 	}
 	edges := g.Edges()
 	degs := g.Degrees()
@@ -52,7 +63,7 @@ func ExactCtx(ctx context.Context, g *graph.Undirected) (Result, error) {
 		probes++
 		s, err := denserThan(ctx, n, edges, degs, mid)
 		if err != nil {
-			return Result{}, err
+			return solver.Result{}, err
 		}
 		if len(s) == 0 {
 			hi = mid
@@ -66,7 +77,7 @@ func ExactCtx(ctx context.Context, g *graph.Undirected) (Result, error) {
 		// densest single edge (density 1/2 is the minimum positive value).
 		best = []int32{edges[0].U, edges[0].V}
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "Exact",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),
@@ -110,10 +121,10 @@ func denserThan(ctx context.Context, n int, edges []graph.Edge, degs []int32, th
 
 // BruteForce solves UDS by enumerating all 2^n - 1 non-empty vertex
 // subsets. It is the test oracle for Exact and panics above 20 vertices.
-func BruteForce(g *graph.Undirected) Result {
+func BruteForce(g *graph.Undirected) solver.Result {
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "BruteForce"}
+		return solver.Result{Algorithm: "BruteForce"}
 	}
 	if n > 20 {
 		panic("uds: BruteForce beyond 20 vertices")
@@ -133,7 +144,7 @@ func BruteForce(g *graph.Undirected) Result {
 			best = append([]int32(nil), set...)
 		}
 	}
-	return Result{Algorithm: "BruteForce", Vertices: best, Density: bestDensity}
+	return solver.Result{Algorithm: "BruteForce", Vertices: best, Density: bestDensity}
 }
 
 // ExactPruned is the core-accelerated exact solver of Fang et al. (the
@@ -142,35 +153,26 @@ func BruteForce(g *graph.Undirected) Result {
 // 2-approximation as ρ̃ (so ρ̃ >= ρ*/2 >= k*/2), prunes the graph to the
 // ⌈ρ̃⌉-core, and runs the Goldberg binary search there — typically orders
 // of magnitude fewer flow nodes than Exact on power-law graphs.
-func ExactPruned(g *graph.Undirected, p int) Result {
-	r, _ := ExactPrunedCtx(nil, g, p)
-	return r
-}
-
-// ExactPrunedCtx is ExactPruned with the same cancellation contract as
-// ExactCtx.
-func ExactPrunedCtx(ctx context.Context, g *graph.Undirected, p int) (Result, error) {
-	return ExactPrunedTraced(ctx, g, p, nil)
-}
-
-// ExactPrunedTraced is ExactPrunedCtx with the observability record: the
-// solve splits into the paper's natural phases — the PKMC lower bound
-// ("approx-lower-bound"), the full core decomposition that the pruning
-// needs ("core-decomposition"), the ⌈ρ̃⌉-core extraction ("prune"), and the
-// Goldberg flow binary search on the remnant ("flow-search") — each timed
-// into tr. A nil tr is exactly ExactPrunedCtx.
-func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trace.Trace) (Result, error) {
+//
+// It has Exact's cancellation contract. An armed opts.Trace splits the
+// solve into the paper's natural phases — the PKMC lower bound
+// ("approx-lower-bound", with its h-index sweeps), the full core
+// decomposition that the pruning needs ("core-decomposition"), the
+// ⌈ρ̃⌉-core extraction ("prune"), and the Goldberg flow binary search on
+// the remnant ("flow-search") — plus the pruning and probe counters.
+func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	tr, p := opts.Trace, opts.Workers
 	tr.SetAlgorithm("ExactPruned")
 	if g.N() == 0 || g.M() == 0 {
-		res, err := ExactCtx(ctx, g)
+		res, err := exact(ctx, g)
 		res.Algorithm = "ExactPruned"
 		return res, err
 	}
 	if err := cancel.Check(ctx); err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	endApprox := tr.StartPhase("approx-lower-bound")
-	approx := core.PKMCWithOptions(g, p, core.PKMCOptions{Trace: tr})
+	approx := core.PKMC(g, p, core.PKMCOptions{Trace: tr})
 	lower := g.InducedDensity(approx.Vertices) // ρ̃ <= ρ*
 	endApprox()
 	k := int32(lower)
@@ -180,7 +182,7 @@ func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trac
 	// The ⌈ρ̃⌉-core needs core numbers; the h-index decomposition gives
 	// them in parallel. (PKMC alone cannot: it skips non-k* vertices.)
 	endDecomp := tr.StartPhase("core-decomposition")
-	coreNum := core.Local(g, p).CoreNum
+	coreNum := core.Local(g, p, nil).CoreNum
 	endDecomp()
 	endPrune := tr.StartPhase("prune")
 	keep := core.KCore(coreNum, k)
@@ -190,17 +192,17 @@ func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trac
 	tr.Counter("flow_vertices", int64(sub.N()))
 	tr.RaisePeak(int64(sub.N()))
 	endFlow := tr.StartPhase("flow-search")
-	res, err := ExactCtx(ctx, sub)
+	res, err := exact(ctx, sub)
 	endFlow()
 	if err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	tr.Counter("flow_probes", int64(res.Iterations))
 	mapped := make([]int32, len(res.Vertices))
 	for i, v := range res.Vertices {
 		mapped[i] = orig[v]
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "ExactPruned",
 		Vertices:   mapped,
 		Density:    g.InducedDensity(mapped),
@@ -216,17 +218,14 @@ func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trac
 // trade-off behind the (1+ε) flow algorithms of the paper's related work
 // (Chekuri et al. [29]). With the PKMC lower bound seeding the interval,
 // a handful of min-cuts suffice.
-func ExactEpsilon(g *graph.Undirected, eps float64, p int) Result {
-	r, _ := ExactEpsilonCtx(nil, g, eps, p)
-	return r
-}
-
-// ExactEpsilonCtx is ExactEpsilon with the same cancellation contract as
-// ExactCtx.
-func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p int) (Result, error) {
+//
+// ε is opts.Epsilon (default 0.1), and cancellation follows Exact's
+// contract.
+func ExactEpsilon(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	eps := opts.Epsilon
 	n := g.N()
 	if n == 0 || g.M() == 0 {
-		res, err := ExactCtx(ctx, g)
+		res, err := exact(ctx, g)
 		res.Algorithm = "ExactEpsilon"
 		return res, err
 	}
@@ -234,9 +233,9 @@ func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p in
 		eps = 0.1
 	}
 	if err := cancel.Check(ctx); err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
-	approx := core.PKMC(g, p)
+	approx := core.PKMC(g, opts.Workers, core.PKMCOptions{})
 	lower := g.InducedDensity(approx.Vertices)
 	edges := g.Edges()
 	degs := g.Degrees()
@@ -248,7 +247,7 @@ func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p in
 		probes++
 		s, err := denserThan(ctx, n, edges, degs, mid)
 		if err != nil {
-			return Result{}, err
+			return solver.Result{}, err
 		}
 		if len(s) > 0 {
 			lo = mid
@@ -257,7 +256,7 @@ func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p in
 			hi = mid
 		}
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "ExactEpsilon",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),

@@ -9,14 +9,15 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
 func TestFISTAMatchesExactOnSmallGraphs(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		g := randomGraph(seed, 12, 3)
-		ex := Exact(g)
-		got := FISTA(g, 400, 1e-6, 2)
+		ex := must(Exact(nil, g, solver.Params{}))
+		got := must(FISTA(nil, g, solver.Params{Iterations: 400, Epsilon: 1e-6, Workers: 2}))
 		if got.Density < ex.Density-1e-6 {
 			t.Fatalf("seed %d: FISTA density %.6f < exact %.6f", seed, got.Density, ex.Density)
 		}
@@ -26,8 +27,8 @@ func TestFISTAMatchesExactOnSmallGraphs(t *testing.T) {
 func TestFISTARecoversPlantedClique(t *testing.T) {
 	base := gen.ErdosRenyi(300, 600, 5)
 	g, _ := gen.PlantClique(base, 12, 6)
-	ex := Exact(g)
-	got := FISTA(g, 0, 0, 4)
+	ex := must(Exact(nil, g, solver.Params{}))
+	got := must(FISTA(nil, g, solver.Params{Workers: 4}))
 	// Default eps certifies a (1+eps) answer; allow exactly that slack.
 	if got.Density < ex.Density/(1+DefaultFISTAEpsilon)-1e-9 {
 		t.Fatalf("FISTA density %.6f, exact %.6f", got.Density, ex.Density)
@@ -41,7 +42,7 @@ func TestFISTADualityGapMonotoneAndEarlyStop(t *testing.T) {
 	base := gen.ErdosRenyi(200, 500, 21)
 	g, _ := gen.PlantClique(base, 14, 22)
 	tr := &trace.Trace{}
-	res, err := FISTACtx(nil, g, 500, 0.05, 2, tr)
+	res, err := FISTA(nil, g, solver.Params{Iterations: 500, Epsilon: 0.05, Workers: 2, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestFISTACancellation(t *testing.T) {
 	g := gen.ChungLu(2000, 20000, 2.3, 23)
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
-	_, err := FISTACtx(ctx, g, 100, 1e-9, 2, nil)
+	_, err := FISTA(ctx, g, solver.Params{Iterations: 100, Epsilon: 1e-9, Workers: 2})
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("err = %v, want cancel.ErrCanceled", err)
 	}
@@ -99,15 +100,15 @@ func TestFISTACancellation(t *testing.T) {
 
 func TestFISTATrivialGraphs(t *testing.T) {
 	empty := graph.NewUndirected(0, nil)
-	if res := FISTA(empty, 10, 0, 1); res.Vertices != nil || res.Density != 0 {
+	if res := must(FISTA(nil, empty, solver.Params{Iterations: 10, Workers: 1})); res.Vertices != nil || res.Density != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
 	edgeless := graph.NewUndirected(5, nil)
-	if res := FISTA(edgeless, 10, 0, 1); len(res.Vertices) != 1 || res.Density != 0 {
+	if res := must(FISTA(nil, edgeless, solver.Params{Iterations: 10, Workers: 1})); len(res.Vertices) != 1 || res.Density != 0 {
 		t.Fatalf("edgeless graph: %+v", res)
 	}
 	single := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
-	if res := FISTA(single, 10, 0, 1); res.Density != 0.5 {
+	if res := must(FISTA(nil, single, solver.Params{Iterations: 10, Workers: 1})); res.Density != 0.5 {
 		t.Fatalf("single edge: %+v", res)
 	}
 }
@@ -134,8 +135,8 @@ func TestFracPeelAtLeastGreedyPP(t *testing.T) {
 		}{"chung-lu", gen.ChungLu(1000, 8000, 2.4, 19)},
 	)
 	for _, tc := range cases {
-		gpp := GreedyPP(tc.g, 10)
-		fp := FracPeel(tc.g, 200, 2)
+		gpp := must(GreedyPP(nil, tc.g, solver.Params{Iterations: 10}))
+		fp := must(FracPeel(nil, tc.g, solver.Params{Iterations: 200, Workers: 2}))
 		if fp.Density < gpp.Density-1e-9 {
 			t.Fatalf("%s: FracPeel %.6f < Greedy++ %.6f", tc.name, fp.Density, gpp.Density)
 		}
@@ -145,8 +146,8 @@ func TestFracPeelAtLeastGreedyPP(t *testing.T) {
 func TestFracPeelMatchesExactOnSmallGraphs(t *testing.T) {
 	for seed := int64(100); seed < 140; seed++ {
 		g := randomGraph(seed, 12, 3)
-		ex := Exact(g)
-		got := FracPeel(g, 400, 2)
+		ex := must(Exact(nil, g, solver.Params{}))
+		got := must(FracPeel(nil, g, solver.Params{Iterations: 400, Workers: 2}))
 		if got.Density < ex.Density-1e-6 {
 			t.Fatalf("seed %d: FracPeel density %.6f < exact %.6f", seed, got.Density, ex.Density)
 		}
@@ -157,7 +158,7 @@ func TestFracPeelTraceRecordsConvergence(t *testing.T) {
 	base := gen.ErdosRenyi(150, 250, 12)
 	g, _ := gen.PlantClique(base, 12, 13)
 	tr := &trace.Trace{}
-	res, err := FracPeelCtx(nil, g, 50, 2, tr)
+	res, err := FracPeel(nil, g, solver.Params{Iterations: 50, Workers: 2, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +183,8 @@ func TestFracPeelNeverBelowPFWRounding(t *testing.T) {
 	// peel rounding must dominate the static prefix sweep.
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		g := gen.ErdosRenyi(200, 800, seed)
-		pfw := PFW(g, 60, 2)
-		fp := FracPeel(g, 60, 2)
+		pfw := must(PFW(nil, g, solver.Params{Iterations: 60, Workers: 2}))
+		fp := must(FracPeel(nil, g, solver.Params{Iterations: 60, Workers: 2}))
 		if fp.Density < pfw.Density-1e-9 {
 			t.Fatalf("seed %d: FracPeel %.6f < PFW %.6f", seed, fp.Density, pfw.Density)
 		}
@@ -194,7 +195,7 @@ func TestFracPeelCancellation(t *testing.T) {
 	g := gen.ChungLu(2000, 20000, 2.3, 23)
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
-	_, err := FracPeelCtx(ctx, g, 100, 2, nil)
+	_, err := FracPeel(ctx, g, solver.Params{Iterations: 100, Workers: 2})
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("err = %v, want cancel.ErrCanceled", err)
 	}

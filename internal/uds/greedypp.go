@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
 
 // DefaultGreedyPPRounds is the iteration count used when rounds <= 0. A
@@ -22,19 +23,17 @@ const DefaultGreedyPPRounds = 16
 // O(m + n + L) with L the max load).
 //
 // Guarantee: never worse than Charikar's 2-approximation (round one *is*
-// Charikar), converging to (1+ε) as rounds grow.
-func GreedyPP(g *graph.Undirected, rounds int) Result {
-	r, _ := GreedyPPCtx(nil, g, rounds)
-	return r
-}
-
-// GreedyPPCtx is GreedyPP under cooperative cancellation: ctx is polled
-// once per peel round (each round is O(m + n + L) work) and a wrapped
+// Charikar), converging to (1+ε) as rounds grow; opts.Iterations is the
+// round count.
+//
+// GreedyPP runs under cooperative cancellation: ctx is polled once per
+// peel round (each round is O(m + n + L) work) and a wrapped
 // cancel.ErrCanceled is returned once it is done. A nil ctx never cancels.
-func GreedyPPCtx(ctx context.Context, g *graph.Undirected, rounds int) (Result, error) {
+func GreedyPP(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	rounds := opts.Iterations
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "GreedyPP"}, nil
+		return solver.Result{Algorithm: "GreedyPP"}, nil
 	}
 	if rounds <= 0 {
 		rounds = DefaultGreedyPPRounds
@@ -48,7 +47,7 @@ func GreedyPPCtx(ctx context.Context, g *graph.Undirected, rounds int) (Result, 
 	order := make([]int32, 0, n)
 	for r := 0; r < rounds; r++ {
 		if err := cancel.Check(ctx); err != nil {
-			return Result{}, err
+			return solver.Result{}, err
 		}
 		// Peel by key = load + current degree, implemented with a lazy
 		// integer heap over int64 keys via buckets of a growing slice —
@@ -126,7 +125,7 @@ func GreedyPPCtx(ctx context.Context, g *graph.Undirected, rounds int) (Result, 
 			}
 		}
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "GreedyPP",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),

@@ -8,8 +8,7 @@ package uds
 func HotPaths() []string {
 	return []string{
 		"gradScratch.recomputeLoads",
-		"gradScratch.accumulateBlock",
-		"gradScratch.reduceBlock",
+		"gradScratch.gatherLoad",
 		"gradScratch.fistaIterate",
 		"gradScratch.gradStep",
 		"gradScratch.momStep",

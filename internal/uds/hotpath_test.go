@@ -55,19 +55,18 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 	for i := range s.x {
 		s.x[i], s.xPrev[i], s.y[i], s.alpha[i] = 0.5, 0.4, 0.45, 0.5
 	}
-	s.recomputeLoads(s.alpha) // seed r/partials/shares for the element kernels
+	s.recomputeLoads(s.alpha) // seed r/shares for the element kernels
 	tMom := 1.0
 	runners := map[string]func(){
-		"gradScratch.recomputeLoads":  func() { s.recomputeLoads(s.alpha) },
-		"gradScratch.accumulateBlock": func() { s.accumulateBlock(0) },
-		"gradScratch.reduceBlock":     func() { s.reduceBlock(0) },
-		"gradScratch.fistaIterate":    func() { tMom = s.fistaIterate(tMom) },
-		"gradScratch.gradStep":        func() { s.gradStep(0) },
-		"gradScratch.momStep":         func() { s.momStep(0) },
-		"gradScratch.fwIterate":       func() { s.fwIterate(3) },
-		"gradScratch.fwStep":          func() { s.fwStep(0) },
-		"gradScratch.densestPrefix":   func() { s.densestPrefix() },
-		"gradScratch.fractionalPeel":  func() { s.fractionalPeel(g, s.alpha) },
+		"gradScratch.recomputeLoads": func() { s.recomputeLoads(s.alpha) },
+		"gradScratch.gatherLoad":     func() { s.gatherLoad(0) },
+		"gradScratch.fistaIterate":   func() { tMom = s.fistaIterate(tMom) },
+		"gradScratch.gradStep":       func() { s.gradStep(0) },
+		"gradScratch.momStep":        func() { s.momStep(0) },
+		"gradScratch.fwIterate":      func() { s.fwIterate(3) },
+		"gradScratch.fwStep":         func() { s.fwStep(0) },
+		"gradScratch.densestPrefix":  func() { s.densestPrefix() },
+		"gradScratch.fractionalPeel": func() { s.fractionalPeel(g, s.alpha) },
 	}
 	checkZeroAlloc(t, HotPaths(), runners)
 }

@@ -1,10 +1,12 @@
 package uds
 
 import (
+	"context"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // PBU is the parallel batch-peeling 2(1+ε)-approximation of Bahmani,
@@ -17,11 +19,12 @@ import (
 // incrementally but recomputes them by a full pass over the surviving edge
 // list, then materializes the next round's edge list — the per-round
 // synchronization and data-rewriting cost the paper's Exp-1 attributes
-// PBU's slowness to. Rounds are O(log n / log(1+ε)).
-func PBU(g *graph.Undirected, eps float64, p int) Result {
+// PBU's slowness to. Rounds are O(log n / log(1+ε)). ε is opts.Epsilon.
+func PBU(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	eps, p := opts.Epsilon, opts.Workers
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "PBU"}
+		return solver.Result{Algorithm: "PBU"}, nil
 	}
 	if eps <= 0 {
 		eps = 0.5
@@ -83,10 +86,10 @@ func PBU(g *graph.Undirected, eps float64, p int) Result {
 		}
 		edges = next
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "PBU",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),
 		Iterations: rounds,
-	}
+	}, nil
 }

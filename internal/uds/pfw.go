@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
 
 // DefaultPFWIterations is the Frank–Wolfe iteration budget used when the
@@ -19,35 +20,33 @@ const DefaultPFWIterations = 100
 // the total load on v, and every iteration moves each edge's load toward
 // its currently lighter endpoint with the standard 2/(t+2) step size. The
 // dense subgraph is extracted by sweeping vertices in decreasing load order
-// and keeping the densest prefix ("fractional peeling").
-func PFW(g *graph.Undirected, iters, p int) Result {
-	r, _ := PFWCtx(nil, g, iters, p)
-	return r
-}
-
-// PFWCtx is PFW under cooperative cancellation: ctx is polled once per
+// and keeping the densest prefix ("fractional peeling"). opts.Iterations
+// bounds the sweeps.
+//
+// PFW runs under cooperative cancellation: ctx is polled once per
 // Frank–Wolfe sweep (each sweep is a full O(m) pass) and a wrapped
 // cancel.ErrCanceled is returned once it is done. A nil ctx never cancels.
 //
 // The sweeps and the rounding run on a pooled gradScratch (see scratch.go);
 // the per-sweep kernels are //dsd:hotpath and allocate nothing.
-func PFWCtx(ctx context.Context, g *graph.Undirected, iters, p int) (Result, error) {
+func PFW(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	iters := opts.Iterations
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "PFW"}, nil
+		return solver.Result{Algorithm: "PFW"}, nil
 	}
 	if iters <= 0 {
 		iters = DefaultPFWIterations
 	}
 	edges := g.Edges()
-	s := getGradScratch(edges, n, p)
+	s := getGradScratch(edges, n, opts.Workers)
 	defer s.release()
 	if err := s.frankWolfe(ctx, iters, nil); err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	view, _ := s.densestPrefix()
 	set := append([]int32(nil), view...)
-	return Result{
+	return solver.Result{
 		Algorithm:  "PFW",
 		Vertices:   set,
 		Density:    g.InducedDensity(set),

@@ -1,59 +1,35 @@
 package uds
 
-import (
-	"context"
-
-	"repro/internal/graph"
-	"repro/internal/solver"
-)
-
-// toSolver crosses the registration boundary: internal/solver defines its
-// own result struct so this package can register itself without importing
-// the public module root (which imports us).
-func toSolver(r Result) solver.Result {
-	return solver.Result{
-		Algorithm:  r.Algorithm,
-		Vertices:   r.Vertices,
-		Density:    r.Density,
-		Iterations: r.Iterations,
-		KStar:      r.KStar,
-	}
-}
+import "repro/internal/solver"
 
 // The UDS lineup registers itself at init time: the paper's Exp-1
-// algorithms, the exact solvers, and the convex-programming pair. Order
-// here is the order every listing (CLI -algorithms, docs table, error
-// messages) presents.
+// algorithms, the exact solvers, and the convex-programming pair. Each
+// descriptor names its solver function directly. Order here is the order
+// every listing (CLI -algorithms, docs table, error messages) presents.
 func init() {
 	solver.Register(solver.Descriptor{
 		Name: "pkmc", Kind: solver.KindUDS, Display: "PKMC",
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
 		Paper:        "Algorithm 2 (the reproduced paper)",
-		TraceColumns: []string{"phases", "iterations"},
+		TraceColumns: []string{"phases", "iterations", "counters"},
 		Default:      true, DegradeRank: 2,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(PKMCTraced(g, p.Workers, p.Trace)), nil
-		},
+		SolveUDS: PKMC,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "local", Kind: solver.KindUDS, Display: "Local",
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation via full h-index core decomposition",
 		Paper:        "Sariyüce et al. (baseline of the reproduced paper's Exp-1)",
-		TraceColumns: []string{"phases", "iterations"},
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(LocalTraced(g, p.Workers, p.Trace)), nil
-		},
+		TraceColumns: []string{"phases", "iterations", "counters"},
+		SolveUDS:     Local,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pkc", Kind: solver.KindUDS, Display: "PKC",
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2-approximation via parallel level peeling",
 		Paper:     "Kabir–Madduri (baseline of the reproduced paper's Exp-1)",
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(PKC(g, p.Workers)), nil
-		},
+		SolveUDS:  PKC,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "bz", Kind: solver.KindUDS, Display: "BZ",
@@ -61,9 +37,7 @@ func init() {
 		Guarantee: "2-approximation via serial bucket-queue k*-core",
 		Paper:     "Batagelj–Zaveršnik (baseline of the reproduced paper's Exp-1)",
 		Serial:    true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(BZ(g)), nil
-		},
+		SolveUDS:  BZ,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "charikar", Kind: solver.KindUDS, Display: "Charikar",
@@ -71,9 +45,7 @@ func init() {
 		Guarantee: "2-approximation via greedy min-degree peeling",
 		Paper:     "Charikar (APPROX 2000)",
 		Serial:    true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(Charikar(g)), nil
-		},
+		SolveUDS:  Charikar,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "greedypp", Kind: solver.KindUDS, Display: "Greedy++",
@@ -81,29 +53,21 @@ func init() {
 		Guarantee: "2-approximation, converging toward exact as rounds grow (Options.Iterations, default 16)",
 		Paper:     "Boob et al. \"Flowless\" (WWW 2020)",
 		Serial:    true, DegradeRank: 1,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := GreedyPPCtx(ctx, g, p.Iterations)
-			return toSolver(r), err
-		},
+		SolveUDS: GreedyPP,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pbu", Kind: solver.KindUDS, Display: "PBU",
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2(1+ε)-approximation via batch peeling (Options.Epsilon, default 0.5)",
 		Paper:     "Bahmani et al. (baseline of the reproduced paper's Exp-1)",
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(PBU(g, p.Epsilon, p.Workers)), nil
-		},
+		SolveUDS:  PBU,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pfw", Kind: solver.KindUDS, Display: "PFW",
 		Grade:     solver.GradeEps,
 		Guarantee: "(1+ε)-approximation as Frank–Wolfe sweeps grow (Options.Iterations, default 100)",
 		Paper:     "Danisch–Chan–Sozio (baseline of the reproduced paper's Exp-1)",
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := PFWCtx(ctx, g, p.Iterations, p.Workers)
-			return toSolver(r), err
-		},
+		SolveUDS:  PFW,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "fista", Kind: solver.KindUDS, Display: "FISTA",
@@ -111,10 +75,7 @@ func init() {
 		Guarantee:    "(1+ε)-approximation certified per iteration by the duality gap (Options.Epsilon, default 0.01)",
 		Paper:        "Harb–Quanrud–Chekuri (NeurIPS 2022) accelerated-gradient framing",
 		TraceColumns: []string{"phases", "convergence", "counters"},
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := FISTACtx(ctx, g, p.Iterations, p.Epsilon, p.Workers, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS:     FISTA,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "fracpeel", Kind: solver.KindUDS, Display: "FracPeel",
@@ -122,34 +83,25 @@ func init() {
 		Guarantee:    "(1+ε)-approximation: Frank–Wolfe loads rounded by fractional peeling, never below PFW's prefix rounding",
 		Paper:        "Danisch–Chan–Sozio loads + Harb et al. fractional-peeling rounding",
 		TraceColumns: []string{"phases", "convergence"},
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := FracPeelCtx(ctx, g, p.Iterations, p.Workers, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS:     FracPeel,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact", Kind: solver.KindUDS, Display: "Exact",
 		Grade:        solver.GradeExact,
 		Guarantee:    "exact via Goldberg's parameterized min-cut binary search",
 		Paper:        "Goldberg (1984); the reproduced paper's exactness baseline",
-		TraceColumns: []string{"phases"},
+		TraceColumns: []string{"phases", "counters"},
 		Serial:       true, Degradable: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := ExactTraced(ctx, g, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS: Exact,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindUDS, Display: "Exact-Pruned",
 		Grade:        solver.GradeExact,
 		Guarantee:    "exact: PKMC lower bound prunes to the ⌈ρ̃⌉-core before the flow search",
 		Paper:        "Fang et al. (the reproduced paper's [6])",
-		TraceColumns: []string{"phases"},
+		TraceColumns: []string{"phases", "iterations", "counters"},
 		Degradable:   true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := ExactPrunedTraced(ctx, g, p.Workers, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS:     ExactPruned,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact-eps", Kind: solver.KindUDS, Display: "Exact-ε",
@@ -157,9 +109,6 @@ func init() {
 		Guarantee:  "(1+ε)-approximation via O(log 1/ε) min-cuts (Options.Epsilon, default 0.1)",
 		Paper:      "Goldberg's search truncated at gap ε·ρ̃",
 		Degradable: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := ExactEpsilonCtx(ctx, g, p.Epsilon, p.Workers)
-			return toSolver(r), err
-		},
+		SolveUDS:   ExactEpsilon,
 	})
 }

@@ -19,7 +19,7 @@ var gradPool = sync.Pool{New: func() any { return new(gradScratch) }}
 
 // gradScratch owns every working vector the gradient-descent UDS
 // solvers (PFW, FISTA, FracPeel) need — iterates, edge shares, vertex
-// loads, the load-reduction partials, and the rounding buffers — plus
+// loads, the edge incidence, and the rounding buffers — plus
 // the per-iteration kernel parameters, with each block/element body
 // prebound as a method value. Binding the bodies once at construction
 // is what keeps the //dsd:hotpath kernels allocation-free: a fresh
@@ -30,9 +30,8 @@ var gradPool = sync.Pool{New: func() any { return new(gradScratch) }}
 // fractionalPeel are views into this scratch — copy them before
 // release().
 type gradScratch struct {
-	edges   []graph.Edge
-	p       int
-	workers int
+	edges []graph.Edge
+	p     int
 
 	// FISTA iterates: current, previous, and the momentum point the
 	// gradient is taken at.
@@ -42,10 +41,14 @@ type gradScratch struct {
 	// Vertex loads of whichever share vector recomputeLoads saw last.
 	r []float64
 
-	// recomputeLoads state: the share vector being reduced and the
-	// per-worker private accumulators.
-	shares   []float64
-	partials [][]float64
+	// recomputeLoads state: the share vector being gathered.
+	shares []float64
+
+	// Edge incidence in CSR form: the edges at v are
+	// inc[deg[v]:deg[v+1]], in ascending edge index.
+	deg    []int32
+	inc    []int32
+	cursor []int32
 
 	// FISTA kernel parameters: the fixed 1/(4Δ) step size and the
 	// current Nesterov momentum coefficient.
@@ -60,9 +63,6 @@ type gradScratch struct {
 	prefixEdges []int64
 
 	// fractionalPeel scratch.
-	deg       []int32
-	inc       []int32
-	cursor    []int32
 	load      []float64
 	removed   []bool
 	edgeAlive []bool
@@ -71,7 +71,7 @@ type gradScratch struct {
 	kept      []int32
 
 	// Prebound method values handed to the parallel runtime.
-	gradFn, momFn, fwFn, redFn, accFn func(int)
+	gradFn, momFn, fwFn, loadFn func(int)
 }
 
 // getGradScratch checks a scratch out of the pool and sizes every
@@ -81,13 +81,11 @@ func getGradScratch(edges []graph.Edge, n, p int) *gradScratch {
 	s := gradPool.Get().(*gradScratch)
 	m := len(edges)
 	s.edges, s.p = edges, p
-	s.workers = parallel.Threads(p)
 	if s.gradFn == nil {
 		s.gradFn = s.gradStep
 		s.momFn = s.momStep
 		s.fwFn = s.fwStep
-		s.accFn = s.accumulateBlock
-		s.redFn = s.reduceBlock
+		s.loadFn = s.gatherLoad
 	}
 	s.x = growFloat(s.x, m)
 	s.xPrev = growFloat(s.xPrev, m)
@@ -95,13 +93,6 @@ func getGradScratch(edges []graph.Edge, n, p int) *gradScratch {
 	s.alpha = growFloat(s.alpha, m)
 	s.r = growFloat(s.r, n)
 	s.load = growFloat(s.load, n)
-	if cap(s.partials) < s.workers {
-		s.partials = make([][]float64, s.workers)
-	}
-	s.partials = s.partials[:s.workers]
-	for w := range s.partials {
-		s.partials[w] = growFloat(s.partials[w], n)
-	}
 	s.order = growInt32(s.order, n)
 	s.pos = growInt32(s.pos, n)
 	s.prefixEdges = growInt64(s.prefixEdges, n)
@@ -119,7 +110,32 @@ func getGradScratch(edges []graph.Edge, n, p int) *gradScratch {
 	s.heap = s.heap[:0]
 	s.peelOrder = growInt32(s.peelOrder, n)
 	s.kept = growInt32(s.kept, n)
+	s.buildIncidence(n)
 	return s
+}
+
+// buildIncidence fills the CSR edge incidence: deg becomes the offsets
+// and inc lists each vertex's edge indices in ascending order.
+func (s *gradScratch) buildIncidence(n int) {
+	deg := s.deg
+	for i := range deg {
+		deg[i] = 0
+	}
+	for _, e := range s.edges {
+		deg[e.U+1]++
+		deg[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		deg[v+1] += deg[v]
+	}
+	cursor := s.cursor
+	copy(cursor, deg[:n])
+	for i, e := range s.edges {
+		s.inc[cursor[e.U]] = int32(i)
+		cursor[e.U]++
+		s.inc[cursor[e.V]] = int32(i)
+		cursor[e.V]++
+	}
 }
 
 // release returns the scratch to the pool. Views handed out by
@@ -154,41 +170,29 @@ func growBool(b []bool, n int) []bool {
 	return b[:n]
 }
 
-// recomputeLoads rebuilds r(v) = sum of edge shares in parallel. Loads
-// are accumulated per worker into private vectors and then reduced — a
-// scatter with atomics would be slower under power-law hub contention.
+// recomputeLoads rebuilds r(v) = sum of edge shares in parallel, one
+// vertex per task. Each vertex gathers its shares over the incidence —
+// no atomics, which would contend on power-law hubs — in ascending edge
+// order, the order a serial pass adds them in, so the loads do not
+// depend on the worker count.
 //
 //dsd:hotpath
 func (s *gradScratch) recomputeLoads(shares []float64) {
 	s.shares = shares
-	parallel.Workers(s.workers, s.accFn)
-	parallel.For(len(s.r), s.p, s.redFn)
+	parallel.For(len(s.r), s.p, s.loadFn)
 }
 
-// accumulateBlock is worker w's private accumulation over its edge span.
+// gatherLoad sums the shares of the edges at vertex v.
 //
 //dsd:hotpath
-func (s *gradScratch) accumulateBlock(w int) {
-	local := s.partials[w]
-	for v := range local {
-		local[v] = 0
-	}
-	lo := len(s.edges) * w / s.workers
-	hi := len(s.edges) * (w + 1) / s.workers
-	for i := lo; i < hi; i++ {
-		e := s.edges[i]
-		local[e.U] += s.shares[i]
-		local[e.V] += 1 - s.shares[i]
-	}
-}
-
-// reduceBlock sums the per-worker partials for one vertex.
-//
-//dsd:hotpath
-func (s *gradScratch) reduceBlock(v int) {
+func (s *gradScratch) gatherLoad(v int) {
 	var sum float64
-	for w := 0; w < s.workers; w++ {
-		sum += s.partials[w][v]
+	for _, i := range s.inc[s.deg[v]:s.deg[v+1]] {
+		if s.edges[i].U == int32(v) {
+			sum += s.shares[i]
+		} else {
+			sum += 1 - s.shares[i]
+		}
 	}
 	s.r[v] = sum
 }

@@ -8,7 +8,16 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
+
+// must unwraps a solver call with a nil context, which cannot fail.
+func must(r solver.Result, err error) solver.Result {
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 func randomGraph(seed int64, maxN, mult int) *graph.Undirected {
 	rng := rand.New(rand.NewSource(seed))
@@ -25,7 +34,7 @@ func randomGraph(seed int64, maxN, mult int) *graph.Undirected {
 func TestExactMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 10, 3)
-		ex := Exact(g)
+		ex := must(Exact(nil, g, solver.Params{}))
 		bf := BruteForce(g)
 		return math.Abs(ex.Density-bf.Density) < 1e-6
 	}
@@ -42,7 +51,7 @@ func TestExactPaperFig1a(t *testing.T) {
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, // K4 minus {2,3}
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 6},
 	})
-	res := Exact(g)
+	res := must(Exact(nil, g, solver.Params{}))
 	if math.Abs(res.Density-1.25) > 1e-9 {
 		t.Fatalf("density = %v, want 1.25", res.Density)
 	}
@@ -54,7 +63,7 @@ func TestExactPaperFig1a(t *testing.T) {
 func TestExactRecoversPlantedClique(t *testing.T) {
 	base := gen.ErdosRenyi(300, 600, 5)
 	g, planted := gen.PlantClique(base, 12, 6)
-	res := Exact(g)
+	res := must(Exact(nil, g, solver.Params{}))
 	// Planted density (12-clique) is 5.5; the ER body has density ~2.
 	if res.Density < 5.49 {
 		t.Fatalf("density = %v, want >= 5.5", res.Density)
@@ -75,14 +84,14 @@ func TestExactRecoversPlantedClique(t *testing.T) {
 }
 
 func TestExactTrivialGraphs(t *testing.T) {
-	if res := Exact(graph.NewUndirected(0, nil)); res.Density != 0 {
+	if res := must(Exact(nil, graph.NewUndirected(0, nil), solver.Params{})); res.Density != 0 {
 		t.Fatal("empty graph")
 	}
-	res := Exact(graph.NewUndirected(3, nil))
+	res := must(Exact(nil, graph.NewUndirected(3, nil), solver.Params{}))
 	if res.Density != 0 || len(res.Vertices) != 1 {
 		t.Fatalf("edgeless: %+v", res)
 	}
-	res = Exact(graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}}))
+	res = must(Exact(nil, graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}}), solver.Params{}))
 	if math.Abs(res.Density-0.5) > 1e-9 {
 		t.Fatalf("single edge density = %v, want 0.5", res.Density)
 	}
@@ -102,16 +111,20 @@ func TestBruteForcePanicsOnLargeGraph(t *testing.T) {
 func TestApproximationGuarantees(t *testing.T) {
 	algos := []struct {
 		name  string
-		run   func(g *graph.Undirected) Result
+		run   func(g *graph.Undirected) solver.Result
 		bound float64
 	}{
-		{"Charikar", func(g *graph.Undirected) Result { return Charikar(g) }, 2.0},
-		{"PBU", func(g *graph.Undirected) Result { return PBU(g, 0.5, 2) }, 3.0}, // 2(1+0.5)
-		{"PKMC", func(g *graph.Undirected) Result { return PKMC(g, 2) }, 2.0},
-		{"Local", func(g *graph.Undirected) Result { return Local(g, 2) }, 2.0},
-		{"PKC", func(g *graph.Undirected) Result { return PKC(g, 2) }, 2.0},
-		{"BZ", func(g *graph.Undirected) Result { return BZ(g) }, 2.0},
-		{"PFW", func(g *graph.Undirected) Result { return PFW(g, 60, 2) }, 2.0}, // (1+ε) in theory; 2 is a loose test bound
+		{"Charikar", func(g *graph.Undirected) solver.Result { return must(Charikar(nil, g, solver.Params{})) }, 2.0},
+		{"PBU", func(g *graph.Undirected) solver.Result {
+			return must(PBU(nil, g, solver.Params{Epsilon: 0.5, Workers: 2}))
+		}, 3.0}, // 2(1+0.5)
+		{"PKMC", func(g *graph.Undirected) solver.Result { return must(PKMC(nil, g, solver.Params{Workers: 2})) }, 2.0},
+		{"Local", func(g *graph.Undirected) solver.Result { return must(Local(nil, g, solver.Params{Workers: 2})) }, 2.0},
+		{"PKC", func(g *graph.Undirected) solver.Result { return must(PKC(nil, g, solver.Params{Workers: 2})) }, 2.0},
+		{"BZ", func(g *graph.Undirected) solver.Result { return must(BZ(nil, g, solver.Params{})) }, 2.0},
+		{"PFW", func(g *graph.Undirected) solver.Result {
+			return must(PFW(nil, g, solver.Params{Iterations: 60, Workers: 2}))
+		}, 2.0}, // (1+ε) in theory; 2 is a loose test bound
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -119,7 +132,7 @@ func TestApproximationGuarantees(t *testing.T) {
 		if g.M() == 0 {
 			continue
 		}
-		opt := Exact(g).Density
+		opt := must(Exact(nil, g, solver.Params{})).Density
 		for _, a := range algos {
 			res := a.run(g)
 			if res.Density <= 0 && opt > 0 {
@@ -140,7 +153,7 @@ func TestApproximationGuarantees(t *testing.T) {
 func TestCharikarOnCliquePlusNoise(t *testing.T) {
 	base := gen.ErdosRenyi(200, 300, 7)
 	g, _ := gen.PlantClique(base, 15, 8)
-	res := Charikar(g)
+	res := must(Charikar(nil, g, solver.Params{}))
 	// Optimum >= 7 (the 15-clique); 2-approx floor is 3.5.
 	if res.Density < 3.5 {
 		t.Fatalf("Charikar density = %v", res.Density)
@@ -148,7 +161,7 @@ func TestCharikarOnCliquePlusNoise(t *testing.T) {
 }
 
 func TestCharikarEmpty(t *testing.T) {
-	if res := Charikar(graph.NewUndirected(0, nil)); res.Density != 0 {
+	if res := must(Charikar(nil, graph.NewUndirected(0, nil), solver.Params{})); res.Density != 0 {
 		t.Fatal("empty")
 	}
 }
@@ -157,7 +170,7 @@ func TestCharikarEmpty(t *testing.T) {
 
 func TestPBURoundsLogarithmic(t *testing.T) {
 	g := gen.ChungLu(5000, 50000, 2.2, 9)
-	res := PBU(g, 0.5, 4)
+	res := must(PBU(nil, g, solver.Params{Epsilon: 0.5, Workers: 4}))
 	// O(log n / log 1.5) rounds ≈ 21 for n=5000; allow generous slack.
 	if res.Iterations > 60 {
 		t.Fatalf("PBU used %d rounds", res.Iterations)
@@ -169,7 +182,7 @@ func TestPBURoundsLogarithmic(t *testing.T) {
 
 func TestPBUDefaultEpsilon(t *testing.T) {
 	g := gen.ErdosRenyi(100, 300, 10)
-	res := PBU(g, 0, 2) // eps <= 0 falls back to 0.5
+	res := must(PBU(nil, g, solver.Params{Workers: 2})) // eps <= 0 falls back to 0.5
 	if res.Density <= 0 {
 		t.Fatal("PBU with default epsilon found nothing")
 	}
@@ -177,8 +190,8 @@ func TestPBUDefaultEpsilon(t *testing.T) {
 
 func TestPBUParallelMatchesSerial(t *testing.T) {
 	g := gen.ChungLu(2000, 20000, 2.3, 11)
-	a := PBU(g, 0.5, 1)
-	b := PBU(g, 0.5, 8)
+	a := must(PBU(nil, g, solver.Params{Epsilon: 0.5, Workers: 1}))
+	b := must(PBU(nil, g, solver.Params{Epsilon: 0.5, Workers: 8}))
 	if math.Abs(a.Density-b.Density) > 1e-9 {
 		t.Fatalf("PBU parallel (%v) != serial (%v)", b.Density, a.Density)
 	}
@@ -189,8 +202,8 @@ func TestPBUParallelMatchesSerial(t *testing.T) {
 func TestPFWConvergesTowardsExact(t *testing.T) {
 	base := gen.ErdosRenyi(150, 250, 12)
 	g, _ := gen.PlantClique(base, 12, 13)
-	opt := Exact(g).Density
-	res := PFW(g, 150, 2)
+	opt := must(Exact(nil, g, solver.Params{})).Density
+	res := must(PFW(nil, g, solver.Params{Iterations: 150, Workers: 2}))
 	if res.Density < opt*0.85 {
 		t.Fatalf("PFW density %v too far from optimum %v", res.Density, opt)
 	}
@@ -198,7 +211,7 @@ func TestPFWConvergesTowardsExact(t *testing.T) {
 
 func TestPFWDefaultIterations(t *testing.T) {
 	g := gen.ErdosRenyi(50, 100, 14)
-	res := PFW(g, 0, 2)
+	res := must(PFW(nil, g, solver.Params{Workers: 2}))
 	if res.Iterations != DefaultPFWIterations {
 		t.Fatalf("iterations = %d, want default %d", res.Iterations, DefaultPFWIterations)
 	}
@@ -209,7 +222,7 @@ func TestPFWDefaultIterations(t *testing.T) {
 func TestCoreWrappersAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 60, 4)
-		a, b, c, d := PKMC(g, 2), Local(g, 2), PKC(g, 2), BZ(g)
+		a, b, c, d := must(PKMC(nil, g, solver.Params{Workers: 2})), must(Local(nil, g, solver.Params{Workers: 2})), must(PKC(nil, g, solver.Params{Workers: 2})), must(BZ(nil, g, solver.Params{}))
 		return a.KStar == b.KStar && b.KStar == c.KStar && c.KStar == d.KStar &&
 			math.Abs(a.Density-b.Density) < 1e-9 &&
 			math.Abs(b.Density-c.Density) < 1e-9 &&
@@ -224,7 +237,7 @@ func TestKStarCoreDensityAtLeastHalfKStar(t *testing.T) {
 	// ρ(k*-core) >= k*/2 because every vertex has >= k* in-core neighbors.
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 60, 5)
-		res := PKMC(g, 2)
+		res := must(PKMC(nil, g, solver.Params{Workers: 2}))
 		return res.Density >= float64(res.KStar)/2-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -233,7 +246,7 @@ func TestKStarCoreDensityAtLeastHalfKStar(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := PKMC(gen.ErdosRenyi(50, 100, 15), 2)
+	res := must(PKMC(nil, gen.ErdosRenyi(50, 100, 15), solver.Params{Workers: 2}))
 	if res.String() == "" || res.Algorithm != "PKMC" {
 		t.Fatalf("bad result: %+v", res)
 	}
@@ -242,8 +255,8 @@ func TestResultString(t *testing.T) {
 func TestExactPrunedMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 40, 4)
-		a := Exact(g)
-		b := ExactPruned(g, 2)
+		a := must(Exact(nil, g, solver.Params{}))
+		b := must(ExactPruned(nil, g, solver.Params{Workers: 2}))
 		return math.Abs(a.Density-b.Density) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -254,7 +267,7 @@ func TestExactPrunedMatchesExact(t *testing.T) {
 func TestExactPrunedOnPlantedClique(t *testing.T) {
 	base := gen.ChungLu(2000, 20000, 2.3, 16)
 	g, planted := gen.PlantClique(base, 40, 17)
-	res := ExactPruned(g, 2)
+	res := must(ExactPruned(nil, g, solver.Params{Workers: 2}))
 	// The 40-clique plus stray body edges: density >= 19.5.
 	if res.Density < float64(len(planted)-1)/2 {
 		t.Fatalf("density = %v", res.Density)
@@ -262,7 +275,7 @@ func TestExactPrunedOnPlantedClique(t *testing.T) {
 }
 
 func TestExactPrunedTrivial(t *testing.T) {
-	if res := ExactPruned(graph.NewUndirected(3, nil), 2); res.Algorithm != "ExactPruned" || res.Density != 0 {
+	if res := must(ExactPruned(nil, graph.NewUndirected(3, nil), solver.Params{Workers: 2})); res.Algorithm != "ExactPruned" || res.Density != 0 {
 		t.Fatalf("%+v", res)
 	}
 }
@@ -270,8 +283,8 @@ func TestExactPrunedTrivial(t *testing.T) {
 func TestGreedyPPAtLeastCharikar(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 50, 4)
-		gp := GreedyPP(g, 8)
-		ch := Charikar(g)
+		gp := must(GreedyPP(nil, g, solver.Params{Iterations: 8}))
+		ch := must(Charikar(nil, g, solver.Params{}))
 		return gp.Density >= ch.Density-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -289,8 +302,8 @@ func TestGreedyPPConvergesToExact(t *testing.T) {
 			continue
 		}
 		trials++
-		opt := Exact(g).Density
-		gp := GreedyPP(g, 32)
+		opt := must(Exact(nil, g, solver.Params{})).Density
+		gp := must(GreedyPP(nil, g, solver.Params{Iterations: 32}))
 		if gp.Density > opt+1e-9 {
 			t.Fatalf("GreedyPP density %v exceeds optimum %v", gp.Density, opt)
 		}
@@ -307,11 +320,11 @@ func TestGreedyPPConvergesToExact(t *testing.T) {
 
 func TestGreedyPPDefaults(t *testing.T) {
 	g := gen.ErdosRenyi(100, 300, 18)
-	res := GreedyPP(g, 0)
+	res := must(GreedyPP(nil, g, solver.Params{}))
 	if res.Iterations != DefaultGreedyPPRounds || res.Density <= 0 {
 		t.Fatalf("%+v", res)
 	}
-	if r := GreedyPP(graph.NewUndirected(0, nil), 4); r.Density != 0 {
+	if r := must(GreedyPP(nil, graph.NewUndirected(0, nil), solver.Params{Iterations: 4})); r.Density != 0 {
 		t.Fatal("empty graph")
 	}
 }
@@ -319,7 +332,7 @@ func TestGreedyPPDefaults(t *testing.T) {
 func TestGreedyPPOnPlantedClique(t *testing.T) {
 	base := gen.ChungLu(1000, 8000, 2.4, 19)
 	g, planted := gen.PlantClique(base, 30, 20)
-	res := GreedyPP(g, 16)
+	res := must(GreedyPP(nil, g, solver.Params{Iterations: 16}))
 	if res.Density < float64(len(planted)-1)/2 {
 		t.Fatalf("density %v below the clique floor", res.Density)
 	}
@@ -349,7 +362,7 @@ func TestDensityFriendlyProperties(t *testing.T) {
 			prev = tier.Density
 			// The first tier is the densest subgraph of G.
 			if i == 0 {
-				if math.Abs(tier.Density-Exact(g).Density) > 1e-6 {
+				if math.Abs(tier.Density-must(Exact(nil, g, solver.Params{})).Density) > 1e-6 {
 					return false
 				}
 			}
@@ -414,9 +427,9 @@ func TestExactEpsilonBound(t *testing.T) {
 		if g.M() == 0 {
 			return true
 		}
-		opt := Exact(g).Density
+		opt := must(Exact(nil, g, solver.Params{})).Density
 		for _, eps := range []float64{0.01, 0.1, 0.5} {
-			res := ExactEpsilon(g, eps, 2)
+			res := must(ExactEpsilon(nil, g, solver.Params{Epsilon: eps, Workers: 2}))
 			if res.Density*(1+eps) < opt-1e-9 || res.Density > opt+1e-9 {
 				return false
 			}
@@ -431,7 +444,7 @@ func TestExactEpsilonBound(t *testing.T) {
 func TestExactEpsilonCheaperThanExact(t *testing.T) {
 	base := gen.ChungLu(1500, 12000, 2.3, 80)
 	g, _ := gen.PlantClique(base, 25, 81)
-	res := ExactEpsilon(g, 0.1, 2)
+	res := must(ExactEpsilon(nil, g, solver.Params{Epsilon: 0.1, Workers: 2}))
 	// log2(1/0.1) ≈ 4 probes, versus Exact's ~40.
 	if res.Iterations > 8 {
 		t.Fatalf("probes = %d, want <= 8", res.Iterations)

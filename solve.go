@@ -256,7 +256,7 @@ func SolveDDS(d *Digraph, algo Algo, opts Options) (res DirectedResult, err erro
 // CoreNumbers computes the core number of every vertex (parallel h-index
 // decomposition). workers <= 0 means GOMAXPROCS.
 func CoreNumbers(g *Graph, workers int) []int32 {
-	return core.Local(g.g, workers).CoreNum
+	return core.Local(g.g, workers, nil).CoreNum
 }
 
 // KCore returns the vertices of the k-core.
@@ -267,7 +267,7 @@ func KCore(g *Graph, k int32, workers int) []int32 {
 // KStarCore returns k* and the k*-core vertex set using PKMC (the fast
 // route that avoids full decomposition).
 func KStarCore(g *Graph, workers int) (int32, []int32) {
-	res := core.PKMC(g.g, workers)
+	res := core.PKMC(g.g, workers, core.PKMCOptions{})
 	return res.KStar, res.Vertices
 }
 
@@ -280,7 +280,7 @@ func XYCore(d *Digraph, x, y int32) (s, t []int32) {
 // WStar returns the maximum induce-number w* of a digraph and the vertex
 // set of its w*-induced subgraph (Definitions 8-10 of the paper).
 func WStar(d *Digraph, workers int) (int64, []int32) {
-	res := dds.WStarSubgraph(d.d, workers)
+	res := dds.WStarSubgraph(d.d, workers, true)
 	out := append([]int32(nil), res.Original...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return res.WStar, out
