@@ -21,17 +21,10 @@
 // a BENCH_<timestamp>.json file (schema_version, run metadata, measurement
 // rows with per-row allocation counts, and full PKMC/PWC solver traces
 // with per-phase timings and iteration logs) written to -out (default
-// "."). The schema is documented in DESIGN.md.
-//
-// -baseline <BENCH_*.json> (with -json) turns the run into a perf ratchet:
-// after writing the fresh report it is compared row by row against the
-// baseline report, and any row whose wall time or allocation count
-// regressed past the thresholds (-ratchet-factor/-ratchet-slack for
-// seconds, -ratchet-alloc-factor/-ratchet-alloc-slack for allocs) makes
-// the process exit nonzero. Reports from different machines, toolchains,
-// or runtime configurations (GOMAXPROCS, GOGC, scale, workers) are
-// incomparable; the ratchet then notes why and passes, so a committed
-// baseline from another host never blocks CI.
+// "."). The schema is documented in DESIGN.md. The report describes one
+// run; wall-time comparisons between commits belong to perfbench, and the
+// machine-independent work counters are pinned by the root package's
+// TestWorkCounters.
 package main
 
 import (
@@ -45,12 +38,48 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/gen"
 )
 
-// experiments lists the valid -exp names ("all" selects every one).
-var experiments = []string{
-	"datasets", "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8",
-	"ratios", "accuracy", "live",
+// render names how text mode draws an experiment.
+type render int
+
+const (
+	table   render = iota // bench.FormatRows
+	bars                  // bench.RenderBars under -chart, else a table
+	series                // bench.RenderSeries under -chart, else a table
+	catalog               // bench.Datasets: Tables 4/5 next to the paper's sizes
+)
+
+// experiment is one -exp entry. Its rows make the -json report; its
+// renderer and optional speedup lineup (fast against each of slows) make
+// the text output.
+type experiment struct {
+	name   string
+	title  string
+	rows   func(bench.Config) []bench.Row
+	render render
+	fast   string
+	slows  []string
+}
+
+// experiments is every valid -exp name ("all" selects every one), in run
+// order.
+var experiments = []experiment{
+	{name: "datasets", rows: bench.DatasetRows, render: catalog},
+	{name: "exp1", title: "Exp-1 / Fig. 5: UDS efficiency", rows: bench.Exp1, render: bars,
+		fast: "PKMC", slows: []string{"PBU", "Local", "PKC", "PFW"}},
+	{name: "exp2", title: "Exp-2 / Table 6: core-algorithm iteration counts", rows: bench.Exp2},
+	{name: "exp3", title: "Exp-3 / Fig. 6: UDS runtime vs threads", rows: bench.Exp3, render: series},
+	{name: "exp4", title: "Exp-4 / Fig. 7: UDS scalability vs edge fraction", rows: bench.Exp4, render: series},
+	{name: "exp5", title: "Exp-5 / Fig. 8: DDS efficiency (* = budget exhausted)", rows: bench.Exp5, render: bars,
+		fast: "PWC", slows: []string{"PXY", "PBD", "PFW"}},
+	{name: "exp6", title: "Exp-6 / Table 7: arcs processed by PXY vs PWC", rows: bench.Exp6},
+	{name: "exp7", title: "Exp-7 / Fig. 9: DDS runtime vs threads", rows: bench.Exp7, render: series},
+	{name: "exp8", title: "Exp-8 / Fig. 10: DDS scalability vs edge fraction", rows: bench.Exp8, render: series},
+	{name: "ratios", title: "Approximation ratios vs exact (ratio_x1000 = 1000·ρ*/ρ)", rows: bench.Ratios},
+	{name: "accuracy", title: "Accuracy vs time: FISTA / FracPeel / Greedy++ across iteration budgets", rows: bench.Accuracy},
+	{name: "live", title: "Live replay: incremental k*-core repair vs full BZ recompute (per-batch mean seconds)", rows: bench.LiveReplay},
 }
 
 func main() {
@@ -61,9 +90,13 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	fs := flag.NewFlagSet("dsdbench", flag.ContinueOnError)
 	var (
-		exps    = fs.String("exp", "all", "comma-separated experiments (all | "+strings.Join(experiments, " | ")+")")
+		exps    = fs.String("exp", "all", "comma-separated experiments (all | "+strings.Join(names, " | ")+")")
 		scale   = fs.Float64("scale", 0.1, "dataset scale multiplier")
 		workers = fs.Int("p", 0, "default thread count (0 = GOMAXPROCS)")
 		budget  = fs.Duration("budget", 30*time.Second, "per-run budget for slow baselines")
@@ -72,18 +105,9 @@ func run(args []string, w io.Writer) error {
 		chart   = fs.Bool("chart", false, "render figures as ASCII charts instead of tables")
 		asJSON  = fs.Bool("json", false, "write a versioned BENCH_<timestamp>.json report instead of tables (overrides -chart)")
 		outDir  = fs.String("out", ".", "directory for the -json report file")
-
-		baseline    = fs.String("baseline", "", "BENCH_*.json report to ratchet against (requires -json); exits nonzero on regression")
-		rFactor     = fs.Float64("ratchet-factor", 0, "wall-time regression factor (0 = default 1.5)")
-		rSlack      = fs.Float64("ratchet-slack", 0, "wall-time absolute slack in seconds (0 = default 0.05)")
-		rAllocs     = fs.Float64("ratchet-alloc-factor", 0, "allocation regression factor (0 = default 2)")
-		rAllocSlack = fs.Int64("ratchet-alloc-slack", 0, "allocation absolute slack (0 = default 10000)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *baseline != "" && !*asJSON {
-		return fmt.Errorf("-baseline requires -json (the ratchet compares report artifacts)")
 	}
 
 	cfg := bench.Config{Scale: *scale, Workers: *workers, Budget: *budget}
@@ -106,161 +130,76 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	selected := map[string]bool{}
+	picked := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
 		e = strings.TrimSpace(e)
-		if e != "all" && !slices.Contains(experiments, e) {
-			return fmt.Errorf("unknown experiment %q (valid: all, %s)", e, strings.Join(experiments, ", "))
+		if e != "all" && !slices.Contains(names, e) {
+			return fmt.Errorf("unknown experiment %q (valid: all, %s)", e, strings.Join(names, ", "))
 		}
-		selected[e] = true
+		picked[e] = true
 	}
-	runAll := selected["all"]
-	run := func(name string) bool { return runAll || selected[name] }
+	var selected []experiment
+	for _, e := range experiments {
+		if picked["all"] || picked[e.name] {
+			selected = append(selected, e)
+		}
+	}
 
 	if *asJSON {
-		var all []bench.Row
-		var ran []string
-		collect := func(name string, f func(bench.Config) []bench.Row) {
-			if run(name) {
-				all = append(all, f(cfg)...)
-				ran = append(ran, name)
-			}
+		return writeReport(w, cfg, selected, *outDir)
+	}
+	for _, e := range selected {
+		if e.render == catalog {
+			bench.Datasets(w, cfg)
+			continue
 		}
-		collect("datasets", bench.DatasetRows)
-		collect("exp1", bench.Exp1)
-		collect("exp2", bench.Exp2)
-		collect("exp3", bench.Exp3)
-		collect("exp4", bench.Exp4)
-		collect("exp5", bench.Exp5)
-		collect("exp6", bench.Exp6)
-		collect("exp7", bench.Exp7)
-		collect("exp8", bench.Exp8)
-		collect("ratios", bench.Ratios)
-		collect("accuracy", bench.Accuracy)
-		collect("live", bench.LiveReplay)
-		now := time.Now()
-		report := bench.NewReport(cfg, ran, all, now)
-		path := filepath.Join(*outDir, bench.ReportFilename(now))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+		rows := e.rows(cfg)
+		switch {
+		case *chart && e.render == bars:
+			bench.RenderBars(w, e.title, rows)
+		case *chart && e.render == series:
+			bench.RenderSeries(w, e.title, rows)
+		default:
+			bench.FormatRows(w, e.title, rows)
 		}
-		if err := bench.WriteReport(f, report); err != nil {
-			f.Close()
-			return err
+		if e.fast != "" {
+			printSpeedups(w, rows, e.fast, e.slows)
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s (%d rows, %d traces)\n", path, len(report.Rows), len(report.Traces))
-		if *baseline != "" {
-			opts := bench.RatchetOptions{
-				Factor: *rFactor, Slack: *rSlack,
-				AllocFactor: *rAllocs, AllocSlack: *rAllocSlack,
-			}
-			return ratchet(w, *baseline, report, opts)
-		}
-		return nil
-	}
-
-	if run("datasets") {
-		bench.Datasets(w, cfg)
-	}
-	if run("exp1") {
-		rows := bench.Exp1(cfg)
-		if *chart {
-			bench.RenderBars(w, "Exp-1 / Fig. 5: UDS efficiency", rows)
-		} else {
-			bench.FormatRows(w, "Exp-1 / Fig. 5: UDS efficiency", rows)
-		}
-		printSpeedups(w, rows, "PKMC", []string{"PBU", "Local", "PKC", "PFW"})
-	}
-	if run("exp2") {
-		bench.FormatRows(w, "Exp-2 / Table 6: core-algorithm iteration counts", bench.Exp2(cfg))
-	}
-	if run("exp3") {
-		if *chart {
-			bench.RenderSeries(w, "Exp-3 / Fig. 6: UDS runtime vs threads", bench.Exp3(cfg))
-		} else {
-			bench.FormatRows(w, "Exp-3 / Fig. 6: UDS runtime vs threads", bench.Exp3(cfg))
-		}
-	}
-	if run("exp4") {
-		if *chart {
-			bench.RenderSeries(w, "Exp-4 / Fig. 7: UDS scalability vs edge fraction", bench.Exp4(cfg))
-		} else {
-			bench.FormatRows(w, "Exp-4 / Fig. 7: UDS scalability vs edge fraction", bench.Exp4(cfg))
-		}
-	}
-	if run("exp5") {
-		rows := bench.Exp5(cfg)
-		if *chart {
-			bench.RenderBars(w, "Exp-5 / Fig. 8: DDS efficiency", rows)
-		} else {
-			bench.FormatRows(w, "Exp-5 / Fig. 8: DDS efficiency (* = budget exhausted)", rows)
-		}
-		printSpeedups(w, rows, "PWC", []string{"PXY", "PBD", "PFW"})
-	}
-	if run("exp6") {
-		bench.FormatRows(w, "Exp-6 / Table 7: arcs processed by PXY vs PWC", bench.Exp6(cfg))
-	}
-	if run("exp7") {
-		if *chart {
-			bench.RenderSeries(w, "Exp-7 / Fig. 9: DDS runtime vs threads", bench.Exp7(cfg))
-		} else {
-			bench.FormatRows(w, "Exp-7 / Fig. 9: DDS runtime vs threads", bench.Exp7(cfg))
-		}
-	}
-	if run("exp8") {
-		if *chart {
-			bench.RenderSeries(w, "Exp-8 / Fig. 10: DDS scalability vs edge fraction", bench.Exp8(cfg))
-		} else {
-			bench.FormatRows(w, "Exp-8 / Fig. 10: DDS scalability vs edge fraction", bench.Exp8(cfg))
-		}
-	}
-	if run("ratios") {
-		bench.FormatRows(w, "Approximation ratios vs exact (ratio_x1000 = 1000·ρ*/ρ)", bench.Ratios(cfg))
-	}
-	if run("accuracy") {
-		bench.FormatRows(w, "Accuracy vs time: FISTA / FracPeel / Greedy++ across iteration budgets", bench.Accuracy(cfg))
-	}
-	if run("live") {
-		bench.FormatRows(w, "Live replay: incremental k*-core repair vs full BZ recompute (per-batch mean seconds)", bench.LiveReplay(cfg))
 	}
 	return nil
 }
 
-// ratchet compares the fresh report against the stored baseline and
-// returns an error (nonzero exit) when any row regressed. Incomparable
-// baselines — a different machine, toolchain, or runtime configuration —
-// are noted and skipped rather than failed, so a committed fallback
-// baseline generated elsewhere degrades to a no-op instead of noise. A
-// comparable baseline that shares no rows with the run (another
-// experiment's report) is an error: it would otherwise pass vacuously.
-func ratchet(w io.Writer, path string, current bench.Report, opts bench.RatchetOptions) error {
-	base, err := bench.ReadReport(path)
+// writeReport runs the selected experiments and writes their rows as a
+// BENCH_<timestamp>.json report into dir.
+func writeReport(w io.Writer, cfg bench.Config, selected []experiment, dir string) error {
+	var rows []bench.Row
+	var ran []string
+	for _, e := range selected {
+		rows = append(rows, e.rows(cfg)...)
+		ran = append(ran, e.name)
+	}
+	now := time.Now()
+	report := bench.NewReport(cfg, ran, rows, now)
+	path := filepath.Join(dir, bench.ReportFilename(now))
+	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("ratchet baseline: %w", err)
+		return err
 	}
-	if ok, why := bench.Comparable(base, current); !ok {
-		fmt.Fprintf(w, "ratchet: baseline %s is not comparable to this run (%s); skipping\n", path, why)
-		return nil
+	if err := bench.WriteReport(f, report); err != nil {
+		f.Close()
+		return err
 	}
-	if bench.SharedRows(base, current) == 0 {
-		return fmt.Errorf("baseline %s shares no rows with this run (experiments %v vs %v)",
-			path, base.Selected, current.Selected)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	regs := bench.CompareReports(base, current, opts)
-	if len(regs) == 0 {
-		fmt.Fprintf(w, "ratchet: no regressions against %s\n", path)
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintf(w, "ratchet: REGRESSION %s\n", r)
-	}
-	return fmt.Errorf("%d row(s) regressed against baseline %s", len(regs), path)
+	fmt.Fprintf(w, "wrote %s (%d rows, %d traces)\n", path, len(report.Rows), len(report.Traces))
+	return nil
 }
 
+// printSpeedups prints, per slow algorithm, how many times faster fast ran
+// on each dataset, in catalog order. A timed-out slow row's Seconds is
+// only the budget, so its ratio is a lower bound and prints with ">", as
+// FormatRows marks the row.
 func printSpeedups(w io.Writer, rows []bench.Row, fast string, slows []string) {
 	for _, slow := range slows {
 		sp := bench.Speedup(rows, fast, slow)
@@ -268,10 +207,18 @@ func printSpeedups(w io.Writer, rows []bench.Row, fast string, slows []string) {
 			continue
 		}
 		fmt.Fprintf(w, "speedup %s vs %s:", fast, slow)
-		for _, ds := range []string{"PT", "EW", "EU", "IT", "SK", "UN", "AM", "AR", "BA", "DL", "WE", "TW"} {
-			if v, ok := sp[ds]; ok {
-				fmt.Fprintf(w, " %s=%.1fx", ds, v)
+		for _, ds := range gen.DatasetAbbrs() {
+			v, ok := sp[ds]
+			if !ok {
+				continue
 			}
+			bound := ""
+			if slices.ContainsFunc(rows, func(r bench.Row) bool {
+				return r.Dataset == ds && r.Algorithm == slow && r.TimedOut
+			}) {
+				bound = ">"
+			}
+			fmt.Fprintf(w, " %s=%s%.1fx", ds, bound, v)
 		}
 		fmt.Fprintln(w)
 	}

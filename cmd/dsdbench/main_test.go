@@ -115,8 +115,7 @@ func TestRunJSONMode(t *testing.T) {
 }
 
 // TestRunUnknownExperiment proves a misspelled or retired -exp name is an
-// error that lists the valid names, never an empty report (in -json mode
-// an empty report would also pass any ratchet).
+// error that lists the valid names, never an empty report.
 func TestRunUnknownExperiment(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "extensions", "-scale", "0.005"},
@@ -134,146 +133,5 @@ func TestRunUnknownExperiment(t *testing.T) {
 		if matches, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json")); len(matches) != 0 {
 			t.Fatalf("%v wrote %v", args, matches)
 		}
-	}
-}
-
-// TestRatchetRejectsDisjointBaseline proves a comparable baseline from
-// another experiment fails the ratchet instead of passing vacuously: the
-// two reports share no row, so nothing would be compared.
-func TestRatchetRejectsDisjointBaseline(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "datasets", "-scale", "0.005", "-json", "-out", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("artifact files = %v (err %v), want exactly one", matches, err)
-	}
-	var out2 bytes.Buffer
-	err = run([]string{"-exp", "exp2", "-scale", "0.005", "-json",
-		"-out", t.TempDir(), "-baseline", matches[0]}, &out2)
-	if err == nil {
-		t.Fatalf("disjoint baseline passed the ratchet:\n%s", out2.String())
-	}
-	if !strings.Contains(err.Error(), "shares no rows") {
-		t.Fatalf("ratchet error %q does not explain the disjoint baseline", err)
-	}
-}
-
-func TestBaselineRequiresJSON(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-baseline", "nope.json"}, &out); err == nil {
-		t.Fatal("-baseline without -json accepted")
-	}
-}
-
-// TestRatchetCatchesSeededRegression drives the perf ratchet end to end:
-// a real benchmark run produces the report, the report is doctored into a
-// baseline that claims the same rows ran 1000x faster with 1000x fewer
-// allocations, and a second run with -baseline and zeroed-out slack must
-// exit nonzero naming the regressions. A control rerun against the
-// undoctored report (generous default slack) must pass — proving the
-// failure comes from the seeded regression, not from run-to-run jitter.
-func TestRatchetCatchesSeededRegression(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "accuracy", "-scale", "0.01", "-json", "-out", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("artifact files = %v (err %v), want exactly one", matches, err)
-	}
-	report, err := bench.ReadReport(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Control: the undoctored report as baseline. The rerun measures the
-	// same workload, so with the default slacks nothing may trip.
-	var ctrl bytes.Buffer
-	ctrlDir := t.TempDir()
-	err = run([]string{"-exp", "accuracy", "-scale", "0.01", "-json",
-		"-out", ctrlDir, "-baseline", matches[0]}, &ctrl)
-	if err != nil {
-		t.Fatalf("control run against the real baseline failed: %v\n%s", err, ctrl.String())
-	}
-	if !strings.Contains(ctrl.String(), "no regressions") {
-		t.Fatalf("control run did not report a clean ratchet:\n%s", ctrl.String())
-	}
-
-	// Doctor the baseline: every row claims to have been 1000x faster and
-	// leaner, so the genuine rerun is a massive seeded regression.
-	for i := range report.Rows {
-		report.Rows[i].Seconds /= 1000
-		if report.Rows[i].Allocs > 0 {
-			report.Rows[i].Allocs = 1
-		}
-	}
-	doctored := filepath.Join(dir, "baseline_doctored.json")
-	f, err := os.Create(doctored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bench.WriteReport(f, report); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var fail bytes.Buffer
-	failDir := t.TempDir()
-	err = run([]string{"-exp", "accuracy", "-scale", "0.01", "-json",
-		"-out", failDir, "-baseline", doctored,
-		"-ratchet-slack", "0.000000001", "-ratchet-alloc-slack", "1"}, &fail)
-	if err == nil {
-		t.Fatalf("seeded 1000x regression passed the ratchet:\n%s", fail.String())
-	}
-	if !strings.Contains(err.Error(), "regressed against baseline") {
-		t.Fatalf("ratchet error %q does not name the baseline", err)
-	}
-	if !strings.Contains(fail.String(), "ratchet: REGRESSION") {
-		t.Fatalf("regression rows not printed:\n%s", fail.String())
-	}
-}
-
-// TestRatchetSkipsIncomparableBaseline proves a baseline from a different
-// environment degrades to a note-and-pass instead of failing the run.
-func TestRatchetSkipsIncomparableBaseline(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "datasets", "-scale", "0.005", "-json", "-out", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("artifact files = %v (err %v), want exactly one", matches, err)
-	}
-	report, err := bench.ReadReport(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	report.GoVersion = "go0.0-otherhost"
-	for i := range report.Rows {
-		report.Rows[i].Seconds /= 1000 // would regress hard if compared
-	}
-	foreign := filepath.Join(dir, "baseline_foreign.json")
-	f, err := os.Create(foreign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bench.WriteReport(f, report); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var out2 bytes.Buffer
-	err = run([]string{"-exp", "datasets", "-scale", "0.005", "-json",
-		"-out", t.TempDir(), "-baseline", foreign}, &out2)
-	if err != nil {
-		t.Fatalf("incomparable baseline failed the run: %v\n%s", err, out2.String())
-	}
-	if !strings.Contains(out2.String(), "not comparable") || !strings.Contains(out2.String(), "go_version") {
-		t.Fatalf("skip note missing or unexplained:\n%s", out2.String())
 	}
 }

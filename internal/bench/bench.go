@@ -65,8 +65,9 @@ type Row struct {
 	Density    float64 `json:"density"`
 	Iterations int     `json:"iterations,omitempty"`
 	// Allocs is the heap-allocation count of the measured run (Mallocs
-	// delta), the second metric the dsdbench -baseline ratchet guards.
-	// Zero means "not measured" (e.g. averaged multi-run rows).
+	// delta), descriptive only: pooled scratch makes a process's first
+	// run allocate more than later ones. Zero means "not measured" (e.g.
+	// averaged multi-run rows).
 	Allocs int64            `json:"allocs,omitempty"`
 	Extra  map[string]int64 `json:"extra,omitempty"` // experiment-specific counters
 }

@@ -27,7 +27,7 @@ import (
 //	   selected experiments, a DynamicKStarCore trace with the
 //	   incremental-apply / full-recompute phase split.
 //	3: per-row heap-allocation counts ("allocs") and the runtime knobs
-//	   the -baseline perf ratchet keys comparability on ("gomaxprocs",
+//	   that shift wall times and allocation behaviour ("gomaxprocs",
 //	   "gogc") in the report metadata.
 const SchemaVersion = 3
 
@@ -43,9 +43,9 @@ type Report struct {
 	GOOS          string `json:"goos"`
 	GOARCH        string `json:"goarch"`
 	NumCPU        int    `json:"num_cpu"`
-	// GOMAXPROCS and GOGC pin the runtime configuration of the run; the
-	// -baseline ratchet refuses to compare reports where they differ,
-	// since either knob shifts wall times and allocation behavior.
+	// GOMAXPROCS and GOGC record the runtime configuration of the run;
+	// either knob shifts wall times and allocation behavior, so a reader
+	// comparing two reports should check them first.
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GOGC       string `json:"gogc"` // $GOGC, or "default" when unset
 

@@ -62,9 +62,13 @@ func TestTraceColumnsMatchEmitted(t *testing.T) {
 }
 
 // TestRegistryAnswers checks every registered solver on small generated
-// graphs: the reported density is the density of the returned set, and
-// the answer's density does not depend on the worker count. Registering a
-// solver is enough to put it under this check.
+// graphs: the reported density is the density of the returned set, the
+// answer's density does not depend on the worker count, and the answer
+// keeps the solver's grade against the family's exact oracle. Registering
+// a solver is enough to put it under this check.
+//
+// PWC is held to PXY by the product x*·y*, not by density: when products
+// tie, the two pick different [x, y] pairs, and both are valid.
 func TestRegistryAnswers(t *testing.T) {
 	clique, _ := gen.PlantClique(gen.ErdosRenyi(50, 120, 11), 9, 12)
 	udsGraphs := map[string]*graph.Undirected{
@@ -85,6 +89,25 @@ func TestRegistryAnswers(t *testing.T) {
 		}
 		return p
 	}
+	// checkGrade holds a p=1 density to the grade it declares against the
+	// exact optimum.
+	checkGrade := func(desc solver.Descriptor, name string, density, exact float64) {
+		switch {
+		case desc.Grade == solver.GradeExact && math.Abs(density-exact) > 1e-9:
+			t.Errorf("%s/%s on %s: exact-grade density %v, exact oracle %v", desc.Kind, desc.Name, name, density, exact)
+		case desc.Name == "exact-eps" && exact > 1.1*density+1e-9:
+			t.Errorf("%s/%s on %s: density %v is past ε=0.1 of the optimum %v", desc.Kind, desc.Name, name, density, exact)
+		}
+	}
+	udsExact, _ := solver.Lookup(solver.KindUDS, "exact")
+	udsOpt := map[string]float64{}
+	for name, g := range udsGraphs {
+		r, err := udsExact.SolveUDS(nil, g, solver.Params{Workers: 1})
+		if err != nil {
+			t.Fatalf("uds/exact on %s: %v", name, err)
+		}
+		udsOpt[name] = r.Density
+	}
 	for _, desc := range solver.List(solver.KindUDS) {
 		for name, g := range udsGraphs {
 			var density [2]float64
@@ -101,7 +124,22 @@ func TestRegistryAnswers(t *testing.T) {
 			if math.Abs(density[0]-density[1]) > 1e-9 {
 				t.Errorf("uds/%s on %s: density %v at p=1, %v at p=4", desc.Name, name, density[0], density[1])
 			}
+			checkGrade(desc, name, density[0], udsOpt[name])
 		}
+	}
+	ddsExact, _ := solver.Lookup(solver.KindDDS, "exact")
+	pxy, _ := solver.Lookup(solver.KindDDS, "pxy")
+	ddsOpt, pxyProduct := map[string]float64{}, map[string]int64{}
+	for name, d := range ddsGraphs {
+		r, err := ddsExact.SolveDDS(nil, d, solver.Params{Workers: 1})
+		if err != nil {
+			t.Fatalf("dds/exact on %s: %v", name, err)
+		}
+		ddsOpt[name] = r.Density
+		if r, err = pxy.SolveDDS(nil, d, solver.Params{Workers: 1}); err != nil {
+			t.Fatalf("dds/pxy on %s: %v", name, err)
+		}
+		pxyProduct[name] = int64(r.XStar) * int64(r.YStar)
 	}
 	for _, desc := range solver.List(solver.KindDDS) {
 		for name, d := range ddsGraphs {
@@ -109,6 +147,7 @@ func TestRegistryAnswers(t *testing.T) {
 				continue
 			}
 			var density [2]float64
+			var product int64
 			for i, workers := range []int{1, 4} {
 				r, err := desc.SolveDDS(nil, d, params(desc, workers))
 				if err != nil {
@@ -118,9 +157,16 @@ func TestRegistryAnswers(t *testing.T) {
 					t.Errorf("dds/%s on %s (p=%d): reports density %v, its sets have %v", desc.Name, name, workers, r.Density, got)
 				}
 				density[i] = r.Density
+				if workers == 1 {
+					product = int64(r.XStar) * int64(r.YStar)
+				}
 			}
 			if math.Abs(density[0]-density[1]) > 1e-9 {
 				t.Errorf("dds/%s on %s: density %v at p=1, %v at p=4", desc.Name, name, density[0], density[1])
+			}
+			checkGrade(desc, name, density[0], ddsOpt[name])
+			if desc.Name == "pwc" && product != pxyProduct[name] {
+				t.Errorf("dds/pwc on %s: x*·y* = %d, PXY's is %d", name, product, pxyProduct[name])
 			}
 		}
 	}

@@ -1,10 +1,13 @@
 package dsd_test
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/gen"
 )
 
 // These integration tests assert the paper's headline experimental claims
@@ -124,5 +127,84 @@ func TestClaimGraphSizeCollapse(t *testing.T) {
 	_, vs := dsd.WStar(d, 0)
 	if int64(len(vs))*4 > int64(d.N()) {
 		t.Fatalf("w*-subgraph has %d of %d vertices — no collapse", len(vs), d.N())
+	}
+}
+
+// TestWorkCounters pins the exact work the paper's solvers do on fixed
+// inputs at Workers=1: Table 6's iteration counts, Table 7's arc counts
+// and exact-pruned's flow calls. Work counters do not depend on the
+// machine, so the pins need no slack, baseline file or thresholds. A
+// change that moves one is either a regression or a deliberate change of
+// algorithm, and the latter must be explained in CHANGES.md.
+//
+// The inputs come only from generators that draw integers (rng.Intn,
+// rng.Perm). The catalog models draw through math.Pow and float
+// comparisons, which an architecture that fuses multiply-adds may round
+// differently, and a pin must not depend on GOARCH.
+func TestWorkCounters(t *testing.T) {
+	u1 := gen.Composite(gen.BarabasiAlbert(20000, 6, 1), 40, 20, 60, 2)
+	u2 := gen.BarabasiAlbert(20000, 6, 1)
+	udsInputs := map[string]*dsd.Graph{
+		"U1": dsd.NewGraph(u1.N(), u1.Edges()),
+		"U2": dsd.NewGraph(u2.N(), u2.Edges()),
+	}
+	d1 := gen.CompositeDirected(gen.ErdosRenyiDirected(20000, 120000, 3), 30, 50, 4)
+	d2 := gen.CompositeDirected(gen.ErdosRenyiDirected(5000, 60000, 3), 8, 12, 4)
+	ddsInputs := map[string]*dsd.Digraph{
+		"D1": dsd.NewDigraph(d1.N(), d1.Arcs()),
+		"D2": dsd.NewDigraph(d2.N(), d2.Arcs()),
+	}
+	pins := []struct {
+		input string
+		algo  dsd.Algo
+		want  map[string]int64
+	}{
+		{"U1", dsd.AlgoPKMC, map[string]int64{"iterations": 3, "peak_candidates": 40, "k_star": 39, "vertices": 40}},
+		{"U1", dsd.AlgoLocal, map[string]int64{"iterations": 60}},
+		{"U1", dsd.AlgoPKC, map[string]int64{"iterations": 40}},
+		{"U1", dsd.AlgoPBU, map[string]int64{"iterations": 4}},
+		{"U1", dsd.AlgoExactPruned, map[string]int64{"flow_probes": 16, "flow_vertices": 40, "pruned_vertices": 21160}},
+		{"U2", dsd.AlgoPKMC, map[string]int64{"iterations": 38, "peak_candidates": 19992, "k_star": 6, "vertices": 19992}},
+		{"U2", dsd.AlgoLocal, map[string]int64{"iterations": 38}},
+		{"U2", dsd.AlgoPKC, map[string]int64{"iterations": 7}},
+		{"D1", dsd.AlgoPWC, map[string]int64{"levels": 3, "arcs_after_warm_start": 1514, "arcs_at_wstar": 1500,
+			"arcs_densest": 1500, "wstar": 1500, "x_star": 50, "y_star": 30}},
+		{"D2", dsd.AlgoPWC, map[string]int64{"levels": 29, "arcs_after_warm_start": 59961, "arcs_at_wstar": 96,
+			"arcs_densest": 96, "wstar": 96, "x_star": 12, "y_star": 8}},
+	}
+	for _, pin := range pins {
+		tr := &dsd.Trace{}
+		opts := dsd.Options{Workers: 1, Trace: tr}
+		got := map[string]int64{}
+		if g, ok := udsInputs[pin.input]; ok {
+			r, err := dsd.SolveUDS(g, pin.algo, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", pin.input, pin.algo, err)
+			}
+			got["iterations"] = int64(r.Iterations)
+			got["k_star"] = int64(r.KStar)
+			got["vertices"] = int64(len(r.Vertices))
+		} else {
+			r, err := dsd.SolveDDS(ddsInputs[pin.input], pin.algo, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", pin.input, pin.algo, err)
+			}
+			got["iterations"] = int64(r.Iterations)
+			got["x_star"] = int64(r.XStar)
+			got["y_star"] = int64(r.YStar)
+		}
+		got["peak_candidates"] = tr.PeakCandidates
+		maps.Copy(got, tr.Counters)
+		names := make([]string, 0, len(pin.want))
+		for name := range pin.want {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			if got[name] != pin.want[name] {
+				t.Errorf("%s/%s: counter %s = %d, pinned %d; explain a changed work counter in CHANGES.md and re-pin it here",
+					pin.input, pin.algo, name, got[name], pin.want[name])
+			}
+		}
 	}
 }
