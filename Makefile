@@ -88,9 +88,11 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 5s ./internal/graph
 
-# One testing.B benchmark per paper table/figure, plus ablations.
+# Every testing.B benchmark in the module, one iteration each: one per
+# paper table/figure plus the ablations at the root, and the per-package
+# kernel benches. CI runs this so no benchmark rots unexecuted.
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # Machine-readable benchmark artifact: a versioned BENCH_<timestamp>.json
 # with run metadata, measurement rows, and full PKMC/PWC solver traces

@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact) plus the four ablation benches called out in
+// (one Benchmark per artifact) plus the ablation benches called out in
 // DESIGN.md. Sub-benchmark names follow the paper's dataset abbreviations
 // and algorithm names, so
 //
@@ -14,6 +14,7 @@ package dsd_test
 
 import (
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,7 +137,7 @@ func BenchmarkTable6_Iterations(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers, core.PKMCOptions{}).Iterations
+				it = core.PKMC(g, benchWorkers, nil).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -153,7 +154,7 @@ func BenchmarkFig6_UDSThreads(b *testing.B) {
 			b.Run(abbr+"/PKMC/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.PKMC(g, p, core.PKMCOptions{})
+					core.PKMC(g, p, nil)
 				}
 			})
 			b.Run(abbr+"/PKC/p="+itoa(p), func(b *testing.B) {
@@ -190,7 +191,7 @@ func BenchmarkFig7_UDSScalability(b *testing.B) {
 			b.Run(label+"/PKMC", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					core.PKMC(sub, benchWorkers, core.PKMCOptions{})
+					core.PKMC(sub, benchWorkers, nil)
 				}
 			})
 			b.Run(label+"/PKC", func(b *testing.B) {
@@ -333,7 +334,8 @@ func BenchmarkFig10_DDSScalability(b *testing.B) {
 }
 
 // BenchmarkAblationEarlyStop isolates Theorem 1's contribution: PKMC with
-// the early stop against the identical sweep forced to full convergence.
+// the early stop against plain Local, the identical sweep run to full
+// convergence, followed by reading the k*-core off the core numbers.
 func BenchmarkAblationEarlyStop(b *testing.B) {
 	b.ReportAllocs()
 	for _, abbr := range []string{"EW", "SK"} {
@@ -342,7 +344,7 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers, core.PKMCOptions{}).Iterations
+				it = core.PKMC(g, benchWorkers, nil).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -350,7 +352,9 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers, core.PKMCOptions{DisableEarlyStop: true}).Iterations
+				res := core.Local(g, benchWorkers, nil)
+				core.KStarCore(res.CoreNum)
+				it = res.Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -358,7 +362,8 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 }
 
 // BenchmarkAblationWarmStart isolates the Remark's w⁰ = d_max warm start in
-// the w*-subgraph computation.
+// the w*-subgraph computation: WStarSubgraph against WDecompose, the plain
+// Algorithm 3 climbing from the global minimum weight.
 func BenchmarkAblationWarmStart(b *testing.B) {
 	b.ReportAllocs()
 	for _, abbr := range []string{"BA", "WE"} {
@@ -367,7 +372,7 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			b.ReportAllocs()
 			var lv int
 			for i := 0; i < b.N; i++ {
-				lv = dds.WStarSubgraph(d, benchWorkers, true).Levels
+				lv = dds.WStarSubgraph(d, benchWorkers).Levels
 			}
 			b.ReportMetric(float64(lv), "levels")
 		})
@@ -375,30 +380,11 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			b.ReportAllocs()
 			var lv int
 			for i := 0; i < b.N; i++ {
-				lv = dds.WStarSubgraph(d, benchWorkers, false).Levels
+				lv = dds.WDecompose(d, benchWorkers).Levels
 			}
 			b.ReportMetric(float64(lv), "levels")
 		})
 	}
-}
-
-// BenchmarkAblationProp1Guard isolates the Proposition-1 short circuit in
-// PKMC's stop test (Algorithm 2, line 12).
-func BenchmarkAblationProp1Guard(b *testing.B) {
-	b.ReportAllocs()
-	g := undGraph(b, "EU")
-	b.Run("with", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers, core.PKMCOptions{})
-		}
-	})
-	b.Run("without", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers, core.PKMCOptions{DisableProp1Guard: true})
-		}
-	})
 }
 
 // BenchmarkAblationGrainSize sweeps the dynamic-scheduling chunk size of
@@ -407,11 +393,17 @@ func BenchmarkAblationGrainSize(b *testing.B) {
 	b.ReportAllocs()
 	g := undGraph(b, "SK")
 	n := g.N()
+	var want int64
+	for v := 0; v < n; v++ {
+		for _, u := range g.Neighbors(int32(v)) {
+			want += int64(u)
+		}
+	}
 	for _, grain := range []int{64, 256, 1024, 4096, 16384} {
 		b.Run("grain="+itoa(grain), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var sink int64
+				var total atomic.Int64
 				parallel.ForBlocks(n, 0, grain, func(lo, hi int) {
 					var local int64
 					for v := lo; v < hi; v++ {
@@ -419,10 +411,11 @@ func BenchmarkAblationGrainSize(b *testing.B) {
 							local += int64(u)
 						}
 					}
-					sink += 0
-					_ = local
+					total.Add(local)
 				})
-				_ = sink
+				if got := total.Load(); got != want {
+					b.Fatalf("grain %d: neighbor-id sum %d, want %d", grain, got, want)
+				}
 			}
 		})
 	}
@@ -451,13 +444,13 @@ func BenchmarkAblationDegreeOrder(b *testing.B) {
 	b.Run("original", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers, core.PKMCOptions{})
+			core.PKMC(g, benchWorkers, nil)
 		}
 	})
 	b.Run("degree-ordered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(relabeled, benchWorkers, core.PKMCOptions{})
+			core.PKMC(relabeled, benchWorkers, nil)
 		}
 	})
 }

@@ -150,16 +150,3 @@ func CalleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	}
 	return nil
 }
-
-// IsPkgFunc reports whether call invokes a package-level function named
-// name from the package with the given import path.
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := CalleeObject(info, call)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	if _, ok := obj.(*types.Func); !ok {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}

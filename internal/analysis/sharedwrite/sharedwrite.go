@@ -1,7 +1,7 @@
 // Package sharedwrite rejects unsynchronized writes to captured
 // variables inside internal/parallel worker closures.
 //
-// The parallel drivers (For, ForGrain, ForBlocks, Workers, SumInt64, …)
+// The parallel drivers (For, ForGrain, ForBlocks, Workers, …)
 // run their closure argument concurrently on many goroutines. A write to
 // a variable captured from the enclosing function is therefore a data
 // race unless it is one of the three patterns the runtime's contract

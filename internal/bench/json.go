@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dds"
 	"repro/internal/gen"
-	"repro/internal/parallel"
 	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/uds"
@@ -130,21 +129,14 @@ func CollectTraces(cfg Config) []TraceEntry {
 	return out
 }
 
-// tracedRun arms the shared parallel-runtime counters around one solver
-// run, stores the counter delta and total wall time into tr, and returns
-// the run's seconds (the harness-side mirror of the dsd.Options.Trace
-// envelope, for callers driving internal solvers directly).
+// tracedRun runs one solver inside tr's envelope (the same one
+// dsd.SolveUDS/SolveDDS open, for callers driving internal solvers
+// directly) and returns the run's seconds.
 func tracedRun(tr *trace.Trace, run func()) float64 {
-	release := parallel.RetainStats()
-	before := parallel.StatsSnapshot()
-	start := time.Now()
+	finish := tr.Begin()
 	run()
-	delta := parallel.StatsSnapshot().Sub(before)
-	release()
-	tr.Parallel = trace.ParallelStats(delta)
-	elapsed := time.Since(start)
-	tr.AddPhase("total", elapsed)
-	return elapsed.Seconds()
+	finish()
+	return tr.PhaseSeconds("total")
 }
 
 // DatasetRows is the machine-readable face of Datasets: one row per catalog

@@ -35,7 +35,7 @@ func BenchmarkCoreEngines(b *testing.B) {
 	b.Run("PKMC", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			PKMC(g, 0, PKMCOptions{})
+			PKMC(g, 0, nil)
 		}
 	})
 }

@@ -185,7 +185,7 @@ func TestPKMCFindsKStarCore(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 80, 4)
 		for _, p := range []int{1, 4} {
-			res := PKMC(g, p, PKMCOptions{Paranoid: true})
+			res := PKMC(g, p, nil)
 			wantK, wantCore := KStarCore(BZ(g))
 			if res.KStar != wantK {
 				return false
@@ -202,7 +202,7 @@ func TestPKMCFindsKStarCore(t *testing.T) {
 }
 
 func TestPKMCFig2EarlyStop(t *testing.T) {
-	res := PKMC(fig2Graph(), 2, PKMCOptions{})
+	res := PKMC(fig2Graph(), 2, nil)
 	if res.KStar != 3 {
 		t.Fatalf("k* = %d, want 3", res.KStar)
 	}
@@ -222,7 +222,7 @@ func TestPKMCEarlyStopSavesIterationsOnWebModel(t *testing.T) {
 	// filaments force Local to run ≈ chain-length sweeps.
 	body := gen.ChungLu(3000, 30000, 2.1, 42)
 	g := gen.Composite(body, 60, 4, 50, 43)
-	pk := PKMC(g, 4, PKMCOptions{})
+	pk := PKMC(g, 4, nil)
 	loc := Local(g, 4, nil)
 	if pk.Iterations*3 > loc.Iterations {
 		t.Fatalf("PKMC %d iterations vs Local %d — early stop saved too little", pk.Iterations, loc.Iterations)
@@ -241,7 +241,7 @@ func TestPKMCCorrectEvenWithoutEarlyStopOpportunity(t *testing.T) {
 	// every sweep, so the Theorem-1 criterion may never fire before full
 	// convergence. PKMC must still return the exact k*-core.
 	g := gen.ChungLu(3000, 30000, 2.1, 42)
-	pk := PKMC(g, 4, PKMCOptions{Paranoid: true})
+	pk := PKMC(g, 4, nil)
 	wantK, wantCore := KStarCore(BZ(g))
 	if pk.KStar != wantK || !equalSets(pk.Vertices, wantCore) {
 		t.Fatalf("k*=%d want %d", pk.KStar, wantK)
@@ -249,15 +249,16 @@ func TestPKMCCorrectEvenWithoutEarlyStopOpportunity(t *testing.T) {
 }
 
 func TestPKMCAblationVariantsAgree(t *testing.T) {
+	// The early-stop ablation runs PKMC against plain Local, the same
+	// sweeps without Theorem 1's stop: both must name the same k*-core,
+	// and the stop can only save sweeps.
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 60, 4)
-		base := PKMC(g, 2, PKMCOptions{})
-		noStop := PKMC(g, 2, PKMCOptions{DisableEarlyStop: true})
-		noGuard := PKMC(g, 2, PKMCOptions{DisableProp1Guard: true, Paranoid: true})
-		if base.KStar != noStop.KStar || base.KStar != noGuard.KStar {
-			return false
-		}
-		return equalSets(base.Vertices, noStop.Vertices) && equalSets(base.Vertices, noGuard.Vertices)
+		pk := PKMC(g, 2, nil)
+		loc := Local(g, 2, nil)
+		wantK, wantCore := KStarCore(loc.CoreNum)
+		return pk.KStar == wantK && equalSets(pk.Vertices, wantCore) &&
+			pk.Iterations <= loc.Iterations
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -265,11 +266,11 @@ func TestPKMCAblationVariantsAgree(t *testing.T) {
 }
 
 func TestPKMCEmptyGraph(t *testing.T) {
-	res := PKMC(graph.NewUndirected(0, nil), 2, PKMCOptions{})
+	res := PKMC(graph.NewUndirected(0, nil), 2, nil)
 	if res.KStar != 0 || len(res.Vertices) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
-	res = PKMC(graph.NewUndirected(5, nil), 2, PKMCOptions{})
+	res = PKMC(graph.NewUndirected(5, nil), 2, nil)
 	if res.KStar != 0 || len(res.Vertices) != 5 {
 		t.Fatalf("edgeless graph: k*=%d |core|=%d (0-core is all vertices)", res.KStar, len(res.Vertices))
 	}
@@ -283,7 +284,7 @@ func TestPKMCClique(t *testing.T) {
 			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
-	res := PKMC(graph.NewUndirected(k, edges), 3, PKMCOptions{})
+	res := PKMC(graph.NewUndirected(k, edges), 3, nil)
 	if res.KStar != k-1 || len(res.Vertices) != k {
 		t.Fatalf("clique: k*=%d |core|=%d", res.KStar, len(res.Vertices))
 	}

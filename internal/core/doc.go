@@ -8,7 +8,7 @@
 // a 2-approximation of the undirected densest subgraph — after only a few
 // iterations.
 //
-// A trace passed to PKMC (PKMCOptions.Trace) or Local (its tr argument)
+// A trace passed to PKMC or Local (the tr argument of each)
 // receives one internal/trace iteration per synchronous h-index sweep — how
 // many vertices changed, the largest single-vertex decrease, the running
 // h_max with its support count, and whether the Theorem-1 test fired — at

@@ -48,7 +48,7 @@ func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.Direc
 		return solver.DirectedResult{Algorithm: "PWC"}, nil
 	}
 	endDecomp := tr.StartPhase("wstar-decomposition")
-	ws = WStarSubgraph(d, p, true)
+	ws = WStarSubgraph(d, p)
 	endDecomp()
 
 	h := ws.Subgraph

@@ -273,28 +273,22 @@ type WStarResult struct {
 // Without this the level sweeps keep scanning the original CSR ranges,
 // whose slots are mostly dead arcs — the re-compaction is the "reduce the
 // size of the graph in each iteration" step of the paper's Exp-6.
-//
-// warmStart=false skips the d_max warm start and climbs from the global
-// minimum weight like the plain Algorithm 3, which is what the warm-start
-// ablation bench compares against.
-func WStarSubgraph(d *graph.Directed, p int, warmStart bool) WStarResult {
+func WStarSubgraph(d *graph.Directed, p int) WStarResult {
 	var res WStarResult
 	if d.M() == 0 {
 		res.Subgraph = d
 		return res
 	}
 	st := newWState(d, p)
-	if warmStart {
-		dmax := int64(d.MaxOutDegree())
-		if in := int64(d.MaxInDegree()); in > dmax {
-			dmax = in
-		}
-		// Warm start: remove everything strictly below d_max. The
-		// remainder is the d_max-induced subgraph, non-empty by the Remark.
-		st.peelLevel(dmax-1, nil, p)
-		st.refreshActive()
-		res.Levels = 1
+	dmax := int64(d.MaxOutDegree())
+	if in := int64(d.MaxInDegree()); in > dmax {
+		dmax = in
 	}
+	// Warm start: remove everything strictly below d_max. The remainder
+	// is the d_max-induced subgraph, non-empty by the Remark.
+	st.peelLevel(dmax-1, nil, p)
+	st.refreshActive()
+	res.Levels = 1
 	res.ArcsAfterWarmStart = st.arcsLeft
 
 	// cur is the current working graph; orig maps its vertex ids back to

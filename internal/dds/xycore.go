@@ -158,12 +158,6 @@ func YMax(d *graph.Directed, x int32) int32 {
 	return best
 }
 
-// XMax returns the largest x such that the [x, y]-core is non-empty, by
-// running YMax on the reversed digraph (swapping the S and T roles).
-func XMax(d *graph.Directed, y int32) int32 {
-	return YMax(d.Reverse(), y)
-}
-
 // CNPairSkyline returns the maximal cn-pairs of D: the pairs (x, YMax(x))
 // with dominated entries removed, sorted by ascending x. Every [x, y]-core
 // of D is dominated by some skyline pair (x' >= x, y' >= y), so the

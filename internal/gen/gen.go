@@ -267,30 +267,6 @@ func CompositeDirected(base *graph.Directed, sizeS, sizeT int, seed int64) *grap
 	return d
 }
 
-// WattsStrogatz returns a small-world graph: a ring lattice where every
-// vertex links to its k nearest neighbors on each side, with each edge
-// rewired to a random endpoint with probability beta. Used as a
-// low-degeneracy contrast workload: its core structure is flat (k* ≈ k),
-// the opposite of the power-law models, which exercises the solvers'
-// behaviour when no dense nucleus exists.
-func WattsStrogatz(n, k int, beta float64, seed int64) *graph.Undirected {
-	if n < 3 || k < 1 {
-		return graph.NewUndirected(n, nil)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var edges []graph.Edge
-	for v := 0; v < n; v++ {
-		for j := 1; j <= k; j++ {
-			u := (v + j) % n
-			if rng.Float64() < beta {
-				u = rng.Intn(n)
-			}
-			edges = append(edges, graph.Edge{U: int32(v), V: int32(u)})
-		}
-	}
-	return graph.NewUndirected(n, edges)
-}
-
 // PowerLawExponent estimates the degree-distribution exponent β of a graph
 // with the Hill maximum-likelihood estimator over degrees at or above
 // dmin: β̂ = 1 + H / Σ ln(d_i / (dmin - 0.5)). It validates that the

@@ -175,23 +175,6 @@ func TestCompositeDirectedBiclique(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(1000, 4, 0.1, 21)
-	if g.N() != 1000 {
-		t.Fatalf("n = %d", g.N())
-	}
-	// Ring lattice: ~nk edges, near-regular degrees even after rewiring.
-	if g.M() < 3500 || g.M() > 4000 {
-		t.Fatalf("m = %d, want ~4000", g.M())
-	}
-	if g.MaxDegree() > 20 {
-		t.Fatalf("small-world graph has a hub: dmax = %d", g.MaxDegree())
-	}
-	if tiny := WattsStrogatz(2, 3, 0.1, 1); tiny.M() != 0 {
-		t.Fatal("degenerate sizes must yield an empty graph")
-	}
-}
-
 func TestPowerLawExponentRecoversBeta(t *testing.T) {
 	for _, beta := range []float64{2.1, 2.5, 3.0} {
 		g := ChungLu(30000, 300000, beta, 22)
@@ -205,15 +188,5 @@ func TestPowerLawExponentRecoversBeta(t *testing.T) {
 func TestPowerLawExponentDegenerate(t *testing.T) {
 	if got := PowerLawExponent(ErdosRenyi(20, 10, 23), 50); got != 0 {
 		t.Fatalf("sparse graph estimate = %v, want 0", got)
-	}
-}
-
-func TestWattsStrogatzFlatCoreStructure(t *testing.T) {
-	// No dense nucleus: k* stays near the lattice degree, unlike the
-	// power-law models.
-	g := WattsStrogatz(2000, 5, 0.05, 24)
-	ws := PowerLawExponent(g, 8)
-	if ws != 0 && ws < 4 {
-		t.Fatalf("small-world graph looks heavy-tailed: %v", ws)
 	}
 }

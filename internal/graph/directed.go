@@ -192,38 +192,6 @@ func (d *Directed) DensityST(s, t []int32) float64 {
 	return float64(e) / math.Sqrt(float64(len(su))*float64(len(tu)))
 }
 
-// InducedST returns the subgraph of d induced by candidate sets S and T:
-// vertices S ∪ T, arcs E(S, T) only. The returned digraph is re-labeled;
-// original[i] maps its vertex i back to d's ids.
-func (d *Directed) InducedST(s, t []int32) (sub *Directed, original []int32) {
-	local := make(map[int32]int32)
-	original = make([]int32, 0, len(s)+len(t))
-	add := func(v int32) int32 {
-		if lv, ok := local[v]; ok {
-			return lv
-		}
-		lv := int32(len(original))
-		local[v] = lv
-		original = append(original, v)
-		return lv
-	}
-	inT := make(map[int32]bool, len(t))
-	for _, v := range dedup(t) {
-		inT[v] = true
-		add(v)
-	}
-	var arcs []Edge
-	for _, u := range dedup(s) {
-		lu := add(u)
-		for _, v := range d.OutNeighbors(u) {
-			if inT[v] {
-				arcs = append(arcs, Edge{lu, local[v]})
-			}
-		}
-	}
-	return NewDirected(len(original), arcs), original
-}
-
 // Induced returns the vertex-induced sub-digraph on the given set (all arcs
 // with both endpoints in the set), re-labeled, with the id mapping.
 func (d *Directed) Induced(vertices []int32) (sub *Directed, original []int32) {

@@ -79,17 +79,6 @@ func TestDensitySTOverlappingSets(t *testing.T) {
 	}
 }
 
-func TestInducedST(t *testing.T) {
-	d := paperFig1b()
-	sub, orig := d.InducedST([]int32{4, 5}, []int32{2, 3})
-	if sub.M() != 4 {
-		t.Fatalf("induced M = %d, want 4", sub.M())
-	}
-	if sub.N() != 4 || len(orig) != 4 {
-		t.Fatalf("induced N = %d (orig %d), want 4", sub.N(), len(orig))
-	}
-}
-
 func TestInducedDirected(t *testing.T) {
 	d := paperFig1b()
 	sub, _ := d.Induced([]int32{0, 1, 2})

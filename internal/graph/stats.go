@@ -48,42 +48,6 @@ func (s Stats) String() string {
 		s.Name, s.N, s.M, s.MaxDeg, s.AvgDeg)
 }
 
-// DegreeHistogram returns the sorted distinct degrees and their
-// frequencies. Used by tests to validate generator heavy-tails.
-func (g *Undirected) DegreeHistogram() (degrees []int32, counts []int64) {
-	freq := map[int32]int64{}
-	for v := 0; v < g.N(); v++ {
-		freq[g.Degree(int32(v))]++
-	}
-	degrees = make([]int32, 0, len(freq))
-	for d := range freq {
-		degrees = append(degrees, d)
-	}
-	sort.Slice(degrees, func(i, j int) bool { return degrees[i] < degrees[j] })
-	counts = make([]int64, len(degrees))
-	for i, d := range degrees {
-		counts[i] = freq[d]
-	}
-	return degrees, counts
-}
-
-// DegeneracyOrderUpperBound returns a cheap upper bound on the graph's
-// degeneracy (and hence on k*): the largest d such that at least d+1
-// vertices have degree >= d. Several solvers use it to size buckets.
-func (g *Undirected) DegeneracyOrderUpperBound() int32 {
-	degs := g.Degrees()
-	sort.Slice(degs, func(i, j int) bool { return degs[i] > degs[j] })
-	var bound int32
-	for i, d := range degs {
-		if d >= int32(i) {
-			bound = int32(i)
-		} else {
-			break
-		}
-	}
-	return bound
-}
-
 // RelabelByDegree returns a copy of g whose vertex ids are assigned in
 // non-increasing degree order (hubs first), plus the mapping back:
 // original[i] is the old id of new vertex i. Web/social graphs gain cache

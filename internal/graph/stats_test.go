@@ -30,35 +30,6 @@ func TestSummarizeDirected(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := NewUndirected(4, []Edge{{0, 1}, {1, 2}, {2, 0}, {0, 3}})
-	degs, counts := g.DegreeHistogram()
-	// degrees: 3,2,2,1 -> histogram {1:1, 2:2, 3:1}
-	want := map[int32]int64{1: 1, 2: 2, 3: 1}
-	if len(degs) != 3 {
-		t.Fatalf("distinct degrees = %v", degs)
-	}
-	for i, d := range degs {
-		if counts[i] != want[d] {
-			t.Fatalf("count of degree %d = %d, want %d", d, counts[i], want[d])
-		}
-	}
-}
-
-func TestDegeneracyUpperBound(t *testing.T) {
-	// A clique on 5 vertices: degeneracy 4; the bound must be >= 4.
-	var edges []Edge
-	for i := int32(0); i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			edges = append(edges, Edge{i, j})
-		}
-	}
-	g := NewUndirected(5, edges)
-	if b := g.DegeneracyOrderUpperBound(); b < 4 {
-		t.Fatalf("bound = %d, want >= 4", b)
-	}
-}
-
 func TestRelabelByDegree(t *testing.T) {
 	g := NewUndirected(5, []Edge{{U: 4, V: 0}, {U: 4, V: 1}, {U: 4, V: 2}, {U: 0, V: 1}})
 	r, orig := g.RelabelByDegree()

@@ -231,21 +231,3 @@ func (g *Undirected) FilterEdges(keep func(u, v int32) bool) *Undirected {
 	}
 	return NewUndirected(g.N(), edges)
 }
-
-// Union returns the graph on max(|V|) vertices containing every edge of
-// either input.
-func Union(a, b *Undirected) *Undirected {
-	n := a.N()
-	if b.N() > n {
-		n = b.N()
-	}
-	edges := append(a.Edges(), b.Edges()...)
-	return NewUndirected(n, edges)
-}
-
-// Difference returns a minus b's edges (vertex set of a).
-func Difference(a, b *Undirected) *Undirected {
-	return a.FilterEdges(func(u, v int32) bool {
-		return int(u) >= b.N() || int(v) >= b.N() || !b.HasEdge(u, v)
-	})
-}

@@ -196,44 +196,3 @@ func TestFilterEdges(t *testing.T) {
 		t.Fatalf("filtered: m=%d deg(3)=%d", sub.M(), sub.Degree(3))
 	}
 }
-
-func TestUnionDifference(t *testing.T) {
-	a := NewUndirected(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	b := NewUndirected(3, []Edge{{U: 1, V: 2}, {U: 0, V: 2}})
-	u := Union(a, b)
-	if u.N() != 4 || u.M() != 3 {
-		t.Fatalf("union: n=%d m=%d", u.N(), u.M())
-	}
-	d := Difference(a, b)
-	if d.M() != 1 || !d.HasEdge(0, 1) {
-		t.Fatalf("difference: m=%d", d.M())
-	}
-	// Difference is tolerant of b having fewer vertices.
-	big := NewUndirected(6, []Edge{{U: 4, V: 5}})
-	if got := Difference(big, b); got.M() != 1 {
-		t.Fatalf("out-of-range edges must survive: m=%d", got.M())
-	}
-}
-
-// Property: Union(g, Difference(g, h)) == g and Difference(g, g) is empty.
-func TestSetOperationLaws(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(40)
-		mk := func(seed int64) *Undirected {
-			r := rand.New(rand.NewSource(seed))
-			var es []Edge
-			for i := 0; i < n*2; i++ {
-				es = append(es, Edge{U: int32(r.Intn(n)), V: int32(r.Intn(n))})
-			}
-			return NewUndirected(n, es)
-		}
-		g, h := mk(rng.Int63()), mk(rng.Int63())
-		if Difference(g, g).M() != 0 {
-			t.Fatal("g \\ g not empty")
-		}
-		if got := Union(Difference(g, h), g); got.M() != g.M() {
-			t.Fatalf("(g\\h) ∪ g has %d edges, want %d", got.M(), g.M())
-		}
-	}
-}

@@ -61,78 +61,6 @@ func TestMaxInt32Contention(t *testing.T) {
 	}
 }
 
-func TestMinInt32Contention(t *testing.T) {
-	const goroutines = 8
-	const perG = 4096
-	var cur atomic.Int32
-	cur.Store(1<<31 - 1)
-
-	want := int32(1<<31 - 1)
-	rng := rand.New(rand.NewSource(2))
-	all := make([]int32, goroutines*perG)
-	for i := range all {
-		all[i] = int32(rng.Intn(1 << 20))
-		if all[i] < want {
-			want = all[i]
-		}
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for _, v := range all[g*perG : (g+1)*perG] {
-				MinInt32(&cur, v)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if got := cur.Load(); got != want {
-		t.Fatalf("final value %d, want min %d", got, want)
-	}
-}
-
-func TestMaxInt64Contention(t *testing.T) {
-	const goroutines = 8
-	const perG = 4096
-	var cur atomic.Int64
-	cur.Store(-1 << 62)
-
-	want := int64(-1 << 62)
-	rng := rand.New(rand.NewSource(3))
-	all := make([]int64, goroutines*perG)
-	for i := range all {
-		all[i] = rng.Int63n(1 << 40)
-		if all[i] > want {
-			want = all[i]
-		}
-	}
-
-	var changes atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for _, v := range all[g*perG : (g+1)*perG] {
-				if MaxInt64(&cur, v) {
-					changes.Add(1)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if got := cur.Load(); got != want {
-		t.Fatalf("final value %d, want max %d", got, want)
-	}
-	if c := changes.Load(); c < 1 {
-		t.Fatalf("no reported changes despite raising from the minimum")
-	}
-}
-
 func TestMinInt64Contention(t *testing.T) {
 	const goroutines = 8
 	const perG = 4096
@@ -182,16 +110,5 @@ func TestMaxInt32ReturnSemantics(t *testing.T) {
 	}
 	if cur.Load() != 11 {
 		t.Fatalf("value %d, want 11", cur.Load())
-	}
-
-	cur.Store(10)
-	if MinInt32(&cur, 15) {
-		t.Fatal("lowering to a larger value reported a change")
-	}
-	if !MinInt32(&cur, 3) {
-		t.Fatal("lowering to a smaller value reported no change")
-	}
-	if cur.Load() != 3 {
-		t.Fatalf("value %d, want 3", cur.Load())
 	}
 }

@@ -247,33 +247,6 @@ func MaxInt32(addr *atomic.Int32, v int32) bool {
 	}
 }
 
-// MinInt32 atomically lowers *addr to v if v is smaller. Returns true if the
-// stored value changed.
-func MinInt32(addr *atomic.Int32, v int32) bool {
-	for {
-		cur := addr.Load()
-		if v >= cur {
-			return false
-		}
-		if addr.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
-// MaxInt64 atomically raises *addr to v if v is larger.
-func MaxInt64(addr *atomic.Int64, v int64) bool {
-	for {
-		cur := addr.Load()
-		if v <= cur {
-			return false
-		}
-		if addr.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
 // MinInt64 atomically lowers *addr to v if v is smaller.
 func MinInt64(addr *atomic.Int64, v int64) bool {
 	for {
@@ -285,19 +258,6 @@ func MinInt64(addr *atomic.Int64, v int64) bool {
 			return true
 		}
 	}
-}
-
-// SumInt64 computes, in parallel, the sum of f(i) over i in [0, n).
-func SumInt64(n, p int, f func(i int) int64) int64 {
-	var total atomic.Int64
-	ForBlocks(n, p, DefaultGrain, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			local += f(i)
-		}
-		total.Add(local)
-	})
-	return total.Load()
 }
 
 // MaxIndexInt32 returns, in parallel, the maximum of vals and how many
@@ -332,19 +292,4 @@ func MaxIndexInt32(vals []int32, p int) (max int32, count int64) {
 		cnt.Add(local)
 	})
 	return max, cnt.Load()
-}
-
-// CountInt32 returns, in parallel, how many entries of vals satisfy pred.
-func CountInt32(vals []int32, p int, pred func(int32) bool) int64 {
-	var cnt atomic.Int64
-	ForBlocks(len(vals), p, DefaultGrain, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			if pred(vals[i]) {
-				local++
-			}
-		}
-		cnt.Add(local)
-	})
-	return cnt.Load()
 }

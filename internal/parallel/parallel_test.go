@@ -106,24 +106,9 @@ func TestMaxInt32(t *testing.T) {
 	}
 }
 
-func TestMinInt32(t *testing.T) {
-	var a atomic.Int32
-	a.Store(5)
-	if MinInt32(&a, 7) {
-		t.Fatal("lowering to larger value reported a change")
-	}
-	if !MinInt32(&a, 2) || a.Load() != 2 {
-		t.Fatalf("min not lowered: %d", a.Load())
-	}
-}
-
 func TestMaxMinInt64(t *testing.T) {
 	var a atomic.Int64
-	a.Store(100)
-	MaxInt64(&a, 200)
-	if a.Load() != 200 {
-		t.Fatalf("got %d", a.Load())
-	}
+	a.Store(200)
 	MinInt64(&a, 50)
 	if a.Load() != 50 {
 		t.Fatalf("got %d", a.Load())
@@ -135,15 +120,6 @@ func TestMaxInt32Concurrent(t *testing.T) {
 	For(10000, 8, func(i int) { MaxInt32(&a, int32(i)) })
 	if a.Load() != 9999 {
 		t.Fatalf("concurrent max = %d, want 9999", a.Load())
-	}
-}
-
-func TestSumInt64(t *testing.T) {
-	n := 10001
-	got := SumInt64(n, 4, func(i int) int64 { return int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
 	}
 }
 
@@ -180,16 +156,5 @@ func TestMaxIndexInt32MatchesSerial(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCountInt32(t *testing.T) {
-	vals := make([]int32, 9999)
-	for i := range vals {
-		vals[i] = int32(i % 10)
-	}
-	got := CountInt32(vals, 4, func(v int32) bool { return v == 3 })
-	if got != 1000 {
-		t.Fatalf("count = %d, want 1000", got)
 	}
 }

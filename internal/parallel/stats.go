@@ -9,13 +9,14 @@ import (
 // regions entered, work chunks executed, index items covered, worker
 // goroutines launched, and regions aborted early by a contained panic.
 // Counters are process-wide and monotone; callers interested in one solve
-// take a snapshot before and after and subtract (Stats.Sub).
+// take a snapshot before and after and subtract (Stats.Sub). The JSON keys
+// are the "parallel" object of a serialized trace.
 type Stats struct {
-	Regions        int64
-	Chunks         int64
-	Items          int64
-	WorkerLaunches int64
-	AbortedRegions int64
+	Regions        int64 `json:"regions"`
+	Chunks         int64 `json:"chunks"`
+	Items          int64 `json:"items"`
+	WorkerLaunches int64 `json:"worker_launches"`
+	AbortedRegions int64 `json:"aborted_regions"`
 }
 
 // Sub returns the delta s - prev, counter by counter.
@@ -29,11 +30,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// statsEnabled gates all counter writes. Disarmed cost on the solve path is
-// one atomic load per parallel *region* (not per chunk or index), so the
-// default path stays unmeasurably close to free.
-var statsEnabled atomic.Bool
-
 var (
 	statRegions        atomic.Int64
 	statChunks         atomic.Int64
@@ -42,32 +38,20 @@ var (
 	statAborted        atomic.Int64
 )
 
-// EnableStats arms (or disarms) the runtime counters. They start disarmed.
-func EnableStats(on bool) { statsEnabled.Store(on) }
-
-// statsRefs counts live RetainStats holders so concurrent traced solves can
-// share the armed counters without one's finish disarming the other's.
+// statsRefs counts live RetainStats holders; the counters are armed while
+// it is non-zero, so concurrent traced solves share them without one's
+// release disarming the other's. Disarmed cost on the solve path is one
+// atomic load per parallel *region* (not per chunk or index), so the
+// default path stays unmeasurably close to free.
 var statsRefs atomic.Int64
 
 // RetainStats arms the counters for one traced solve and returns the
-// matching release. The counters stay armed while any holder is live; the
-// last release disarms them (unless EnableStats(true) pinned them on).
+// matching release. The counters stay armed while any holder is live.
 func RetainStats() (release func()) {
-	if statsRefs.Add(1) == 1 {
-		statsEnabled.Store(true)
-	}
+	statsRefs.Add(1)
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			if statsRefs.Add(-1) == 0 {
-				statsEnabled.Store(false)
-			}
-		})
-	}
+	return func() { once.Do(func() { statsRefs.Add(-1) }) }
 }
-
-// StatsEnabled reports whether the counters are currently armed.
-func StatsEnabled() bool { return statsEnabled.Load() }
 
 // StatsSnapshot reads the cumulative counters.
 func StatsSnapshot() Stats {
@@ -80,21 +64,12 @@ func StatsSnapshot() Stats {
 	}
 }
 
-// ResetStats zeroes the cumulative counters (tests and bench harness setup).
-func ResetStats() {
-	statRegions.Store(0)
-	statChunks.Store(0)
-	statItems.Store(0)
-	statWorkerLaunches.Store(0)
-	statAborted.Store(0)
-}
-
 // recordRegion accounts one completed parallel region: n items split into
 // chunks of the given grain, run by workers goroutines (0 = inline serial
 // path). Called once per region, after its WaitGroup has drained and before
 // any trapped panic is re-raised, so aborted regions are still counted.
 func recordRegion(n, grain, workers int, aborted bool) {
-	if !statsEnabled.Load() {
+	if statsRefs.Load() == 0 {
 		return
 	}
 	statRegions.Add(1)

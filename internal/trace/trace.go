@@ -1,6 +1,10 @@
 package trace
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/parallel"
+)
 
 // Phase is one timed stage of a solve: the name is solver-chosen (e.g.
 // "core-decomposition", "wstar-decomposition", "flow-search") and stable
@@ -42,13 +46,7 @@ type Convergence struct {
 // one solve: how many parallel regions ran, how many work chunks were
 // claimed, how many index items they covered, how many worker goroutines
 // were launched, and how many regions were aborted by a contained panic.
-type ParallelStats struct {
-	Regions        int64 `json:"regions"`
-	Chunks         int64 `json:"chunks"`
-	Items          int64 `json:"items"`
-	WorkerLaunches int64 `json:"worker_launches"`
-	AbortedRegions int64 `json:"aborted_regions"`
-}
+type ParallelStats = parallel.Stats
 
 // Trace accumulates one solve's observability record. All recording methods
 // are nil-safe no-ops, so solver code threads a possibly-nil *Trace without
@@ -83,6 +81,25 @@ type Trace struct {
 // Enabled reports whether recording is live (t != nil) — for callers that
 // want to skip building expensive inputs to a recording call.
 func (t *Trace) Enabled() bool { return t != nil }
+
+// Begin opens the envelope of one traced solve: it arms the shared
+// parallel-runtime counters and returns the closer that stores their delta
+// in Parallel and the whole solve's wall time as the "total" phase.
+// Idiomatic use is `defer tr.Begin()()`. Nil-safe: a nil trace arms
+// nothing.
+func (t *Trace) Begin() (finish func()) {
+	if t == nil {
+		return func() {}
+	}
+	release := parallel.RetainStats()
+	before := parallel.StatsSnapshot()
+	start := time.Now()
+	return func() {
+		t.Parallel = parallel.StatsSnapshot().Sub(before)
+		release()
+		t.AddPhase("total", time.Since(start))
+	}
+}
 
 // SetAlgorithm stamps the solver name.
 func (t *Trace) SetAlgorithm(name string) {

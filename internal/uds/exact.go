@@ -172,7 +172,7 @@ func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (
 		return solver.Result{}, err
 	}
 	endApprox := tr.StartPhase("approx-lower-bound")
-	approx := core.PKMC(g, p, core.PKMCOptions{Trace: tr})
+	approx := core.PKMC(g, p, tr)
 	lower := g.InducedDensity(approx.Vertices) // ρ̃ <= ρ*
 	endApprox()
 	k := int32(lower)
@@ -235,7 +235,7 @@ func ExactEpsilon(ctx context.Context, g *graph.Undirected, opts solver.Params) 
 	if err := cancel.Check(ctx); err != nil {
 		return solver.Result{}, err
 	}
-	approx := core.PKMC(g, opts.Workers, core.PKMCOptions{})
+	approx := core.PKMC(g, opts.Workers, nil)
 	lower := g.InducedDensity(approx.Vertices)
 	edges := g.Edges()
 	degs := g.Degrees()

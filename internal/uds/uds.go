@@ -18,7 +18,7 @@ func PKMC(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Re
 	tr := opts.Trace
 	tr.SetAlgorithm("PKMC")
 	endCore := tr.StartPhase("core-decomposition")
-	res := core.PKMC(g, opts.Workers, core.PKMCOptions{Trace: tr})
+	res := core.PKMC(g, opts.Workers, tr)
 	endCore()
 	endDensity := tr.StartPhase("density-evaluation")
 	density := g.InducedDensity(res.Vertices)

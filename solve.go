@@ -181,13 +181,10 @@ func SolveUDS(g *Graph, algo Algo, opts Options) (res Result, err error) {
 	if err := cancel.Check(ctx); err != nil {
 		return Result{}, err
 	}
+	// Arm the runtime counters and time the whole solve; traced solvers
+	// add their finer-grained phases inside.
 	tr := opts.Trace
-	if tr != nil {
-		// Arm the runtime counters and time the whole solve; traced
-		// solvers add their finer-grained phases inside.
-		finish := beginTrace(tr)
-		defer finish()
-	}
+	defer tr.Begin()()
 	r, err := desc.SolveUDS(ctx, g.g, params(opts, opts.Budget))
 	if err != nil {
 		return Result{}, err
@@ -230,10 +227,7 @@ func SolveDDS(d *Digraph, algo Algo, opts Options) (res DirectedResult, err erro
 		}
 	}
 	tr := opts.Trace
-	if tr != nil {
-		finish := beginTrace(tr)
-		defer finish()
-	}
+	defer tr.Begin()()
 	r, err := desc.SolveDDS(ctx, d.d, params(opts, budget))
 	if err != nil {
 		return DirectedResult{}, err
@@ -267,7 +261,7 @@ func KCore(g *Graph, k int32, workers int) []int32 {
 // KStarCore returns k* and the k*-core vertex set using PKMC (the fast
 // route that avoids full decomposition).
 func KStarCore(g *Graph, workers int) (int32, []int32) {
-	res := core.PKMC(g.g, workers, core.PKMCOptions{})
+	res := core.PKMC(g.g, workers, nil)
 	return res.KStar, res.Vertices
 }
 
@@ -280,7 +274,7 @@ func XYCore(d *Digraph, x, y int32) (s, t []int32) {
 // WStar returns the maximum induce-number w* of a digraph and the vertex
 // set of its w*-induced subgraph (Definitions 8-10 of the paper).
 func WStar(d *Digraph, workers int) (int64, []int32) {
-	res := dds.WStarSubgraph(d.d, workers, true)
+	res := dds.WStarSubgraph(d.d, workers)
 	out := append([]int32(nil), res.Original...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return res.WStar, out

@@ -1,11 +1,6 @@
 package dsd
 
-import (
-	"time"
-
-	"repro/internal/parallel"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Trace is the per-solve observability record, opt-in via Options.Trace:
 // pass a fresh &dsd.Trace{} and the solver fills in per-phase wall times,
@@ -33,24 +28,3 @@ type TraceIteration = trace.Iteration
 // each other's work blended in; single-solve contexts (CLI, bench) read
 // exact figures.
 type ParallelStats = trace.ParallelStats
-
-// beginTrace arms the shared parallel-runtime counters for one traced solve
-// and returns the closer that stores the counter delta and the total wall
-// time into tr. The counters stay armed while any traced solve is live.
-func beginTrace(tr *Trace) func() {
-	release := parallel.RetainStats()
-	before := parallel.StatsSnapshot()
-	start := time.Now()
-	return func() {
-		delta := parallel.StatsSnapshot().Sub(before)
-		release()
-		tr.Parallel = ParallelStats{
-			Regions:        delta.Regions,
-			Chunks:         delta.Chunks,
-			Items:          delta.Items,
-			WorkerLaunches: delta.WorkerLaunches,
-			AbortedRegions: delta.AbortedRegions,
-		}
-		tr.AddPhase("total", time.Since(start))
-	}
-}
