@@ -88,9 +88,10 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 5s ./internal/graph
 
-# Every testing.B benchmark in the module, one iteration each: one per
-# paper table/figure plus the ablations at the root, and the per-package
-# kernel benches. CI runs this so no benchmark rots unexecuted.
+# Every testing.B benchmark in the module, one iteration each: at the root,
+# BenchmarkPaper (every case of internal/bench's experiment table, the same
+# cases dsdbench runs) plus the ablations, and the per-package kernel
+# benches. CI runs this so no benchmark rots unexecuted.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 

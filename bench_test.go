@@ -1,15 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact) plus the ablation benches called out in
-// DESIGN.md. Sub-benchmark names follow the paper's dataset abbreviations
-// and algorithm names, so
+// Benchmarks of the paper's evaluation and the ablations called out in
+// DESIGN.md. BenchmarkPaper runs every case of every experiment in
+// internal/bench's table — the same cases dsdbench runs — as
 //
-//	go test -bench=Fig5 -benchmem
+//	BenchmarkPaper/<exp>/<dataset>/<algorithm>[/<param>]
 //
-// prints the Fig. 5 series. The graphs are the dataset scale models at
-// benchScale; iteration counts and arc-size columns are attached as custom
-// metrics (iters, arcs_*) where a table reports them. The full text-table
-// rendition of each artifact comes from cmd/dsdbench; these benches are the
-// testing.B-native view of the same experiments.
+// so `go test -run '^$' -bench 'Paper/exp1/' -benchmem` prints the Fig. 5
+// series. Each case reports its row's density, iterations, timed_out and
+// Extra counters as custom metrics. The graphs are the shared catalog
+// models at benchScale; cmd/dsdbench renders the same experiments as text
+// tables and the BENCH report.
 package dsd_test
 
 import (
@@ -18,318 +17,45 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dds"
-	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/solver"
-	"repro/internal/trace"
-	"repro/internal/uds"
 )
 
 // benchScale keeps the slowest lineup members (PXY, PFW) inside the default
 // one-second benchtime per sub-benchmark.
 const benchScale = 0.05
 
-// benchWorkers mirrors the paper's default p=32, clamped by GOMAXPROCS.
-const benchWorkers = 0
-
-var (
-	undCache = map[string]*graph.Undirected{}
-	dirCache = map[string]*graph.Directed{}
-)
-
-func undGraph(b *testing.B, abbr string) *graph.Undirected {
-	b.Helper()
-	if g, ok := undCache[abbr]; ok {
-		return g
-	}
-	ds, ok := gen.FindDataset(abbr)
-	if !ok || ds.Directed {
-		b.Fatalf("bad undirected dataset %q", abbr)
-	}
-	g := ds.BuildUndirected(benchScale)
-	undCache[abbr] = g
-	return g
-}
-
-func dirGraph(b *testing.B, abbr string) *graph.Directed {
-	b.Helper()
-	if d, ok := dirCache[abbr]; ok {
-		return d
-	}
-	ds, ok := gen.FindDataset(abbr)
-	if !ok || !ds.Directed {
-		b.Fatalf("bad directed dataset %q", abbr)
-	}
-	d := ds.BuildDirected(benchScale)
-	dirCache[abbr] = d
-	return d
-}
-
-var undAbbrs = []string{"PT", "EW", "EU", "IT", "SK", "UN"}
-var dirAbbrs = []string{"AM", "AR", "BA", "DL", "WE", "TW"}
-
-// BenchmarkTable4_5_Datasets measures dataset materialization (generator
-// throughput) for the Tables 4/5 catalog.
-func BenchmarkTable4_5_Datasets(b *testing.B) {
-	b.ReportAllocs()
-	for _, ds := range append(gen.UndirectedCatalog(), gen.DirectedCatalog()...) {
-		b.Run(ds.Abbr, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if ds.Directed {
-					d := ds.BuildDirected(benchScale)
-					b.ReportMetric(float64(d.M()), "arcs")
-				} else {
-					g := ds.BuildUndirected(benchScale)
-					b.ReportMetric(float64(g.M()), "edges")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig5_UDSEfficiency is Exp-1: the five UDS algorithms on the six
-// undirected datasets at the default worker count.
-func BenchmarkFig5_UDSEfficiency(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range undAbbrs {
-		g := undGraph(b, abbr)
-		for _, name := range []string{"pfw", "pbu", "local", "pkc", "pkmc"} {
-			a := lookup(b, solver.KindUDS, name)
-			b.Run(abbr+"/"+a.Display, func(b *testing.B) {
-				b.ReportAllocs()
-				var res solver.Result
-				for i := 0; i < b.N; i++ {
-					res, _ = a.SolveUDS(nil, g, solver.Params{Workers: benchWorkers})
-				}
-				b.ReportMetric(res.Density, "density")
-			})
-		}
-	}
-}
-
-// BenchmarkTable6_Iterations is Exp-2: iteration counts of the core-based
-// algorithms, attached as the "iters" metric.
-func BenchmarkTable6_Iterations(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range undAbbrs {
-		g := undGraph(b, abbr)
-		b.Run(abbr+"/PKC", func(b *testing.B) {
-			b.ReportAllocs()
-			var it int
-			for i := 0; i < b.N; i++ {
-				it = core.PKC(g, benchWorkers).Iterations
-			}
-			b.ReportMetric(float64(it), "iters")
-		})
-		b.Run(abbr+"/Local", func(b *testing.B) {
-			b.ReportAllocs()
-			var it int
-			for i := 0; i < b.N; i++ {
-				it = core.Local(g, benchWorkers, nil).Iterations
-			}
-			b.ReportMetric(float64(it), "iters")
-		})
-		b.Run(abbr+"/PKMC", func(b *testing.B) {
-			b.ReportAllocs()
-			var it int
-			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers, nil).Iterations
-			}
-			b.ReportMetric(float64(it), "iters")
-		})
-	}
-}
-
-// BenchmarkFig6_UDSThreads is Exp-3: PKMC/PKC/Local/PBU versus the worker
-// count on the first three undirected datasets.
-func BenchmarkFig6_UDSThreads(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range undAbbrs[:3] {
-		g := undGraph(b, abbr)
-		for _, p := range []int{1, 2, 4, 8} {
-			b.Run(abbr+"/PKMC/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.PKMC(g, p, nil)
-				}
-			})
-			b.Run(abbr+"/PKC/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.PKC(g, p)
-				}
-			})
-			b.Run(abbr+"/Local/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.Local(g, p, nil)
-				}
-			})
-			b.Run(abbr+"/PBU/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					uds.PBU(nil, g, solver.Params{Epsilon: 0.5, Workers: p})
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig7_UDSScalability is Exp-4: PKMC and the strongest baselines
-// versus the sampled edge fraction on the SK and UN models.
-func BenchmarkFig7_UDSScalability(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range []string{"SK", "UN"} {
-		g := undGraph(b, abbr)
-		for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-			sub := g.SampleEdges(frac, 7700)
-			label := abbr + "/" + itoa(int(frac*100)) + "pct"
-			b.Run(label+"/PKMC", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.PKMC(sub, benchWorkers, nil)
-				}
-			})
-			b.Run(label+"/PKC", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.PKC(sub, benchWorkers)
-				}
-			})
-			b.Run(label+"/Local", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.Local(sub, benchWorkers, nil)
-				}
-			})
-			b.Run(label+"/PBU", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					uds.PBU(nil, sub, solver.Params{Epsilon: 0.5, Workers: benchWorkers})
-				}
-			})
-		}
-	}
-}
-
-// ddsBudget caps the hopeless baselines inside benches the way the paper's
-// 10⁵-second ceiling does; a budgeted run that hits it still reports its
-// (censored) time per iteration.
+// ddsBudget caps the hopeless DDS baselines the way the paper's 10⁵-second
+// ceiling does; a budgeted run that hits it reports timed_out=1, and its
+// per-op time is a floor, not a finishing time.
 const ddsBudget = 500 * time.Millisecond
 
-// BenchmarkFig8_DDSEfficiency is Exp-5: the six DDS algorithms on the six
-// directed datasets. PBS and PFKS run under ddsBudget and are expected to
-// exhaust it — their per-op time is a floor, not a finishing time.
-func BenchmarkFig8_DDSEfficiency(b *testing.B) {
-	b.ReportAllocs()
-	algos := []struct {
-		name   string
-		budget time.Duration
-	}{
-		{"pbs", ddsBudget}, {"pfks", ddsBudget}, {"pfw", 0}, {"pbd", 0}, {"pxy", 0}, {"pwc", 0},
-	}
-	for _, abbr := range dirAbbrs {
-		d := dirGraph(b, abbr)
-		for _, x := range algos {
-			a := lookup(b, solver.KindDDS, x.name)
-			b.Run(abbr+"/"+a.Display, func(b *testing.B) {
-				b.ReportAllocs()
-				var res solver.DirectedResult
-				for i := 0; i < b.N; i++ {
-					res, _ = a.SolveDDS(nil, d, solver.Params{Workers: benchWorkers, Budget: x.budget})
-				}
-				b.ReportMetric(res.Density, "density")
-				if res.TimedOut {
-					b.ReportMetric(1, "timed_out")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable7_GraphSizes is Exp-6: the arcs PWC actually processes,
-// attached as metrics (arcs_input = the PXY row, arcs_warm = PWC₁,
-// arcs_wstar = PWC_w*, arcs_densest = PWC_D*).
-func BenchmarkTable7_GraphSizes(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range dirAbbrs {
-		d := dirGraph(b, abbr)
-		b.Run(abbr, func(b *testing.B) {
-			b.ReportAllocs()
-			var tr *trace.Trace
-			for i := 0; i < b.N; i++ {
-				tr = &trace.Trace{}
-				dds.PWC(nil, d, solver.Params{Workers: benchWorkers, Trace: tr})
+func BenchmarkPaper(b *testing.B) {
+	cfg := bench.Config{Scale: benchScale, Budget: ddsBudget}
+	for _, e := range bench.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for _, c := range e.Cases(cfg) {
+				b.Run(c.Name(), func(b *testing.B) {
+					b.ReportAllocs()
+					var row bench.Row
+					for i := 0; i < b.N; i++ {
+						row = c.Run()
+					}
+					b.ReportMetric(row.Density, "density")
+					b.ReportMetric(float64(row.Iterations), "iterations")
+					timedOut := 0.0
+					if row.TimedOut {
+						timedOut = 1
+					}
+					b.ReportMetric(timedOut, "timed_out")
+					for k, v := range row.Extra {
+						b.ReportMetric(float64(v), k)
+					}
+				})
 			}
-			b.ReportMetric(float64(tr.Counters["arcs_input"]), "arcs_input")
-			b.ReportMetric(float64(tr.Counters["arcs_after_warm_start"]), "arcs_warm")
-			b.ReportMetric(float64(tr.Counters["arcs_at_wstar"]), "arcs_wstar")
-			b.ReportMetric(float64(tr.Counters["arcs_densest"]), "arcs_densest")
 		})
-	}
-}
-
-// BenchmarkFig9_DDSThreads is Exp-7: PBD/PXY/PWC versus the worker count on
-// the first three directed datasets.
-func BenchmarkFig9_DDSThreads(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range dirAbbrs[:3] {
-		d := dirGraph(b, abbr)
-		for _, p := range []int{1, 2, 4, 8} {
-			b.Run(abbr+"/PWC/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dds.PWC(nil, d, solver.Params{Workers: p})
-				}
-			})
-			b.Run(abbr+"/PXY/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dds.PXY(nil, d, solver.Params{Workers: p})
-				}
-			})
-			b.Run(abbr+"/PBD/p="+itoa(p), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dds.PBD(nil, d, solver.Params{Delta: 2, Epsilon: 1, Workers: p})
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig10_DDSScalability is Exp-8: PBD/PXY/PWC versus the sampled
-// edge fraction on the WE and TW models.
-func BenchmarkFig10_DDSScalability(b *testing.B) {
-	b.ReportAllocs()
-	for _, abbr := range []string{"WE", "TW"} {
-		d := dirGraph(b, abbr)
-		for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-			sub := d.SampleEdges(frac, 8800)
-			label := abbr + "/" + itoa(int(frac*100)) + "pct"
-			b.Run(label+"/PWC", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dds.PWC(nil, sub, solver.Params{Workers: benchWorkers})
-				}
-			})
-			b.Run(label+"/PXY", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dds.PXY(nil, sub, solver.Params{Workers: benchWorkers})
-				}
-			})
-			b.Run(label+"/PBD", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dds.PBD(nil, sub, solver.Params{Delta: 2, Epsilon: 1, Workers: benchWorkers})
-				}
-			})
-		}
 	}
 }
 
@@ -339,12 +65,12 @@ func BenchmarkFig10_DDSScalability(b *testing.B) {
 func BenchmarkAblationEarlyStop(b *testing.B) {
 	b.ReportAllocs()
 	for _, abbr := range []string{"EW", "SK"} {
-		g := undGraph(b, abbr)
+		g := bench.Undirected(abbr, benchScale)
 		b.Run(abbr+"/with", func(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, benchWorkers, nil).Iterations
+				it = core.PKMC(g, 0, nil).Iterations
 			}
 			b.ReportMetric(float64(it), "iters")
 		})
@@ -352,7 +78,7 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 			b.ReportAllocs()
 			var it int
 			for i := 0; i < b.N; i++ {
-				res := core.Local(g, benchWorkers, nil)
+				res := core.Local(g, 0, nil)
 				core.KStarCore(res.CoreNum)
 				it = res.Iterations
 			}
@@ -367,12 +93,12 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 func BenchmarkAblationWarmStart(b *testing.B) {
 	b.ReportAllocs()
 	for _, abbr := range []string{"BA", "WE"} {
-		d := dirGraph(b, abbr)
+		d := bench.Directed(abbr, benchScale)
 		b.Run(abbr+"/with", func(b *testing.B) {
 			b.ReportAllocs()
 			var lv int
 			for i := 0; i < b.N; i++ {
-				lv = dds.WStarSubgraph(d, benchWorkers).Levels
+				lv = dds.WStarSubgraph(d, 0).Levels
 			}
 			b.ReportMetric(float64(lv), "levels")
 		})
@@ -380,7 +106,7 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			b.ReportAllocs()
 			var lv int
 			for i := 0; i < b.N; i++ {
-				lv = dds.WDecompose(d, benchWorkers).Levels
+				lv = dds.WDecompose(d, 0).Levels
 			}
 			b.ReportMetric(float64(lv), "levels")
 		})
@@ -391,7 +117,7 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 // the parallel-for runtime over an adjacency-touching kernel.
 func BenchmarkAblationGrainSize(b *testing.B) {
 	b.ReportAllocs()
-	g := undGraph(b, "SK")
+	g := bench.Undirected("SK", benchScale)
 	n := g.N()
 	var want int64
 	for v := 0; v < n; v++ {
@@ -400,7 +126,7 @@ func BenchmarkAblationGrainSize(b *testing.B) {
 		}
 	}
 	for _, grain := range []int{64, 256, 1024, 4096, 16384} {
-		b.Run("grain="+itoa(grain), func(b *testing.B) {
+		b.Run("grain="+strconv.Itoa(grain), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var total atomic.Int64
@@ -421,36 +147,22 @@ func BenchmarkAblationGrainSize(b *testing.B) {
 	}
 }
 
-func itoa(v int) string { return strconv.Itoa(v) }
-
-// lookup resolves a lineup entry through the solver registry, so the
-// benches run exactly what dsd.SolveUDS/SolveDDS dispatch, with the
-// registered defaults (PBU ε=0.5, PBD δ=2/ε=1).
-func lookup(b *testing.B, kind solver.Kind, name string) solver.Descriptor {
-	b.Helper()
-	d, ok := solver.Lookup(kind, name)
-	if !ok {
-		b.Fatalf("%s algorithm %q not registered", kind, name)
-	}
-	return d
-}
-
 // BenchmarkAblationDegreeOrder quantifies the locality effect of
 // hub-first relabeling on the PKMC sweeps.
 func BenchmarkAblationDegreeOrder(b *testing.B) {
 	b.ReportAllocs()
-	g := undGraph(b, "UN")
+	g := bench.Undirected("UN", benchScale)
 	relabeled, _ := g.RelabelByDegree()
 	b.Run("original", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(g, benchWorkers, nil)
+			core.PKMC(g, 0, nil)
 		}
 	})
 	b.Run("degree-ordered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.PKMC(relabeled, benchWorkers, nil)
+			core.PKMC(relabeled, 0, nil)
 		}
 	})
 }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dsd -in graph.txt [-directed] [-algo pkmc|local|pkc|bz|charikar|greedypp|pbu|pfw|fista|fracpeel|exact|exact-pruned]
-//	    [-algo pwc|pxy|pbs|pfks|pbd|brute]      (directed families)
+//	    [-algo pwc|pxy|pbs|pfks|pbd|pfw|exact|exact-pruned] (directed families)
 //	    [-p N] [-budget 30s] [-timeout 10s] [-verbose]
 //	dsd -in graph.txt -mode replay -mutations stream.txt   # dynamic maintenance
 //	dsd -algorithms [-json]                                # registered-algorithm catalog

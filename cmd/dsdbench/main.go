@@ -9,13 +9,9 @@
 //	dsdbench -exp datasets            # just Tables 4 and 5
 //	dsdbench -json -exp datasets -scale 0.01   # machine-readable artifact
 //
-// Experiments: datasets (Tables 4/5), exp1 (Fig 5), exp2 (Table 6),
-// exp3 (Fig 6), exp4 (Fig 7), exp5 (Fig 8), exp6 (Table 7), exp7 (Fig 9),
-// exp8 (Fig 10), ratios (approximation quality vs exact — every registered
-// non-exact solver), accuracy (FISTA / FracPeel / Greedy++ density vs time
-// across iteration budgets), live (mutation replay: incremental k*-core
-// repair vs full BZ recompute per batch size, -mut-batches to pick the
-// sizes).
+// The experiments are internal/bench's table (bench.Experiments), the same
+// cases the root package's BenchmarkPaper runs: datasets (Tables 4/5),
+// exp1..exp8 (Figs. 5-10, Tables 6-7), ratios, accuracy and live.
 //
 // -json switches from rendered tables to the versioned benchmark artifact:
 // a BENCH_<timestamp>.json file (schema_version, run metadata, measurement
@@ -41,47 +37,6 @@ import (
 	"repro/internal/gen"
 )
 
-// render names how text mode draws an experiment.
-type render int
-
-const (
-	table   render = iota // bench.FormatRows
-	bars                  // bench.RenderBars under -chart, else a table
-	series                // bench.RenderSeries under -chart, else a table
-	catalog               // bench.Datasets: Tables 4/5 next to the paper's sizes
-)
-
-// experiment is one -exp entry. Its rows make the -json report; its
-// renderer and optional speedup lineup (fast against each of slows) make
-// the text output.
-type experiment struct {
-	name   string
-	title  string
-	rows   func(bench.Config) []bench.Row
-	render render
-	fast   string
-	slows  []string
-}
-
-// experiments is every valid -exp name ("all" selects every one), in run
-// order.
-var experiments = []experiment{
-	{name: "datasets", rows: bench.DatasetRows, render: catalog},
-	{name: "exp1", title: "Exp-1 / Fig. 5: UDS efficiency", rows: bench.Exp1, render: bars,
-		fast: "PKMC", slows: []string{"PBU", "Local", "PKC", "PFW"}},
-	{name: "exp2", title: "Exp-2 / Table 6: core-algorithm iteration counts", rows: bench.Exp2},
-	{name: "exp3", title: "Exp-3 / Fig. 6: UDS runtime vs threads", rows: bench.Exp3, render: series},
-	{name: "exp4", title: "Exp-4 / Fig. 7: UDS scalability vs edge fraction", rows: bench.Exp4, render: series},
-	{name: "exp5", title: "Exp-5 / Fig. 8: DDS efficiency (* = budget exhausted)", rows: bench.Exp5, render: bars,
-		fast: "PWC", slows: []string{"PXY", "PBD", "PFW"}},
-	{name: "exp6", title: "Exp-6 / Table 7: arcs processed by PXY vs PWC", rows: bench.Exp6},
-	{name: "exp7", title: "Exp-7 / Fig. 9: DDS runtime vs threads", rows: bench.Exp7, render: series},
-	{name: "exp8", title: "Exp-8 / Fig. 10: DDS scalability vs edge fraction", rows: bench.Exp8, render: series},
-	{name: "ratios", title: "Approximation ratios vs exact (ratio_x1000 = 1000·ρ*/ρ)", rows: bench.Ratios},
-	{name: "accuracy", title: "Accuracy vs time: FISTA / FracPeel / Greedy++ across iteration budgets", rows: bench.Accuracy},
-	{name: "live", title: "Live replay: incremental k*-core repair vs full BZ recompute (per-batch mean seconds)", rows: bench.LiveReplay},
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dsdbench:", err)
@@ -90,9 +45,10 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
+	experiments := bench.Experiments()
 	names := make([]string, len(experiments))
 	for i, e := range experiments {
-		names[i] = e.name
+		names[i] = e.Name
 	}
 	fs := flag.NewFlagSet("dsdbench", flag.ContinueOnError)
 	var (
@@ -111,23 +67,12 @@ func run(args []string, w io.Writer) error {
 	}
 
 	cfg := bench.Config{Scale: *scale, Workers: *workers, Budget: *budget}
-	if *threads != "" {
-		for _, part := range strings.Split(*threads, ",") {
-			var p int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &p); err != nil || p < 1 {
-				return fmt.Errorf("bad -threads entry %q", part)
-			}
-			cfg.ThreadSweep = append(cfg.ThreadSweep, p)
-		}
+	var err error
+	if cfg.ThreadSweep, err = positiveInts("threads", *threads); err != nil {
+		return err
 	}
-	if *mutB != "" {
-		for _, part := range strings.Split(*mutB, ",") {
-			var b int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &b); err != nil || b < 1 {
-				return fmt.Errorf("bad -mut-batches entry %q", part)
-			}
-			cfg.MutBatches = append(cfg.MutBatches, b)
-		}
+	if cfg.MutBatches, err = positiveInts("mut-batches", *mutB); err != nil {
+		return err
 	}
 
 	picked := map[string]bool{}
@@ -138,9 +83,9 @@ func run(args []string, w io.Writer) error {
 		}
 		picked[e] = true
 	}
-	var selected []experiment
+	var selected []bench.Experiment
 	for _, e := range experiments {
-		if picked["all"] || picked[e.name] {
+		if picked["all"] || picked[e.Name] {
 			selected = append(selected, e)
 		}
 	}
@@ -149,34 +94,49 @@ func run(args []string, w io.Writer) error {
 		return writeReport(w, cfg, selected, *outDir)
 	}
 	for _, e := range selected {
-		if e.render == catalog {
-			bench.Datasets(w, cfg)
-			continue
-		}
-		rows := e.rows(cfg)
+		rows := e.Rows(cfg)
 		switch {
-		case *chart && e.render == bars:
-			bench.RenderBars(w, e.title, rows)
-		case *chart && e.render == series:
-			bench.RenderSeries(w, e.title, rows)
+		case e.Render == bench.Catalog:
+			bench.RenderCatalog(w, rows)
+		case *chart && e.Render == bench.Bars:
+			bench.RenderBars(w, e.Title, rows)
+		case *chart && e.Render == bench.Series:
+			bench.RenderSeries(w, e.Title, rows)
 		default:
-			bench.FormatRows(w, e.title, rows)
+			bench.FormatRows(w, e.Title, rows)
 		}
-		if e.fast != "" {
-			printSpeedups(w, rows, e.fast, e.slows)
+		if e.Fast != "" {
+			printSpeedups(w, rows, e.Fast, e.Slows)
 		}
 	}
 	return nil
 }
 
+// positiveInts parses flag name's comma-separated list of positive
+// integers; an empty value yields nil, which Config reads as its default.
+func positiveInts(name, value string) ([]int, error) {
+	if value == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(value, ",") {
+		var v int
+		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil || v < 1 {
+			return nil, fmt.Errorf("bad -%s entry %q", name, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // writeReport runs the selected experiments and writes their rows as a
 // BENCH_<timestamp>.json report into dir.
-func writeReport(w io.Writer, cfg bench.Config, selected []experiment, dir string) error {
+func writeReport(w io.Writer, cfg bench.Config, selected []bench.Experiment, dir string) error {
 	var rows []bench.Row
 	var ran []string
 	for _, e := range selected {
-		rows = append(rows, e.rows(cfg)...)
-		ran = append(ran, e.name)
+		rows = append(rows, e.Rows(cfg)...)
+		ran = append(ran, e.Name)
 	}
 	now := time.Now()
 	report := bench.NewReport(cfg, ran, rows, now)

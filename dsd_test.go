@@ -98,12 +98,12 @@ func TestSolveUDSUnknownAlgo(t *testing.T) {
 
 func TestSolveDDSAllAlgorithms(t *testing.T) {
 	d := fig1b()
-	exact, err := dsd.SolveDDS(d, dsd.AlgoBrute, dsd.Options{})
+	exact, err := dsd.SolveDDS(d, dsd.AlgoExactDDS, dsd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(exact.Density-2.0) > 1e-9 {
-		t.Fatalf("brute density = %v", exact.Density)
+		t.Fatalf("exact density = %v", exact.Density)
 	}
 	for _, algo := range dsd.DDSAlgorithms() {
 		res, err := dsd.SolveDDS(d, algo, dsd.Options{Workers: 2})

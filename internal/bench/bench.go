@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -72,25 +71,26 @@ type Row struct {
 	Extra  map[string]int64 `json:"extra,omitempty"` // experiment-specific counters
 }
 
-// timeIt measures one run's wall time.
-func timeIt(f func()) float64 {
-	start := time.Now()
-	f()
-	return time.Since(start).Seconds()
+// Case is one cell of an experiment: one algorithm run on one dataset
+// under one parameter. Run does the work once and returns the row's
+// measurements (density, iterations, timed_out, Extra); the front end
+// labels and times it — Experiment.Rows for dsdbench, a b.N loop for
+// BenchmarkPaper.
+type Case struct {
+	Dataset, Algorithm, Param string
+	Run                       func() Row
+	// SelfTimed marks a Run that reports an inner timing in Seconds
+	// (live's per-batch means); Rows keeps it instead of timing the run.
+	SelfTimed bool
 }
 
-// timeAlloc measures one run's wall time and heap-allocation count. The
-// Mallocs delta is process-wide, so concurrent background allocation would
-// leak in — dsdbench runs experiments sequentially, which keeps the count
-// attributable to the run.
-func timeAlloc(f func()) (seconds float64, allocs int64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	f()
-	seconds = time.Since(start).Seconds()
-	runtime.ReadMemStats(&after)
-	return seconds, int64(after.Mallocs - before.Mallocs)
+// Name is the case's sub-benchmark name: dataset/algorithm[/param].
+func (c Case) Name() string {
+	name := c.Dataset + "/" + c.Algorithm
+	if c.Param != "" {
+		name += "/" + c.Param
+	}
+	return name
 }
 
 // FormatRows renders rows grouped by dataset in a fixed-width table, one

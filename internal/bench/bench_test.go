@@ -26,9 +26,45 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// runExp runs the named experiment of the shared table.
+func runExp(t *testing.T, name string, cfg Config) []Row {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.Name == name {
+			return e.Rows(cfg)
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return nil
+}
+
+// TestCaseNamesUnique guards BenchmarkPaper's sub-benchmark names: b.Run
+// silently suffixes a colliding name with "#01", so a duplicate case would
+// otherwise go unnoticed.
+func TestCaseNamesUnique(t *testing.T) {
+	exps := map[string]bool{}
+	for _, e := range Experiments() {
+		if exps[e.Name] {
+			t.Fatalf("experiment %q listed twice", e.Name)
+		}
+		exps[e.Name] = true
+		cases := e.Cases(tiny)
+		if len(cases) == 0 {
+			t.Fatalf("%s: no cases", e.Name)
+		}
+		seen := map[string]bool{}
+		for _, c := range cases {
+			if seen[c.Name()] {
+				t.Fatalf("%s: duplicate case %q", e.Name, c.Name())
+			}
+			seen[c.Name()] = true
+		}
+	}
+}
+
 func TestDatasetsRenders(t *testing.T) {
 	var buf bytes.Buffer
-	Datasets(&buf, tiny)
+	RenderCatalog(&buf, runExp(t, "datasets", tiny))
 	out := buf.String()
 	for _, want := range []string{"Table 4", "Table 5", "PT", "TW", "Petster"} {
 		if !strings.Contains(out, want) {
@@ -38,7 +74,7 @@ func TestDatasetsRenders(t *testing.T) {
 }
 
 func TestExp1AllCells(t *testing.T) {
-	rows := Exp1(tiny)
+	rows := runExp(t, "exp1", tiny)
 	if len(rows) != 6*5 {
 		t.Fatalf("exp1 rows = %d, want 30", len(rows))
 	}
@@ -64,7 +100,7 @@ func TestExp1AllCells(t *testing.T) {
 }
 
 func TestExp2IterationOrdering(t *testing.T) {
-	rows := Exp2(tiny)
+	rows := runExp(t, "exp2", tiny)
 	iters := map[string]map[string]int{}
 	for _, r := range rows {
 		if iters[r.Dataset] == nil {
@@ -83,7 +119,7 @@ func TestExp2IterationOrdering(t *testing.T) {
 }
 
 func TestExp3CoversSweep(t *testing.T) {
-	rows := Exp3(tiny)
+	rows := runExp(t, "exp3", tiny)
 	params := map[string]bool{}
 	for _, r := range rows {
 		params[r.Param] = true
@@ -94,7 +130,7 @@ func TestExp3CoversSweep(t *testing.T) {
 }
 
 func TestExp4CoversFractions(t *testing.T) {
-	rows := Exp4(tiny)
+	rows := runExp(t, "exp4", tiny)
 	params := map[string]bool{}
 	for _, r := range rows {
 		params[r.Param] = true
@@ -105,7 +141,7 @@ func TestExp4CoversFractions(t *testing.T) {
 }
 
 func TestExp5AllAlgorithms(t *testing.T) {
-	rows := Exp5(tiny)
+	rows := runExp(t, "exp5", tiny)
 	algos := map[string]int{}
 	for _, r := range rows {
 		algos[r.Algorithm]++
@@ -131,7 +167,7 @@ func TestExp5AllAlgorithms(t *testing.T) {
 }
 
 func TestExp6TableInvariants(t *testing.T) {
-	rows := Exp6(tiny)
+	rows := runExp(t, "exp6", tiny)
 	if len(rows) != 6 {
 		t.Fatalf("exp6 rows = %d", len(rows))
 	}
@@ -150,16 +186,16 @@ func TestExp6TableInvariants(t *testing.T) {
 }
 
 func TestExp7And8Run(t *testing.T) {
-	if rows := Exp7(tiny); len(rows) != 3*2*3 {
+	if rows := runExp(t, "exp7", tiny); len(rows) != 3*2*3 {
 		t.Fatalf("exp7 rows = %d, want 18", len(rows))
 	}
-	if rows := Exp8(tiny); len(rows) != 2*2*3 {
+	if rows := runExp(t, "exp8", tiny); len(rows) != 2*2*3 {
 		t.Fatalf("exp8 rows = %d, want 12", len(rows))
 	}
 }
 
 func TestRatiosWithinBounds(t *testing.T) {
-	rows := Ratios(tiny)
+	rows := runExp(t, "ratios", tiny)
 	if len(rows) == 0 {
 		t.Fatal("no ratio rows")
 	}

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // RenderBars draws rows as a horizontal log-scale bar chart grouped by
@@ -58,9 +62,7 @@ func RenderBars(w io.Writer, title string, rows []Row) {
 	var order []string
 	groups := map[string][]Row{}
 	for _, r := range rows {
-		if _, ok := groups[r.Dataset]; !ok {
-			order = append(order, r.Dataset)
-		}
+		order = appendNew(order, r.Dataset)
 		groups[r.Dataset] = append(groups[r.Dataset], r)
 	}
 	for _, ds := range order {
@@ -91,33 +93,16 @@ func RenderSeries(w io.Writer, title string, rows []Row) {
 		fmt.Fprintln(w, "(no rows)")
 		return
 	}
-	var dsOrder, paramOrder []string
-	seenDS := map[string]bool{}
-	seenParam := map[string]bool{}
-	type cell struct{ sec float64 }
-	table := map[string]map[string]map[string]cell{} // dataset -> algo -> param
-	var algoOrder []string
-	seenAlgo := map[string]bool{}
+	type cell struct{ ds, algo, param string }
+	var dsOrder, paramOrder, algoOrder []string
+	secs := map[cell]float64{}
+	ran := map[cell]bool{} // (dataset, algorithm) pairs, param empty
 	for _, r := range rows {
-		if !seenDS[r.Dataset] {
-			seenDS[r.Dataset] = true
-			dsOrder = append(dsOrder, r.Dataset)
-		}
-		if !seenParam[r.Param] {
-			seenParam[r.Param] = true
-			paramOrder = append(paramOrder, r.Param)
-		}
-		if !seenAlgo[r.Algorithm] {
-			seenAlgo[r.Algorithm] = true
-			algoOrder = append(algoOrder, r.Algorithm)
-		}
-		if table[r.Dataset] == nil {
-			table[r.Dataset] = map[string]map[string]cell{}
-		}
-		if table[r.Dataset][r.Algorithm] == nil {
-			table[r.Dataset][r.Algorithm] = map[string]cell{}
-		}
-		table[r.Dataset][r.Algorithm][r.Param] = cell{sec: r.Seconds}
+		dsOrder = appendNew(dsOrder, r.Dataset)
+		paramOrder = appendNew(paramOrder, r.Param)
+		algoOrder = appendNew(algoOrder, r.Algorithm)
+		secs[cell{r.Dataset, r.Algorithm, r.Param}] = r.Seconds
+		ran[cell{ds: r.Dataset, algo: r.Algorithm}] = true
 	}
 	sort.Strings(algoOrder)
 	for _, ds := range dsOrder {
@@ -128,14 +113,13 @@ func RenderSeries(w io.Writer, title string, rows []Row) {
 		}
 		fmt.Fprintln(w)
 		for _, algo := range algoOrder {
-			cells, ok := table[ds][algo]
-			if !ok {
+			if !ran[cell{ds: ds, algo: algo}] {
 				continue
 			}
 			fmt.Fprintf(w, "  %-10s", algo)
 			for _, p := range paramOrder {
-				if c, ok := cells[p]; ok {
-					fmt.Fprintf(w, " %9.4fs", c.sec)
+				if sec, ok := secs[cell{ds, algo, p}]; ok {
+					fmt.Fprintf(w, " %9.4fs", sec)
 				} else {
 					fmt.Fprintf(w, " %10s", "-")
 				}
@@ -144,4 +128,39 @@ func RenderSeries(w io.Writer, title string, rows []Row) {
 		}
 	}
 	fmt.Fprintln(w)
+}
+
+// appendNew appends s to list unless list already holds it.
+func appendNew(list []string, s string) []string {
+	if slices.Contains(list, s) {
+		return list
+	}
+	return append(list, s)
+}
+
+// RenderCatalog draws the datasets experiment's rows as Tables 4 and 5 —
+// the paper's sizes next to each scale model's — followed by one stats
+// line per model.
+func RenderCatalog(w io.Writer, rows []Row) {
+	var und, dir []graph.Stats
+	for _, r := range rows {
+		e := r.Extra
+		s := graph.Stats{Name: r.Dataset, N: int(e["n"]), M: e["m"], MaxDeg: int32(e["max_deg"]),
+			MaxOutDeg: int32(e["max_out_deg"]), MaxInDeg: int32(e["max_in_deg"])}
+		if _, s.Directed = e["max_out_deg"]; s.Directed {
+			s.AvgDeg = float64(s.M) / float64(s.N)
+			dir = append(dir, s)
+		} else {
+			s.AvgDeg = 2 * float64(s.M) / float64(s.N)
+			und = append(und, s)
+		}
+	}
+	io.WriteString(w, "== Table 4: undirected datasets (paper vs scale model) ==\n")
+	io.WriteString(w, gen.FormatCatalog(gen.UndirectedCatalog(), und))
+	io.WriteString(w, "\n== Table 5: directed datasets (paper vs scale model) ==\n")
+	io.WriteString(w, gen.FormatCatalog(gen.DirectedCatalog(), dir))
+	io.WriteString(w, "\n")
+	for _, s := range append(und, dir...) {
+		io.WriteString(w, s.String()+"\n")
+	}
 }

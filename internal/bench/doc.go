@@ -4,8 +4,10 @@
 // Fig. 7) and Exp-5..8 for DDS (Fig. 8, Table 7, Fig. 9, Fig. 10), plus an
 // extra approximation-ratio experiment the paper defers to prior work.
 //
-// Every experiment returns machine-readable rows and renders the same
-// rows/series the paper reports. Absolute times are not comparable to the
+// Experiments holds the one table of experiments. Each expands into cases
+// (dataset, algorithm, param) that dsdbench runs once and the root
+// package's BenchmarkPaper runs b.N times, so both report the same rows
+// the paper does. Absolute times are not comparable to the
 // paper's dual-Xeon testbed — the scale models are ~1/1000 of the original
 // datasets — but the comparison shape (who wins, by what rough factor,
 // where baselines blow the budget) is the reproduction target; see

@@ -1,358 +1,365 @@
 package bench
 
 import (
-	"io"
+	"runtime"
 	"strconv"
+	"sync"
+	"time"
 
 	"repro/internal/dds"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/solver"
 	"repro/internal/trace"
-	"repro/internal/uds"
 )
 
-// lineup resolves registry names into the descriptors a figure compares.
-// Runs pass only Workers (and, for DDS, the Budget), so every other knob
-// hits the solver's registered defaults — the paper's settings (PFW ε=1 →
-// default iteration budget; PBU ε=0.5; PBD δ=2, ε=1). An unregistered name
-// panics: the lineup is wired at build time and a typo should fail the
-// first run, not silently drop a bar from a figure.
-func lineup(kind solver.Kind, names ...string) []solver.Descriptor {
-	out := make([]solver.Descriptor, 0, len(names))
-	for _, n := range names {
-		d, ok := solver.Lookup(kind, n)
-		if !ok {
-			panic("bench: " + string(kind) + " algorithm not registered: " + n)
+// Render names how dsdbench's text mode draws an experiment's rows.
+type Render int
+
+const (
+	Table   Render = iota // FormatRows
+	Bars                  // RenderBars under -chart, else a table
+	Series                // RenderSeries under -chart, else a table
+	Catalog               // RenderCatalog: Tables 4/5 next to the paper's sizes
+)
+
+// Experiment is one table or figure of the evaluation. dsdbench's text and
+// JSON output and the root package's BenchmarkPaper all run its Cases.
+type Experiment struct {
+	Name   string
+	Title  string
+	Render Render
+	// Fast and Slows are the speedup lineup printed under the text table:
+	// how many times faster Fast ran than each of Slows, per dataset.
+	Fast  string
+	Slows []string
+	cases func(Config) []Case
+}
+
+// Cases expands the experiment under cfg. It builds the inputs — catalog
+// models come from the shared per-process cache — but runs no case.
+func (e Experiment) Cases(cfg Config) []Case { return e.cases(cfg.withDefaults()) }
+
+// Rows runs every case once, in order, and returns the labeled rows, each
+// timed with its heap allocations unless the case is SelfTimed. The Mallocs
+// delta is process-wide, so concurrent background allocation would leak
+// in; running cases sequentially keeps the count attributable to the run.
+func (e Experiment) Rows(cfg Config) []Row {
+	cases := e.Cases(cfg)
+	rows := make([]Row, 0, len(cases))
+	var before, after runtime.MemStats
+	for _, c := range cases {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		r := c.Run()
+		sec := time.Since(start).Seconds()
+		runtime.ReadMemStats(&after)
+		if !c.SelfTimed {
+			r.Seconds, r.Allocs = sec, int64(after.Mallocs-before.Mallocs)
 		}
-		out = append(out, d)
+		r.Experiment, r.Dataset, r.Algorithm, r.Param = e.Name, c.Dataset, c.Algorithm, c.Param
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+var (
+	undirectedModels = []string{"PT", "EW", "EU", "IT", "SK", "UN"}
+	directedModels   = []string{"AM", "AR", "BA", "DL", "WE", "TW"}
+)
+
+// Experiments returns the evaluation's experiment table in run order; its
+// Names are dsdbench's -exp values.
+func Experiments() []Experiment {
+	udsFive := []string{"pfw", "pbu", "local", "pkc", "pkmc"}
+	coreBased := []string{"pbd", "pxy", "pwc"}
+	return []Experiment{
+		{Name: "datasets", Render: Catalog, cases: datasetCases},
+		{Name: "exp1", Title: "Exp-1 / Fig. 5: UDS efficiency", Render: Bars,
+			Fast: "PKMC", Slows: []string{"PBU", "Local", "PKC", "PFW"},
+			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: udsFive}.cases},
+		{Name: "exp2", Title: "Exp-2 / Table 6: core-algorithm iteration counts",
+			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: []string{"local", "pkc", "pkmc"}}.cases},
+		// PFW is dominated by orders of magnitude; Fig. 6's timing detail
+		// is about the core-based methods and PBU.
+		{Name: "exp3", Title: "Exp-3 / Fig. 6: UDS runtime vs threads", Render: Series,
+			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels[:3], algos: udsFive[1:], axis: threads}.cases},
+		{Name: "exp4", Title: "Exp-4 / Fig. 7: UDS scalability vs edge fraction", Render: Series,
+			cases: sweep{kind: solver.KindUDS, datasets: []string{"SK", "UN"}, algos: udsFive, axis: fractions, seed: 7700}.cases},
+		{Name: "exp5", Title: "Exp-5 / Fig. 8: DDS efficiency (* = budget exhausted)", Render: Bars,
+			Fast: "PWC", Slows: []string{"PXY", "PBD", "PFW"},
+			cases: sweep{kind: solver.KindDDS, datasets: directedModels, algos: []string{"pbs", "pfks", "pfw", "pbd", "pxy", "pwc"}}.cases},
+		{Name: "exp6", Title: "Exp-6 / Table 7: arcs processed by PXY vs PWC", cases: arcCases},
+		// The baselines PBS, PFKS and PFW are omitted from Figs. 9 and 10,
+		// as in the paper.
+		{Name: "exp7", Title: "Exp-7 / Fig. 9: DDS runtime vs threads", Render: Series,
+			cases: sweep{kind: solver.KindDDS, datasets: directedModels[:3], algos: coreBased, axis: threads}.cases},
+		{Name: "exp8", Title: "Exp-8 / Fig. 10: DDS scalability vs edge fraction", Render: Series,
+			cases: sweep{kind: solver.KindDDS, datasets: []string{"WE", "TW"}, algos: coreBased, axis: fractions, seed: 8800}.cases},
+		{Name: "ratios", Title: "Approximation ratios vs exact (ratio_x1000 = 1000·ρ*/ρ)", cases: ratioCases},
+		{Name: "accuracy", Title: "Accuracy vs time: FISTA / FracPeel / Greedy++ across iteration budgets", cases: accuracyCases},
+		{Name: "live", Title: "Live replay: incremental k*-core repair vs full BZ recompute (per-batch mean seconds)", cases: liveCases},
+	}
+}
+
+// axis is the parameter a sweep varies.
+type axis int
+
+const (
+	single    axis = iota // one run per dataset at cfg.Workers
+	threads               // one run per cfg.ThreadSweep entry
+	fractions             // one run per cfg.Fractions entry, on an edge sample seeded seed+100·frac
+)
+
+// sweep declares one efficiency figure: the registry algorithms of kind, in
+// bar order, on each catalog model, across axis. Runs pass only Workers
+// (and, for DDS, cfg.Budget), so every other knob takes the solver's
+// registered default — the paper's settings (PFW ε=1 → default iteration
+// budget; PBU ε=0.5; PBD δ=2, ε=1).
+type sweep struct {
+	kind     solver.Kind
+	datasets []string // catalog abbreviations
+	algos    []string // registry names
+	axis     axis
+	seed     int64 // sample-seed base of the fractions axis
+}
+
+func (s sweep) cases(cfg Config) []Case {
+	type point struct {
+		label   string
+		workers int
+		frac    float64
+	}
+	points := []point{{workers: cfg.Workers, frac: 1}}
+	switch s.axis {
+	case threads:
+		points = points[:0]
+		for _, p := range cfg.ThreadSweep {
+			points = append(points, point{"p=" + strconv.Itoa(p), p, 1})
+		}
+	case fractions:
+		points = points[:0]
+		for _, f := range cfg.Fractions {
+			points = append(points, point{strconv.Itoa(int(f*100+0.5)) + "%", cfg.Workers, f})
+		}
+	}
+	var out []Case
+	for _, abbr := range s.datasets {
+		for _, pt := range points {
+			in := sample(model(abbr, cfg.Scale), pt.frac, s.seed+int64(pt.frac*100))
+			p := solver.Params{Workers: pt.workers}
+			if s.kind == solver.KindDDS {
+				p.Budget = cfg.Budget
+			}
+			for _, name := range s.algos {
+				d := lookup(s.kind, name)
+				out = append(out, Case{Dataset: abbr, Algorithm: d.Display, Param: pt.label,
+					Run: func() Row { return solve(d, in, p) }})
+			}
+		}
 	}
 	return out
 }
 
-// udsLineup returns the paper's five compared UDS algorithms.
-func udsLineup() []solver.Descriptor {
-	return lineup(solver.KindUDS, "pfw", "pbu", "local", "pkc", "pkmc")
+// sample keeps each edge of g (a *graph.Undirected or *graph.Directed) with
+// probability frac; frac 1 returns g itself.
+func sample(g any, frac float64, seed int64) any {
+	if u, ok := g.(*graph.Undirected); ok {
+		return u.SampleEdges(frac, seed)
+	}
+	return g.(*graph.Directed).SampleEdges(frac, seed)
 }
 
-// ddsLineup returns the paper's six compared DDS algorithms.
-func ddsLineup() []solver.Descriptor {
-	return lineup(solver.KindDDS, "pbs", "pfks", "pfw", "pbd", "pxy", "pwc")
+// lookup resolves a registry name. An unregistered name panics: the
+// lineups are wired at build time, and a typo should fail the first run,
+// not silently drop a bar from a figure.
+func lookup(kind solver.Kind, name string) solver.Descriptor {
+	d, ok := solver.Lookup(kind, name)
+	if !ok {
+		panic("bench: " + string(kind) + " algorithm not registered: " + name)
+	}
+	return d
 }
 
-// runUDS solves g with one lineup entry; a solver error (impossible with
-// the nil context) panics.
-func runUDS(d solver.Descriptor, g *graph.Undirected, p solver.Params) solver.Result {
-	r, err := d.SolveUDS(nil, g, p)
+// solve runs d once on g, a *graph.Undirected or *graph.Directed. A solver
+// error, impossible with the nil context, panics.
+func solve(d solver.Descriptor, g any, p solver.Params) Row {
+	if u, ok := g.(*graph.Undirected); ok {
+		r, err := d.SolveUDS(nil, u, p)
+		if err != nil {
+			panic("bench: " + d.Name + ": " + err.Error())
+		}
+		return Row{Density: r.Density, Iterations: r.Iterations}
+	}
+	r, err := d.SolveDDS(nil, g.(*graph.Directed), p)
 	if err != nil {
 		panic("bench: " + d.Name + ": " + err.Error())
 	}
-	return r
+	return Row{Density: r.Density, Iterations: r.Iterations, TimedOut: r.TimedOut}
 }
 
-// runDDS is runUDS's directed twin.
-func runDDS(d solver.Descriptor, g *graph.Directed, p solver.Params) solver.DirectedResult {
-	r, err := d.SolveDDS(nil, g, p)
-	if err != nil {
-		panic("bench: " + d.Name + ": " + err.Error())
-	}
-	return r
+type modelKey struct {
+	abbr  string
+	scale float64
 }
 
-// Datasets regenerates Tables 4 and 5: materialize each scale model and
-// report its statistics next to the paper's original sizes.
-func Datasets(w io.Writer, cfg Config) {
-	cfg = cfg.withDefaults()
-	var undStats, dirStats []graph.Stats
-	for _, ds := range gen.UndirectedCatalog() {
-		undStats = append(undStats, ds.BuildUndirected(cfg.Scale).Summarize(ds.Abbr))
+// models caches every catalog model the process has built; graphs are
+// immutable, so sharing them cannot couple two experiments.
+var models = struct {
+	sync.Mutex
+	built map[modelKey]any
+}{built: map[modelKey]any{}}
+
+// model returns catalog model abbr at scale — a *graph.Undirected or
+// *graph.Directed — built once per process and shared by every experiment
+// and benchmark. The largest model at scale 0.1 has 179k edges, so keeping
+// all twelve resident is cheap.
+func model(abbr string, scale float64) any {
+	models.Lock()
+	defer models.Unlock()
+	k := modelKey{abbr, scale}
+	if g, ok := models.built[k]; ok {
+		return g
 	}
-	for _, ds := range gen.DirectedCatalog() {
-		dirStats = append(dirStats, ds.BuildDirected(cfg.Scale).Summarize(ds.Abbr))
+	ds, ok := gen.FindDataset(abbr)
+	if !ok {
+		panic("bench: unknown dataset " + abbr)
 	}
-	io.WriteString(w, "== Table 4: undirected datasets (paper vs scale model) ==\n")
-	io.WriteString(w, gen.FormatCatalog(gen.UndirectedCatalog(), undStats))
-	io.WriteString(w, "\n== Table 5: directed datasets (paper vs scale model) ==\n")
-	io.WriteString(w, gen.FormatCatalog(gen.DirectedCatalog(), dirStats))
-	io.WriteString(w, "\n")
-	for _, s := range append(undStats, dirStats...) {
-		io.WriteString(w, s.String()+"\n")
+	var g any
+	if ds.Directed {
+		g = ds.BuildDirected(scale)
+	} else {
+		g = ds.BuildUndirected(scale)
 	}
+	models.built[k] = g
+	return g
 }
 
-// Exp1 reproduces Fig. 5: UDS efficiency of the five algorithms on the six
-// undirected datasets at the default thread count.
-func Exp1(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.UndirectedCatalog() {
-		g := ds.BuildUndirected(cfg.Scale)
-		for _, a := range udsLineup() {
-			var res solver.Result
-			sec, allocs := timeAlloc(func() { res = runUDS(a, g, solver.Params{Workers: cfg.Workers}) })
-			rows = append(rows, Row{
-				Experiment: "exp1", Dataset: ds.Abbr, Algorithm: a.Display,
-				Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-			})
-		}
-	}
-	return rows
+// Undirected returns the shared undirected catalog model abbr at scale.
+func Undirected(abbr string, scale float64) *graph.Undirected {
+	return model(abbr, scale).(*graph.Undirected)
 }
 
-// Exp2 reproduces Table 6: iteration counts of the three core-based UDS
-// algorithms (PKC level peeling vs Local full convergence vs PKMC early
-// stop) on the six undirected datasets.
-func Exp2(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.UndirectedCatalog() {
-		g := ds.BuildUndirected(cfg.Scale)
-		for _, a := range udsLineup() {
-			if a.Display != "PKC" && a.Display != "Local" && a.Display != "PKMC" {
-				continue
+// Directed returns the shared directed catalog model abbr at scale.
+func Directed(abbr string, scale float64) *graph.Directed {
+	return model(abbr, scale).(*graph.Directed)
+}
+
+// datasetCases regenerates Tables 4 and 5: one case per catalog model,
+// reporting its materialized sizes in Extra. Building the model is the
+// case's work, so its first run in a process times the generator.
+func datasetCases(cfg Config) []Case {
+	var out []Case
+	for _, abbr := range gen.DatasetAbbrs() {
+		out = append(out, Case{Dataset: abbr, Algorithm: "-", Run: func() Row {
+			if g, ok := model(abbr, cfg.Scale).(*graph.Undirected); ok {
+				return Row{Extra: map[string]int64{"n": int64(g.N()), "m": g.M(), "max_deg": int64(g.MaxDegree())}}
 			}
-			var res solver.Result
-			sec, allocs := timeAlloc(func() { res = runUDS(a, g, solver.Params{Workers: cfg.Workers}) })
-			rows = append(rows, Row{
-				Experiment: "exp2", Dataset: ds.Abbr, Algorithm: a.Display,
-				Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-			})
-		}
+			d := Directed(abbr, cfg.Scale)
+			return Row{Extra: map[string]int64{"n": int64(d.N()), "m": d.M(),
+				"max_out_deg": int64(d.MaxOutDegree()), "max_in_deg": int64(d.MaxInDegree())}}
+		}})
 	}
-	return rows
+	return out
 }
 
-// Exp3 reproduces Fig. 6: UDS runtime versus thread count p on the first
-// three undirected datasets.
-func Exp3(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.UndirectedCatalog()[:3] {
-		g := ds.BuildUndirected(cfg.Scale)
-		for _, p := range cfg.ThreadSweep {
-			for _, a := range udsLineup() {
-				if a.Display == "PFW" {
-					continue // dominated by orders of magnitude; Fig. 6 timing detail is about the core-based methods and PBU
-				}
-				var res solver.Result
-				sec, allocs := timeAlloc(func() { res = runUDS(a, g, solver.Params{Workers: p}) })
-				rows = append(rows, Row{
-					Experiment: "exp3", Dataset: ds.Abbr, Algorithm: a.Display,
-					Param: pLabel(p), Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-				})
-			}
-		}
-	}
-	return rows
-}
-
-// Exp4 reproduces Fig. 7: UDS runtime versus sampled edge fraction on the
-// SK and UN models.
-func Exp4(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, abbr := range []string{"SK", "UN"} {
-		ds, _ := gen.FindDataset(abbr)
-		g := ds.BuildUndirected(cfg.Scale)
-		for _, frac := range cfg.Fractions {
-			sub := g.SampleEdges(frac, 7700+int64(frac*100))
-			for _, a := range udsLineup() {
-				var res solver.Result
-				sec, allocs := timeAlloc(func() { res = runUDS(a, sub, solver.Params{Workers: cfg.Workers}) })
-				rows = append(rows, Row{
-					Experiment: "exp4", Dataset: ds.Abbr, Algorithm: a.Display,
-					Param: fracLabel(frac), Seconds: sec, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-				})
-			}
-		}
-	}
-	return rows
-}
-
-// Exp5 reproduces Fig. 8: DDS efficiency of the six algorithms on the six
-// directed datasets under the time budget (bars that hit the budget are
-// the paper's "cannot finish within 10⁵ seconds").
-func Exp5(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.DirectedCatalog() {
-		d := ds.BuildDirected(cfg.Scale)
-		for _, a := range ddsLineup() {
-			var res solver.DirectedResult
-			sec, allocs := timeAlloc(func() { res = runDDS(a, d, solver.Params{Workers: cfg.Workers, Budget: cfg.Budget}) })
-			rows = append(rows, Row{
-				Experiment: "exp5", Dataset: ds.Abbr, Algorithm: a.Display,
-				Seconds: sec, TimedOut: res.TimedOut, Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-			})
-		}
-	}
-	return rows
-}
-
-// Exp6 reproduces Table 7: the number of arcs each core-based DDS
+// arcCases reproduces Table 7: the number of arcs each core-based DDS
 // algorithm actually processes — all m for every PXY candidate, versus
 // PWC's warm-start remainder, w*-subgraph, and final core.
-func Exp6(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.DirectedCatalog() {
-		d := ds.BuildDirected(cfg.Scale)
-		tr := &trace.Trace{}
-		res, _ := dds.PWC(nil, d, solver.Params{Workers: cfg.Workers, Trace: tr}) // a nil ctx never cancels
-		c := tr.Counters
-		rows = append(rows, Row{
-			Experiment: "exp6", Dataset: ds.Abbr, Algorithm: "PWC",
-			Density: res.Density, Iterations: int(c["levels"]),
-			Extra: map[string]int64{
+func arcCases(cfg Config) []Case {
+	var out []Case
+	for _, abbr := range directedModels {
+		d := Directed(abbr, cfg.Scale)
+		out = append(out, Case{Dataset: abbr, Algorithm: "PWC", Run: func() Row {
+			tr := &trace.Trace{}
+			res, _ := dds.PWC(nil, d, solver.Params{Workers: cfg.Workers, Trace: tr}) // a nil ctx never cancels
+			c := tr.Counters
+			return Row{Density: res.Density, Iterations: int(c["levels"]), Extra: map[string]int64{
 				"PXY":    c["arcs_input"],
 				"PWC1":   c["arcs_after_warm_start"],
 				"PWCw*":  c["arcs_at_wstar"],
 				"PWCD*":  c["arcs_densest"],
 				"wstar":  c["wstar"],
 				"levels": c["levels"],
-			},
-		})
+			}}
+		}})
 	}
-	return rows
+	return out
 }
 
-// Exp7 reproduces Fig. 9: DDS runtime versus thread count p for PBD, PXY
-// and PWC on the first three directed datasets (the baselines PBS/PFKS/PFW
-// are omitted as in the paper).
-func Exp7(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.DirectedCatalog()[:3] {
-		d := ds.BuildDirected(cfg.Scale)
-		for _, p := range cfg.ThreadSweep {
-			for _, a := range ddsLineup() {
-				if a.Display != "PBD" && a.Display != "PXY" && a.Display != "PWC" {
-					continue
-				}
-				var res solver.DirectedResult
-				sec, allocs := timeAlloc(func() { res = runDDS(a, d, solver.Params{Workers: p, Budget: cfg.Budget}) })
-				rows = append(rows, Row{
-					Experiment: "exp7", Dataset: ds.Abbr, Algorithm: a.Display,
-					Param: pLabel(p), Seconds: sec, TimedOut: res.TimedOut,
-					Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-				})
-			}
-		}
-	}
-	return rows
+// plantedClique is the small instance of the ratios and accuracy
+// experiments: an ER body with a planted 14-clique.
+func plantedClique() *graph.Undirected {
+	g, _ := gen.PlantClique(gen.ErdosRenyi(400, 1200, 31), 14, 32)
+	return g
 }
 
-// Exp8 reproduces Fig. 10: DDS runtime versus sampled edge fraction on the
-// WE and TW models for PBD, PXY and PWC.
-func Exp8(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, abbr := range []string{"WE", "TW"} {
-		ds, _ := gen.FindDataset(abbr)
-		d := ds.BuildDirected(cfg.Scale)
-		for _, frac := range cfg.Fractions {
-			sub := d.SampleEdges(frac, 8800+int64(frac*100))
-			for _, a := range ddsLineup() {
-				if a.Display != "PBD" && a.Display != "PXY" && a.Display != "PWC" {
-					continue
-				}
-				var res solver.DirectedResult
-				sec, allocs := timeAlloc(func() { res = runDDS(a, sub, solver.Params{Workers: cfg.Workers, Budget: cfg.Budget}) })
-				rows = append(rows, Row{
-					Experiment: "exp8", Dataset: ds.Abbr, Algorithm: a.Display,
-					Param: fracLabel(frac), Seconds: sec, TimedOut: res.TimedOut,
-					Density: res.Density, Iterations: res.Iterations, Allocs: allocs,
-				})
-			}
-		}
-	}
-	return rows
+// optimum is g's exact densest-subgraph density, from the kind's
+// exact-pruned solver.
+func optimum(kind solver.Kind, g any) float64 {
+	return solve(lookup(kind, "exact-pruned"), g, solver.Params{}).Density
 }
 
-// Ratios measures the empirical approximation ratio ρ*/ρ(found) of every
-// registered non-exact algorithm against the exact flow solvers on small
+// ratio is the Extra counter of a density against the exact optimum.
+func ratio(opt, density float64) map[string]int64 {
+	return map[string]int64{"ratio_x1000": int64(1000 * opt / density)}
+}
+
+// ratioCases measures the empirical approximation ratio ρ*/ρ(found) of
+// every registered non-exact algorithm against the exact optimum on small
 // planted instances — the effectiveness check the paper cites from prior
 // work (its §VI-A Remark). The lineup is the solver registry minus the
 // exact-grade entries, so a newly registered approximation shows up here
 // with no bench change.
-func Ratios(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-
-	// Undirected: ER body with a planted clique.
-	base := gen.ErdosRenyi(400, 1200, 31)
-	g, _ := gen.PlantClique(base, 14, 32)
-	exact, _ := uds.Exact(nil, g, solver.Params{}) // a nil ctx never cancels
-	opt := exact.Density
-	for _, d := range solver.List(solver.KindUDS) {
-		if d.Grade == solver.GradeExact {
-			continue
-		}
-		res, err := d.SolveUDS(nil, g, solver.Params{Workers: cfg.Workers})
-		if err != nil || res.Density <= 0 {
-			continue
-		}
-		rows = append(rows, Row{
-			Experiment: "ratios", Dataset: "clique", Algorithm: d.Display,
-			Density: res.Density,
-			Extra:   map[string]int64{"ratio_x1000": int64(1000 * opt / res.Density)},
-		})
+func ratioCases(cfg Config) []Case {
+	d, _, _ := gen.PlantBiclique(gen.ErdosRenyiDirected(80, 320, 33), 7, 10, 34)
+	instances := []struct {
+		name string
+		kind solver.Kind
+		g    any
+		p    solver.Params
+	}{
+		{"clique", solver.KindUDS, plantedClique(), solver.Params{Workers: cfg.Workers}},
+		{"biclique", solver.KindDDS, d, solver.Params{Workers: cfg.Workers, Budget: cfg.Budget}},
 	}
-
-	// Directed: ER body with a planted biclique. The instance is small
-	// because the exact DDS oracle enumerates O(n²) ratios with one
-	// min-cut binary search each — n=80 keeps the oracle under a second.
-	dbase := gen.ErdosRenyiDirected(80, 320, 33)
-	d, _, _ := gen.PlantBiclique(dbase, 7, 10, 34)
-	dexact, _ := dds.Exact(nil, d, solver.Params{}) // a nil ctx never cancels
-	dopt := dexact.Density
-	for _, desc := range solver.List(solver.KindDDS) {
-		if desc.Grade == solver.GradeExact {
-			continue
+	var out []Case
+	for _, in := range instances {
+		opt := optimum(in.kind, in.g)
+		for _, desc := range solver.List(in.kind) {
+			if desc.Grade == solver.GradeExact {
+				continue
+			}
+			out = append(out, Case{Dataset: in.name, Algorithm: desc.Display, Run: func() Row {
+				r := solve(desc, in.g, in.p)
+				return Row{Density: r.Density, TimedOut: r.TimedOut, Extra: ratio(opt, r.Density)}
+			}})
 		}
-		res, err := desc.SolveDDS(nil, d, solver.Params{Workers: cfg.Workers, Budget: cfg.Budget})
-		if err != nil || res.Density <= 0 {
-			continue
-		}
-		rows = append(rows, Row{
-			Experiment: "ratios", Dataset: "biclique", Algorithm: desc.Display,
-			Density: res.Density, TimedOut: res.TimedOut,
-			Extra: map[string]int64{"ratio_x1000": int64(1000 * dopt / res.Density)},
-		})
 	}
-	return rows
+	return out
 }
 
-// Accuracy produces the accuracy-versus-time trajectories of the
+// accuracyCases produces the accuracy-versus-time trajectories of the
 // convex-programming solvers: FISTA and FracPeel against GreedyPP across
 // growing iteration budgets on the planted-clique instance, each row
 // carrying wall time, achieved density, and the ratio against the exact
 // optimum — the Zhou-et-al-style convergence comparison the registry's
 // (1+ε) entries are judged by. FISTA runs with a negligible ε so the
 // iteration budget, not the early stop, ends each run.
-func Accuracy(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	base := gen.ErdosRenyi(400, 1200, 31)
-	g, _ := gen.PlantClique(base, 14, 32)
-	exact, _ := uds.Exact(nil, g, solver.Params{}) // a nil ctx never cancels
-	opt := exact.Density
-	var rows []Row
-	for _, d := range lineup(solver.KindUDS, "fista", "fracpeel", "greedypp") {
+func accuracyCases(cfg Config) []Case {
+	g := plantedClique()
+	opt := optimum(solver.KindUDS, g)
+	var out []Case
+	for _, name := range []string{"fista", "fracpeel", "greedypp"} {
+		d := lookup(solver.KindUDS, name)
 		for _, iters := range []int{5, 10, 25, 50, 100} {
-			var res solver.Result
-			sec, allocs := timeAlloc(func() {
-				res = runUDS(d, g, solver.Params{Workers: cfg.Workers, Iterations: iters, Epsilon: 1e-9})
-			})
-			rows = append(rows, Row{
-				Experiment: "accuracy", Dataset: "clique", Algorithm: d.Display,
-				Param: "iters=" + strconv.Itoa(iters), Seconds: sec, Allocs: allocs,
-				Density: res.Density, Iterations: res.Iterations,
-				Extra: map[string]int64{"ratio_x1000": int64(1000 * opt / res.Density)},
-			})
+			p := solver.Params{Workers: cfg.Workers, Iterations: iters, Epsilon: 1e-9}
+			out = append(out, Case{Dataset: "clique", Algorithm: d.Display, Param: "iters=" + strconv.Itoa(iters),
+				Run: func() Row {
+					r := solve(d, g, p)
+					r.Extra = ratio(opt, r.Density)
+					return r
+				}})
 		}
 	}
-	return rows
+	return out
 }
-
-func pLabel(p int) string        { return "p=" + strconv.Itoa(p) }
-func fracLabel(f float64) string { return strconv.Itoa(int(f*100+0.5)) + "%" }

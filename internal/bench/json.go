@@ -7,11 +7,8 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/dds"
-	"repro/internal/gen"
 	"repro/internal/solver"
 	"repro/internal/trace"
-	"repro/internal/uds"
 )
 
 // SchemaVersion identifies the BENCH_*.json report layout. Bump it on any
@@ -105,61 +102,22 @@ func NewReport(cfg Config, selected []string, rows []Row, generatedAt time.Time)
 func CollectTraces(cfg Config) []TraceEntry {
 	cfg = cfg.withDefaults()
 	var out []TraceEntry
-
-	pt := gen.UndirectedCatalog()[0]
-	g := pt.BuildUndirected(cfg.Scale)
-	tr := &trace.Trace{}
-	// A nil ctx never cancels, so neither solve can fail.
-	var udsRes solver.Result
-	sec := tracedRun(tr, func() { udsRes, _ = uds.PKMC(nil, g, solver.Params{Workers: cfg.Workers, Trace: tr}) })
-	out = append(out, TraceEntry{
-		Dataset: pt.Abbr, Algorithm: udsRes.Algorithm, Seconds: sec,
-		Density: udsRes.Density, Trace: tr,
-	})
-
-	am := gen.DirectedCatalog()[0]
-	d := am.BuildDirected(cfg.Scale)
-	tr = &trace.Trace{}
-	var ddsRes solver.DirectedResult
-	sec = tracedRun(tr, func() { ddsRes, _ = dds.PWC(nil, d, solver.Params{Workers: cfg.Workers, Trace: tr}) })
-	out = append(out, TraceEntry{
-		Dataset: am.Abbr, Algorithm: ddsRes.Algorithm, Seconds: sec,
-		Density: ddsRes.Density, Trace: tr,
-	})
+	for _, f := range []struct {
+		kind       solver.Kind
+		name, abbr string
+	}{{solver.KindUDS, "pkmc", "PT"}, {solver.KindDDS, "pwc", "AM"}} {
+		d := lookup(f.kind, f.name)
+		tr := &trace.Trace{}
+		// The envelope dsd.SolveUDS/SolveDDS open around a solve.
+		finish := tr.Begin()
+		r := solve(d, model(f.abbr, cfg.Scale), solver.Params{Workers: cfg.Workers, Trace: tr})
+		finish()
+		out = append(out, TraceEntry{
+			Dataset: f.abbr, Algorithm: d.Display, Seconds: tr.PhaseSeconds("total"),
+			Density: r.Density, Trace: tr,
+		})
+	}
 	return out
-}
-
-// tracedRun runs one solver inside tr's envelope (the same one
-// dsd.SolveUDS/SolveDDS open, for callers driving internal solvers
-// directly) and returns the run's seconds.
-func tracedRun(tr *trace.Trace, run func()) float64 {
-	finish := tr.Begin()
-	run()
-	finish()
-	return tr.PhaseSeconds("total")
-}
-
-// DatasetRows is the machine-readable face of Datasets: one row per catalog
-// model with its materialized sizes in Extra (Tables 4 and 5).
-func DatasetRows(cfg Config) []Row {
-	cfg = cfg.withDefaults()
-	var rows []Row
-	for _, ds := range gen.UndirectedCatalog() {
-		st := ds.BuildUndirected(cfg.Scale).Summarize(ds.Abbr)
-		rows = append(rows, Row{
-			Experiment: "datasets", Dataset: ds.Abbr, Algorithm: "-",
-			Extra: map[string]int64{"n": int64(st.N), "m": st.M, "max_deg": int64(st.MaxDeg)},
-		})
-	}
-	for _, ds := range gen.DirectedCatalog() {
-		st := ds.BuildDirected(cfg.Scale).Summarize(ds.Abbr)
-		rows = append(rows, Row{
-			Experiment: "datasets", Dataset: ds.Abbr, Algorithm: "-",
-			Extra: map[string]int64{"n": int64(st.N), "m": st.M,
-				"max_out_deg": int64(st.MaxOutDeg), "max_in_deg": int64(st.MaxInDeg)},
-		})
-	}
-	return rows
 }
 
 // gogcSetting reports the GOGC environment setting of this process, or

@@ -136,7 +136,7 @@ func TestCollectTracesContent(t *testing.T) {
 }
 
 func TestDatasetRows(t *testing.T) {
-	rows := DatasetRows(Config{Scale: 0.005})
+	rows := runExp(t, "datasets", Config{Scale: 0.005})
 	if len(rows) != 12 {
 		t.Fatalf("got %d dataset rows, want 12", len(rows))
 	}

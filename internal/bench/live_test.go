@@ -6,7 +6,7 @@ import "testing"
 var liveTiny = Config{Scale: 0.005, Workers: 2, MutBatches: []int{1, 8}}
 
 func TestLiveReplayRows(t *testing.T) {
-	rows := LiveReplay(liveTiny)
+	rows := runExp(t, "live", liveTiny)
 	if len(rows) != 2*len(liveTiny.MutBatches) {
 		t.Fatalf("got %d rows, want Incremental+RecomputeBZ per batch size (%d)", len(rows), 2*len(liveTiny.MutBatches))
 	}
@@ -33,8 +33,8 @@ func TestLiveReplayRows(t *testing.T) {
 }
 
 func TestLiveReplayDeterministic(t *testing.T) {
-	a := LiveReplay(liveTiny)
-	b := LiveReplay(liveTiny)
+	a := runExp(t, "live", liveTiny)
+	b := runExp(t, "live", liveTiny)
 	for i := range a {
 		if a[i].Density != b[i].Density || a[i].Extra["applied"] != b[i].Extra["applied"] || a[i].Extra["touched"] != b[i].Extra["touched"] {
 			t.Fatalf("row %d not deterministic across runs: %+v vs %+v", i, a[i], b[i])

@@ -71,12 +71,4 @@ func init() {
 		Degradable: true,
 		SolveDDS:   ExactPruned,
 	})
-	solver.Register(solver.Descriptor{
-		Name: "brute", Kind: solver.KindDDS, Display: "Brute",
-		Grade:     solver.GradeExact,
-		Guarantee: "exact by subset enumeration (≤13 vertices)",
-		Paper:     "test oracle; Definition 4 evaluated directly",
-		Serial:    true, Degradable: true,
-		SolveDDS: BruteForce,
-	})
 }

@@ -216,18 +216,3 @@ func (g *Undirected) InducedDensity(s []int32) float64 {
 	}
 	return float64(edges) / float64(cnt)
 }
-
-// FilterEdges returns the subgraph keeping exactly the edges for which
-// keep returns true (called once per edge with U < V); the vertex set is
-// unchanged.
-func (g *Undirected) FilterEdges(keep func(u, v int32) bool) *Undirected {
-	var edges []Edge
-	for u := int32(0); int(u) < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v && keep(u, v) {
-				edges = append(edges, Edge{U: u, V: v})
-			}
-		}
-	}
-	return NewUndirected(g.N(), edges)
-}

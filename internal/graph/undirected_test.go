@@ -188,11 +188,3 @@ func TestUndirectedInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFilterEdges(t *testing.T) {
-	g := triangleWithTail()
-	sub := g.FilterEdges(func(u, v int32) bool { return v != 3 })
-	if sub.M() != 3 || sub.Degree(3) != 0 {
-		t.Fatalf("filtered: m=%d deg(3)=%d", sub.M(), sub.Degree(3))
-	}
-}

@@ -277,6 +277,30 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+// TestBruteNotServed pins that the subset-enumeration oracle is a test
+// helper, not a served solver: on a 20-vertex graph it would panic, so the
+// server must refuse the name before any solve and count no panic.
+func TestBruteNotServed(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var cycle strings.Builder
+	for v := 0; v < 20; v++ {
+		fmt.Fprintf(&cycle, "%d %d\n", v, (v+1)%20)
+	}
+	if _, err := s.Registry().LoadReader("d", strings.NewReader(cycle.String()), true, false); err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if got := doJSON(t, "POST", ts.URL+"/solve/dds", SolveRequest{Graph: "d", Algo: "brute"}, &eb); got != http.StatusBadRequest {
+		t.Fatalf("brute solve = %d, want 400", got)
+	}
+	if eb.Error.Code != CodeUnknownAlgorithm {
+		t.Fatalf("brute solve code = %q, want %q", eb.Error.Code, CodeUnknownAlgorithm)
+	}
+	if got := s.Metrics().Panics.Value(); got != 0 {
+		t.Fatalf("panics metric = %d, want 0", got)
+	}
+}
+
 func TestCacheHitAndMiss(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	req := SolveRequest{Graph: "clique", Algo: "pkmc"}

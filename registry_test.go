@@ -36,7 +36,7 @@ func traceKinds(tr *dsd.Trace) []string {
 // TestTraceColumnsMatchEmitted holds every registered solver to its
 // declared TraceColumns: a traced solve emits exactly those record kinds.
 // The inputs make every optional record fire (FISTA's duality-gap early
-// stop needs a clear optimum; brute needs at most 13 vertices).
+// stop needs a clear optimum).
 func TestTraceColumnsMatchEmitted(t *testing.T) {
 	ug, _ := gen.PlantClique(gen.ErdosRenyi(50, 120, 5), 9, 6)
 	g := dsd.NewGraph(ug.N(), ug.Edges())
@@ -143,9 +143,6 @@ func TestRegistryAnswers(t *testing.T) {
 	}
 	for _, desc := range solver.List(solver.KindDDS) {
 		for name, d := range ddsGraphs {
-			if desc.Name == "brute" && d.N() > 13 {
-				continue
-			}
 			var density [2]float64
 			var product int64
 			for i, workers := range []int{1, 4} {

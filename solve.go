@@ -67,7 +67,6 @@ const (
 	AlgoPBD      Algo = "pbd"   // Bahmani directed batch peeling, 2δ(1+ε)-approx
 	AlgoPFWD     Algo = "pfw"   // directed Frank–Wolfe (same name; family decides)
 	AlgoExactDDS Algo = "exact" // flow-based exact (small graphs)
-	AlgoBrute    Algo = "brute" // subset enumeration (≤13 vertices)
 	// AlgoExactPrunedDDS prunes to the ⌈ρ̃²/4⌉-induced subgraph using the
 	// PWC lower bound before the ratio-enumeration flow search — exact DDS
 	// answers on graphs far beyond AlgoExactDDS's reach.
@@ -78,7 +77,7 @@ const (
 // configuration.
 type Options struct {
 	// Workers is the parallelism degree p; 0 means GOMAXPROCS. Serial
-	// algorithms (charikar, bz, exact, brute) ignore it.
+	// algorithms (charikar, bz, exact) ignore it.
 	Workers int
 	// Epsilon is the accuracy knob of PBU (default 0.5), PBD (default 1.0)
 	// — the paper's settings.
