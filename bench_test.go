@@ -20,7 +20,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dds"
+	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // benchScale keeps the slowest lineup members (PXY, PFW) inside the default
@@ -59,21 +61,27 @@ func BenchmarkPaper(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEarlyStop isolates Theorem 1's contribution: PKMC with
-// the early stop against plain Local, the identical sweep run to full
-// convergence, followed by reading the k*-core off the core numbers.
+// BenchmarkAblationEarlyStop isolates Theorem 1's contribution: PKMC-Sync
+// with the early stop against plain Local, the identical sweep run to full
+// convergence, followed by reading the k*-core off the core numbers. The
+// async case is PKMC's in-place sweep with its certified stop.
 func BenchmarkAblationEarlyStop(b *testing.B) {
 	b.ReportAllocs()
 	for _, abbr := range []string{"EW", "SK"} {
 		g := bench.Undirected(abbr, benchScale)
-		b.Run(abbr+"/with", func(b *testing.B) {
-			b.ReportAllocs()
-			var it int
-			for i := 0; i < b.N; i++ {
-				it = core.PKMC(g, 0, nil).Iterations
-			}
-			b.ReportMetric(float64(it), "iters")
-		})
+		for _, c := range []struct {
+			name   string
+			engine func(*graph.Undirected, int, *trace.Trace) core.PKMCResult
+		}{{"with", core.PKMCSync}, {"async", core.PKMC}} {
+			b.Run(abbr+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var it int
+				for i := 0; i < b.N; i++ {
+					it = c.engine(g, 0, nil).Iterations
+				}
+				b.ReportMetric(float64(it), "iters")
+			})
+		}
 		b.Run(abbr+"/without", func(b *testing.B) {
 			b.ReportAllocs()
 			var it int

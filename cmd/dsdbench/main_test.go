@@ -100,8 +100,8 @@ func TestRunJSONMode(t *testing.T) {
 	if report.SchemaVersion != bench.SchemaVersion {
 		t.Fatalf("schema_version = %d, want %d", report.SchemaVersion, bench.SchemaVersion)
 	}
-	if len(report.Rows) != 18 {
-		t.Fatalf("rows = %d, want 18 (6 datasets x 3 algorithms)", len(report.Rows))
+	if len(report.Rows) != 24 {
+		t.Fatalf("rows = %d, want 24 (6 datasets x 4 algorithms)", len(report.Rows))
 	}
 	if report.Rows[0].Algorithm == "" || report.Rows[0].Dataset == "" {
 		t.Fatalf("row shape: %+v", report.Rows[0])

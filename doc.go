@@ -8,7 +8,7 @@
 //   - DDS (directed): find (S, T) maximizing |E(S,T)| / sqrt(|S|·|T|);
 //
 // with the paper's parallel 2-approximation algorithms as defaults — PKMC
-// (Algorithm 2: k*-core via h-index sweeps with the Theorem-1 early stop)
+// (Algorithm 2: k*-core via h-index sweeps with a certified early stop)
 // for UDS and PWC (Algorithms 3–4: the [x*, y*]-core extracted from one
 // w*-induced subgraph decomposition, sound because w* >= x*·y*) for
 // DDS — plus every baseline the paper compares against, and exact
@@ -26,8 +26,8 @@
 //
 // Observability is opt-in per solve: pass a fresh &Trace{} in
 // Options.Trace and the solver records per-phase wall times, the
-// per-iteration h-index convergence (with the Theorem-1 early-stop
-// trigger), algorithm counters, and parallel-runtime work counters. A nil
+// per-iteration h-index convergence (with the early-stop trigger),
+// algorithm counters, and parallel-runtime work counters. A nil
 // Options.Trace keeps every solver on its untraced fast path. See Trace.
 //
 // Every algorithm SolveUDS and SolveDDS accept comes from one pluggable

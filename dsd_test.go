@@ -3,6 +3,7 @@ package dsd_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -320,8 +321,9 @@ func TestWorkerCountsAgree(t *testing.T) {
 	g := dsd.GenerateChungLu(3000, 20000, 2.3, 11)
 	r1, _ := dsd.SolveUDS(g, dsd.AlgoPKMC, dsd.Options{Workers: 1})
 	r8, _ := dsd.SolveUDS(g, dsd.AlgoPKMC, dsd.Options{Workers: 8})
-	if r1.KStar != r8.KStar || math.Abs(r1.Density-r8.Density) > 1e-9 {
-		t.Fatalf("worker counts disagree: %v vs %v", r1, r8)
+	if r1.KStar != r8.KStar || math.Abs(r1.Density-r8.Density) > 1e-9 || !slices.Equal(r1.Vertices, r8.Vertices) {
+		t.Fatalf("worker counts disagree: k*=%d, %d vertices, density %v at p=1; k*=%d, %d vertices, density %v at p=8",
+			r1.KStar, len(r1.Vertices), r1.Density, r8.KStar, len(r8.Vertices), r8.Density)
 	}
 }
 

@@ -79,7 +79,7 @@ func Experiments() []Experiment {
 			Fast: "PKMC", Slows: []string{"PBU", "Local", "PKC", "PFW"},
 			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: udsFive}.cases},
 		{Name: "exp2", Title: "Exp-2 / Table 6: core-algorithm iteration counts",
-			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: []string{"local", "pkc", "pkmc"}}.cases},
+			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: []string{"local", "pkc", "pkmc-sync", "pkmc"}}.cases},
 		// PFW is dominated by orders of magnitude; Fig. 6's timing detail
 		// is about the core-based methods and PBU.
 		{Name: "exp3", Title: "Exp-3 / Fig. 6: UDS runtime vs threads", Render: Series,

@@ -97,7 +97,7 @@ func NewReport(cfg Config, selected []string, rows []Row, generatedAt time.Time)
 // CollectTraces runs the two flagship solvers with full observability on
 // the smallest catalog models — PKMC (Algorithm 2) on PT, PWC (Algorithm 4)
 // on AM — and returns their traces: per-phase wall times, the PKMC h-index
-// iteration log with its Theorem-1 early stop, PWC's Table-7 arc counters,
+// iteration log with its certified early stop, PWC's Table-7 arc counters,
 // and the parallel-runtime work counters of each run.
 func CollectTraces(cfg Config) []TraceEntry {
 	cfg = cfg.withDefaults()

@@ -57,6 +57,41 @@ func KCore(coreNum []int32, k int32) []int32 {
 	return out
 }
 
+// PeelTo returns the vertices of g's k-core in ascending order with one
+// queue peel at the single threshold k, O(n + m): repeatedly delete every
+// vertex whose remaining degree is below k. A caller that needs one k-core
+// pays for this peel, not for every core number. A vertex is deleted
+// exactly when its remaining degree first drops below k, so deg[v] < k
+// doubles as the deleted mark.
+func PeelTo(g *graph.Undirected, k int32) []int32 {
+	n := g.N()
+	deg := g.Degrees()
+	var queue []int32
+	for v, d := range deg {
+		if d < k {
+			queue = append(queue, int32(v))
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		for _, u := range g.Neighbors(queue[i]) {
+			if deg[u] < k {
+				continue // already deleted
+			}
+			deg[u]--
+			if deg[u] < k {
+				queue = append(queue, u)
+			}
+		}
+	}
+	out := make([]int32, 0, n-len(queue))
+	for v, d := range deg {
+		if d >= k {
+			out = append(out, int32(v))
+		}
+	}
+	return out
+}
+
 // KStarCore returns k* and the vertex set of the k*-core from a core-number
 // vector.
 func KStarCore(coreNum []int32) (int32, []int32) {

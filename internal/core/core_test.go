@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // fig2Graph mimics the paper's Fig. 2: a K4 nucleus (the k*-core, k* = 3)
@@ -117,6 +119,22 @@ func TestKStarHelpers(t *testing.T) {
 	}
 	if KStar(nil) != 0 {
 		t.Fatal("KStar(nil)")
+	}
+}
+
+func TestPeelToMatchesKCore(t *testing.T) {
+	f := func(seed int64) bool {
+		g := randomGraph(seed, 80, 4)
+		coreNum := BZ(g)
+		for k := int32(0); k <= KStar(coreNum)+1; k++ {
+			if !slices.Equal(PeelTo(g, k), KCore(coreNum, k)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -238,7 +256,7 @@ func TestPKMCEarlyStopSavesIterationsOnWebModel(t *testing.T) {
 
 func TestPKMCCorrectEvenWithoutEarlyStopOpportunity(t *testing.T) {
 	// A plain Chung–Lu graph has a diffuse core: h_max ratchets down almost
-	// every sweep, so the Theorem-1 criterion may never fire before full
+	// every sweep, so the early stop may never fire before full
 	// convergence. PKMC must still return the exact k*-core.
 	g := gen.ChungLu(3000, 30000, 2.1, 42)
 	pk := PKMC(g, 4, nil)
@@ -249,16 +267,20 @@ func TestPKMCCorrectEvenWithoutEarlyStopOpportunity(t *testing.T) {
 }
 
 func TestPKMCAblationVariantsAgree(t *testing.T) {
-	// The early-stop ablation runs PKMC against plain Local, the same
-	// sweeps without Theorem 1's stop: both must name the same k*-core,
-	// and the stop can only save sweeps.
+	// The early-stop ablation runs PKMCSync and PKMC against plain Local,
+	// the synchronous sweeps without a stop: all must name the same
+	// k*-core, and neither stop can cost sweeps (in-place values are never
+	// above the synchronous ones after the same sweep).
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 60, 4)
-		pk := PKMC(g, 2, nil)
 		loc := Local(g, 2, nil)
 		wantK, wantCore := KStarCore(loc.CoreNum)
-		return pk.KStar == wantK && equalSets(pk.Vertices, wantCore) &&
-			pk.Iterations <= loc.Iterations
+		for _, pk := range []PKMCResult{PKMCSync(g, 2, nil), PKMC(g, 2, nil)} {
+			if pk.KStar != wantK || !equalSets(pk.Vertices, wantCore) || pk.Iterations > loc.Iterations {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -293,6 +315,70 @@ func TestPKMCClique(t *testing.T) {
 	}
 }
 
+// TestPKMCCertificateRejectsShortCandidate builds a candidate set that
+// passes the |C| > h_max pre-filter but fails the minimum-degree test.
+// Vertex 0 reads its three hubs' degrees (3) before the in-place sweep
+// lowers them to 1 (each hub's other neighbors are leaves), so after the
+// first sweep C = {0} ∪ K4 has 5 > 3 members, yet vertex 0 has no
+// neighbor in C. The sweep must go on and return the K4.
+func TestPKMCCertificateRejectsShortCandidate(t *testing.T) {
+	edges := []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, // vertex 0 and its hubs
+		{U: 1, V: 4}, {U: 1, V: 5}, {U: 2, V: 6}, {U: 2, V: 7}, {U: 3, V: 8}, {U: 3, V: 9}, // leaves
+		{U: 10, V: 11}, {U: 10, V: 12}, {U: 10, V: 13}, {U: 11, V: 12}, {U: 11, V: 13}, {U: 12, V: 13}, // K4
+	}
+	g := graph.NewUndirected(14, edges)
+	sw := newAsyncSweeper(g, 1)
+	if _, _, hmax, atMax := sw.sweep(); hmax != 3 || atMax != 5 {
+		t.Fatalf("first sweep: h_max %d attained by %d vertices, want 3 by 5", hmax, atMax)
+	}
+	if sw.certify(3) {
+		t.Fatal("certified {h = 3} although vertex 0 has no neighbor in it")
+	}
+	tr := &trace.Trace{}
+	res := PKMC(g, 1, tr)
+	if tr.Iterations[0].EarlyStop {
+		t.Fatalf("first sweep stopped on a failed certificate: %+v", tr.Iterations[0])
+	}
+	if res.KStar != 3 || !equalSets(res.Vertices, []int32{10, 11, 12, 13}) {
+		t.Fatalf("k* = %d, core %v; want 3, the K4", res.KStar, res.Vertices)
+	}
+}
+
+// TestPKMCMatchesBZOnRandomFamilies holds the certified asynchronous
+// PKMC to BZ's k*-core, vertex for vertex, and PKMCSync to the same set,
+// on ER, Chung–Lu and planted-clique graphs at p = 1, 2 and 4. About
+// half the graphs have more than one parallel block, so at p > 1 the
+// in-place sweeps really race (make race runs this package).
+func TestPKMCMatchesBZOnRandomFamilies(t *testing.T) {
+	rng := rand.New(rand.NewSource(2107))
+	for i := 0; i < 105; i++ {
+		n := 300 + rng.Intn(1700)
+		m := int64(n * (2 + rng.Intn(4)))
+		seed := rng.Int63()
+		var g *graph.Undirected
+		var family string
+		switch i % 3 {
+		case 0:
+			family, g = "er", gen.ErdosRenyi(n, m, seed)
+		case 1:
+			family, g = "chunglu", gen.ChungLu(n, m, 2.1+rng.Float64(), seed)
+		default:
+			family = "clique"
+			g, _ = gen.PlantClique(gen.ErdosRenyi(n, m, seed), 8+rng.Intn(20), seed+1)
+		}
+		wantK, wantCore := KStarCore(BZ(g))
+		for _, p := range []int{1, 2, 4} {
+			for name, res := range map[string]PKMCResult{"PKMC": PKMC(g, p, nil), "PKMCSync": PKMCSync(g, p, nil)} {
+				if res.KStar != wantK || !slices.Equal(res.Vertices, wantCore) {
+					t.Fatalf("%s graph %d (%s, n=%d, m=%d) at p=%d: k*=%d with %d vertices, BZ k*=%d with %d",
+						name, i, family, n, m, p, res.KStar, len(res.Vertices), wantK, len(wantCore))
+				}
+			}
+		}
+	}
+}
+
 func TestHIndexOf(t *testing.T) {
 	h := []int32{5, 3, 3, 1, 0}
 	buf := make([]int32, 16)
@@ -320,7 +406,7 @@ func TestCollectAtSortedAndComplete(t *testing.T) {
 	for i := range h {
 		h[i] = int32(i % 7)
 	}
-	got := collectAt(h, 3, 4)
+	got := collectAt(len(h), 4, func(v int) bool { return h[v] == 3 })
 	if len(got) != 10000/7+1 {
 		t.Fatalf("len = %d", len(got))
 	}

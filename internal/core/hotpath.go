@@ -7,8 +7,15 @@ package core
 // dynamically.
 func HotPaths() []string {
 	return []string{
+		"asyncSweeper.certify",
+		"asyncSweeper.certifyBlock",
+		"asyncSweeper.sweep",
+		"asyncSweeper.sweepBlock",
+		"hIndexFromCounts",
 		"hIndexOf",
+		"hIndexOfLoad",
 		"hSweeper.sweep",
 		"hSweeper.sweepBlock",
+		"mergeTop",
 	}
 }

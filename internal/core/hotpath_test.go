@@ -48,11 +48,19 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}, {U: 1, V: 7},
 	})
 	sw := newHSweeper(g, 1) // p = 1 keeps the parallel helpers inline: no goroutines
+	as := newAsyncSweeper(g, 1)
 	buf := make([]int32, int(g.MaxDegree())+2)
 	runners := map[string]func(){
-		"hIndexOf":            func() { hIndexOf(sw.cur, g.Neighbors(0), buf) },
-		"hSweeper.sweep":      func() { sw.sweep() },
-		"hSweeper.sweepBlock": func() { sw.sweepBlock(0, g.N()) },
+		"asyncSweeper.certify":      func() { as.certify(2) },
+		"asyncSweeper.certifyBlock": func() { as.certifyBlock(0, g.N()) },
+		"asyncSweeper.sweep":        func() { as.sweep() },
+		"asyncSweeper.sweepBlock":   func() { as.sweepBlock(0, g.N()) },
+		"hIndexFromCounts":          func() { hIndexFromCounts(buf) },
+		"hIndexOf":                  func() { hIndexOf(sw.cur, g.Neighbors(0), buf) },
+		"hIndexOfLoad":              func() { hIndexOfLoad(as.h, g.Neighbors(0), buf) },
+		"hSweeper.sweep":            func() { sw.sweep() },
+		"hSweeper.sweepBlock":       func() { sw.sweepBlock(0, g.N()) },
+		"mergeTop":                  func() { mergeTop(&as.top, 2, 1) },
 	}
 	checkZeroAlloc(t, HotPaths(), runners)
 }

@@ -232,7 +232,7 @@ func PlantBiclique(d *graph.Directed, sizeS, sizeT int, seed int64) (*graph.Dire
 //
 //   - a planted near-clique of `clique` vertices — a tight nucleus whose
 //     h-indices stabilize within one sweep, so it becomes the k*-core and
-//     lets PKMC's Theorem-1 early stop fire after a handful of iterations
+//     lets PKMC's early stop fire after a handful of iterations
 //     (and gives PKC its k* ≈ clique peel levels);
 //   - `chains` pendant paths of `chainLen` fresh vertices each — sparse
 //     filaments along which h-index convergence propagates one hop per

@@ -263,7 +263,7 @@ func MinInt64(addr *atomic.Int64, v int64) bool {
 // MaxIndexInt32 returns, in parallel, the maximum of vals and how many
 // entries attain it. An empty slice yields (0, 0). This pair — maximum
 // h-index and the count of vertices attaining it — is exactly the state
-// PKMC's Theorem-1 early-stop test tracks each iteration.
+// PKMC-Sync's Theorem-1 early-stop test tracks each iteration.
 func MaxIndexInt32(vals []int32, p int) (max int32, count int64) {
 	n := len(vals)
 	if n == 0 {

@@ -1,6 +1,6 @@
 // Package server is the densest-subgraph query service: a long-running
 // net/http layer over the solver stack that keeps graphs resident so the
-// per-query wins of the paper's algorithms (Theorem-1 early stop, w-induced
+// per-query wins of the paper's algorithms (PKMC's early stop, w-induced
 // cores) compound across requests instead of being swamped by reloading.
 //
 // It is composed of four parts, each in its own file: a graph Registry

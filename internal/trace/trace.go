@@ -15,17 +15,17 @@ type Phase struct {
 }
 
 // Iteration is one h-index sweep of the core-based solvers (Algorithms 1-2):
-// the maximum h-value and how many vertices attain it (the pair the
-// Theorem-1 early-stop test watches), how many vertices changed value this
-// sweep, the largest single decrease, and whether this sweep triggered the
-// early stop.
+// the maximum h-value and how many vertices attain it (the candidate set
+// the stopping tests watch), how many vertices changed value this sweep,
+// the largest single decrease, and whether this sweep ended the solve
+// with a certified stop.
 type Iteration struct {
 	Index     int   `json:"index"`      // 1-based sweep number
 	HMax      int32 `json:"h_max"`      // maximum h-index after the sweep
 	AtHMax    int64 `json:"at_h_max"`   // vertices attaining HMax (the candidate set size)
 	Changed   int64 `json:"changed"`    // vertices whose h-value changed this sweep
 	MaxDelta  int32 `json:"max_delta"`  // largest single-vertex decrease this sweep
-	EarlyStop bool  `json:"early_stop"` // this sweep satisfied the Theorem-1 criterion
+	EarlyStop bool  `json:"early_stop"` // certified stop: PKMC's k*-core certificate held, or PKMC-Sync's Theorem-1 test fired
 }
 
 // Convergence is one iteration of a convex-programming solver (FISTA,
@@ -57,8 +57,9 @@ type Trace struct {
 	Algorithm  string      `json:"algorithm,omitempty"`
 	Phases     []Phase     `json:"phases,omitempty"`
 	Iterations []Iteration `json:"iterations,omitempty"`
-	// EarlyStop reports that the Theorem-1 criterion ended the h-index
-	// sweep before full convergence (PKMC's whole advantage over Local).
+	// EarlyStop reports that a certified stop ended the h-index sweeps
+	// before full convergence (PKMC's whole advantage over Local): PKMC's
+	// k*-core certificate, or the Theorem 1 test for PKMC-Sync.
 	EarlyStop bool `json:"early_stop,omitempty"`
 	// PeakCandidates is the largest candidate set the solver carried:
 	// the max h-max vertex count for the core solvers, the post-warm-start

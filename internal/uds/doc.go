@@ -3,7 +3,8 @@
 // the exact Goldberg flow solver plus every approximation algorithm of the
 // paper's Exp-1 lineup — Charikar's serial peeling, PBU (Bahmani batch
 // peeling), PFW (Frank–Wolfe), and the three k*-core routes Local, PKC and
-// PKMC (the paper's contribution, Algorithm 2 with the Theorem-1 early
+// PKMC (the paper's contribution, Algorithm 2, here with in-place sweeps
+// and a certified early stop; PKMC-Sync keeps the published Theorem-1
 // stop).
 //
 // Every registered solver is one exported function with the registry's

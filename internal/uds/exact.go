@@ -156,9 +156,8 @@ func BruteForce(g *graph.Undirected) solver.Result {
 //
 // It has Exact's cancellation contract. An armed opts.Trace splits the
 // solve into the paper's natural phases — the PKMC lower bound
-// ("approx-lower-bound", with its h-index sweeps), the full core
-// decomposition that the pruning needs ("core-decomposition"), the
-// ⌈ρ̃⌉-core extraction ("prune"), and the Goldberg flow binary search on
+// ("approx-lower-bound", with its h-index sweeps), the single-threshold
+// peel to the ⌈ρ̃⌉-core ("prune"), and the Goldberg flow binary search on
 // the remnant ("flow-search") — plus the pruning and probe counters.
 func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
 	tr, p := opts.Trace, opts.Workers
@@ -179,14 +178,10 @@ func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (
 	if float64(k) < lower {
 		k++ // ⌈ρ̃⌉
 	}
-	// The ⌈ρ̃⌉-core needs core numbers; the h-index decomposition gives
-	// them in parallel. (PKMC alone cannot: it skips non-k* vertices.)
-	endDecomp := tr.StartPhase("core-decomposition")
-	coreNum := core.Local(g, p, nil).CoreNum
-	endDecomp()
+	// One peel at the single threshold ⌈ρ̃⌉ gives the ⌈ρ̃⌉-core; no other
+	// core number is needed.
 	endPrune := tr.StartPhase("prune")
-	keep := core.KCore(coreNum, k)
-	sub, orig := g.Induced(keep)
+	sub, orig := g.Induced(core.PeelTo(g, k))
 	endPrune()
 	tr.Counter("pruned_vertices", int64(g.N()-sub.N()))
 	tr.Counter("flow_vertices", int64(sub.N()))

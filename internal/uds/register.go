@@ -11,10 +11,18 @@ func init() {
 		Name: "pkmc", Kind: solver.KindUDS, Display: "PKMC",
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
-		Paper:        "Algorithm 2 (the reproduced paper)",
+		Paper:        "Algorithm 2 (the reproduced paper) with in-place sweeps and a certified k*-core stop",
 		TraceColumns: []string{"phases", "iterations", "counters"},
 		Default:      true, DegradeRank: 2,
 		SolveUDS: PKMC,
+	})
+	solver.Register(solver.Descriptor{
+		Name: "pkmc-sync", Kind: solver.KindUDS, Display: "PKMC-Sync",
+		Grade:        solver.Grade2Approx,
+		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
+		Paper:        "Algorithm 2 as published (synchronous sweeps, Theorem-1 stop)",
+		TraceColumns: []string{"phases", "iterations", "counters"},
+		SolveUDS:     PKMCSync,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "local", Kind: solver.KindUDS, Display: "Local",

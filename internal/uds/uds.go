@@ -6,19 +6,35 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/solver"
+	"repro/internal/trace"
 )
 
-// PKMC returns the k*-core computed by the paper's Algorithm 2 — a
-// 2-approximate densest subgraph (Lemma 1) — with opts.Workers workers.
-// An armed opts.Trace receives the phase timings, the per-sweep h-index
-// convergence record (Algorithm 2's h_max / candidate-count pair and the
-// Theorem-1 early-stop trigger), and the k* / core-size counters. PKMC
+// PKMC returns the k*-core — a 2-approximate densest subgraph (Lemma 1)
+// — computed by core.PKMC's asynchronous h-index sweeps with their
+// certified stop, with opts.Workers workers. An armed opts.Trace receives
+// the phase timings, the per-sweep h-index record (h_max, its candidate
+// count, and the certified stop), and the k* / core-size counters. PKMC
 // cannot be canceled: its sweeps stop after a handful of iterations.
 func PKMC(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	return kStarCoreSolve("PKMC", core.PKMC, g, opts), nil
+}
+
+// PKMCSync is the paper's Algorithm 2 as published: core.PKMCSync's
+// synchronous sweeps with the Theorem-1 early stop. It returns the same
+// k*-core as PKMC; Exp-2 runs both to show the paper's sweep count
+// beside the asynchronous one. Its trace is PKMC's.
+func PKMCSync(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
+	return kStarCoreSolve("PKMC-Sync", core.PKMCSync, g, opts), nil
+}
+
+// kStarCoreSolve runs one of core's k*-core engines as a traced solve
+// named name.
+func kStarCoreSolve(name string, engine func(*graph.Undirected, int, *trace.Trace) core.PKMCResult,
+	g *graph.Undirected, opts solver.Params) solver.Result {
 	tr := opts.Trace
-	tr.SetAlgorithm("PKMC")
+	tr.SetAlgorithm(name)
 	endCore := tr.StartPhase("core-decomposition")
-	res := core.PKMC(g, opts.Workers, tr)
+	res := engine(g, opts.Workers, tr)
 	endCore()
 	endDensity := tr.StartPhase("density-evaluation")
 	density := g.InducedDensity(res.Vertices)
@@ -26,18 +42,19 @@ func PKMC(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Re
 	tr.Counter("k_star", int64(res.KStar))
 	tr.Counter("core_size", int64(len(res.Vertices)))
 	return solver.Result{
-		Algorithm:  "PKMC",
+		Algorithm:  name,
 		Vertices:   res.Vertices,
 		Density:    density,
 		Iterations: res.Iterations,
 		KStar:      res.KStar,
-	}, nil
+	}
 }
 
 // Local returns the k*-core via full h-index convergence (Algorithm 1), the
 // paper's "Local" baseline of Exp-1: it pays for full convergence of every
 // vertex even though only the k*-core is needed. Its trace is PKMC's — the
-// full-convergence record against which PKMC's early stop is judged.
+// full-convergence record against which PKMC's and PKMC-Sync's early
+// stops are judged.
 func Local(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
 	tr := opts.Trace
 	tr.SetAlgorithm("Local")

@@ -25,14 +25,15 @@ type Algo string
 
 // UDS algorithms (the paper's Exp-1 lineup plus the exact solver).
 const (
-	AlgoPKMC     Algo = "pkmc"     // parallel k*-core with Theorem-1 early stop (the paper's Algorithm 2) — default
-	AlgoLocal    Algo = "local"    // full h-index convergence (Sariyüce et al.)
-	AlgoPKC      Algo = "pkc"      // parallel level peeling (Kabir–Madduri)
-	AlgoBZ       Algo = "bz"       // serial Batagelj–Zaveršnik k*-core
-	AlgoCharikar Algo = "charikar" // serial greedy peeling, 2-approx
-	AlgoPBU      Algo = "pbu"      // Bahmani batch peeling, 2(1+ε)-approx
-	AlgoPFW      Algo = "pfw"      // Frank–Wolfe, (1+ε)-approx
-	AlgoExact    Algo = "exact"    // flow-based exact (small graphs)
+	AlgoPKMC     Algo = "pkmc"      // parallel k*-core, in-place sweeps with a certified stop (the paper's Algorithm 2) — default
+	AlgoPKMCSync Algo = "pkmc-sync" // the paper's Algorithm 2 as published: synchronous sweeps, Theorem-1 stop
+	AlgoLocal    Algo = "local"     // full h-index convergence (Sariyüce et al.)
+	AlgoPKC      Algo = "pkc"       // parallel level peeling (Kabir–Madduri)
+	AlgoBZ       Algo = "bz"        // serial Batagelj–Zaveršnik k*-core
+	AlgoCharikar Algo = "charikar"  // serial greedy peeling, 2-approx
+	AlgoPBU      Algo = "pbu"       // Bahmani batch peeling, 2(1+ε)-approx
+	AlgoPFW      Algo = "pfw"       // Frank–Wolfe, (1+ε)-approx
+	AlgoExact    Algo = "exact"     // flow-based exact (small graphs)
 	// AlgoGreedyPP is the iterated peeling of Boob et al. ("Flowless",
 	// the remaining 2-approximation row of the paper's Table 1): never
 	// worse than Charikar, near-exact after a few dozen rounds

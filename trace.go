@@ -5,7 +5,7 @@ import "repro/internal/trace"
 // Trace is the per-solve observability record, opt-in via Options.Trace:
 // pass a fresh &dsd.Trace{} and the solver fills in per-phase wall times,
 // the per-iteration h-index convergence of the core-based algorithms (with
-// the Theorem-1 early-stop trigger), peak candidate-set sizes,
+// the early-stop trigger), peak candidate-set sizes,
 // algorithm-specific counters (e.g. PWC's Table-7 arc counts), and the
 // parallel-runtime work counters for the solve. A nil Options.Trace keeps
 // every solver on its untraced fast path — the default costs nothing.
