@@ -63,12 +63,14 @@ race:
 # per-tenant quotas, deadline degradation, snapshot/warm-restart, and the
 # fault-injection chaos suite (armed Site* probes, leader panics, torn
 # snapshot writes), plus PKMC's asynchronous in-place sweeps, whose
-# workers read each other's writes mid-sweep. -count=2 reruns every
-# interleaving-sensitive test on a warmed scheduler, where a different
-# goroutine order shakes out schedule-dependent bugs the first pass can
-# miss.
+# workers read each other's writes mid-sweep, and PWC's w-peel, whose
+# blocks swap-remove arcs in the slots they own while reading the shared
+# in-degrees. -count=2 reruns every interleaving-sensitive test on a
+# warmed scheduler, where a different goroutine order shakes out
+# schedule-dependent bugs the first pass can miss.
 chaos:
 	$(GO) test -race -count=2 -run 'PKMC|KStar|WorkerCounts' ./internal/core .
+	$(GO) test -race -count=2 -run 'PWC|WDecompose|WStar|ExactPruned' ./internal/dds
 	$(GO) test -race -count=2 \
 		-run 'TestChaos|TestCoalesce|TestQuota|TestDegrade|TestSnapshot|TestLivePublishMidFlight|TestSolveDeadline|TestOverloaded|TestSolvePathEquivalence' \
 		./internal/server

@@ -36,7 +36,7 @@ type AlgorithmInfo struct {
 	Paper string `json:"paper"`
 	// TraceColumns names the trace record kinds the solver emits when
 	// Options.Trace is set ("phases", "iterations", "convergence",
-	// "counters"). Empty means the solve is timed as a whole only.
+	// "counters", "work"). Empty means the solve is timed as a whole only.
 	TraceColumns []string `json:"trace_columns,omitempty"`
 	// Default marks the family's default (empty algo name) choice.
 	Default bool `json:"default,omitempty"`

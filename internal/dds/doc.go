@@ -15,6 +15,9 @@
 // over all (x, y) candidates; when it does not, PWC walks down the peel
 // levels to the graph that holds the core. WStarSubgraph is Algorithm 3;
 // PWC is Algorithm 4, and its trace counters carry the Table-7 arc counts.
+// The w-peel keeps each tail's live out-arcs as a prefix of its CSR range,
+// so every sweep scans only the arcs still left — the paper's "reduce the
+// size of the graph in each iteration" — and no graph is rebuilt mid-peel.
 //
 // Every registered solver is one exported function with the registry's
 // signature, func(ctx, d, solver.Params) (solver.DirectedResult, error),

@@ -226,9 +226,8 @@ func ExactPruned(ctx context.Context, d *graph.Directed, opts solver.Params) (so
 		w0 = 1
 	}
 	st := newWState(d, p)
-	st.peelLevel(w0-1, nil, p)
-	st.refreshActive()
-	sub, orig := induceFromArcs(d, st.snapshotArcs())
+	st.peelLevel(w0-1, p)
+	sub, orig := st.liveSubgraph()
 	res, err := Exact(ctx, sub, opts)
 	if err != nil {
 		return solver.DirectedResult{}, err

@@ -7,10 +7,6 @@ package dds
 // dynamically.
 func HotPaths() []string {
 	return []string{
-		"wState.weight",
-		"wState.remove",
-		"wState.minWeight",
-		"wState.minBlock",
 		"wState.peelLevel",
 		"wState.peelBlock",
 	}

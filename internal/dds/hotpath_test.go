@@ -46,28 +46,31 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 2}, {U: 3, V: 0},
 	})
 	st := newWState(d, 1) // p = 1 keeps the parallel helpers inline
-	induce := make([]int64, d.M())
+	// checkZeroAlloc calls a runner 102 times (one warm call, then
+	// AllocsPerRun's warm-up and 100 runs). Each peelLevel run empties a
+	// state of its own, built here, so every measured run removes arcs.
+	fresh := make([]*wState, 102)
+	for i := range fresh {
+		fresh[i] = newWState(d, 1)
+		fresh[i].removal = make([]int64, d.M())
+	}
 	var sinkI64 int64
 	runners := map[string]func(){
-		"wState.weight": func() { sinkI64 = st.weight(0, 0) },
-		// remove arc 0 (0 -> 1), then put it back by hand, so every
-		// measured run performs the same real removal.
-		"wState.remove": func() {
-			st.remove(0, 0)
-			st.alive[0] = true
-			st.dplus[0]++
-			st.dminus[1].Add(1)
-		},
-		"wState.minWeight": func() { sinkI64 = st.minWeight(1) },
-		"wState.minBlock":  func() { st.minBlock(0, len(st.active)) },
-		// Level -1 is below every weight, so the sweep removes nothing and
-		// converges in one pass — repeatable under AllocsPerRun. The
-		// second call passes an induce sink, as WStarSubgraph always does.
 		"wState.peelLevel": func() {
-			sinkI64 = st.peelLevel(-1, nil, 1)
-			sinkI64 += st.peelLevel(-1, induce, 1)
+			sinkI64 = fresh[0].peelLevel(1<<40, 1)
+			fresh = fresh[1:]
 		},
-		"wState.peelBlock": func() { st.peelBlock(0, len(st.active)) },
+		// Level 0 is below every live weight, so the block removes
+		// nothing and every run is the same. The body reads its
+		// threshold and the active list from the state: stage both as
+		// peelLevel would.
+		"wState.peelBlock": func() {
+			st.level = 0
+			st.peelBlock(0, len(st.active))
+		},
+	}
+	if len(st.active) == 0 {
+		t.Fatal("no active vertices to sweep")
 	}
 	checkZeroAlloc(t, HotPaths(), runners)
 	_ = sinkI64

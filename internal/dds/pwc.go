@@ -2,7 +2,6 @@ package dds
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,7 +28,8 @@ import (
 // graphs actually processed (arcs_input, the "PXY" row, which re-processes
 // all m arcs per candidate; arcs_after_warm_start, "PWC₁"; arcs_at_wstar,
 // "PWC_w*"; arcs_densest, "PWC_D*" = |E(S,T)| of the returned core), plus
-// wstar and levels. PWC cannot be canceled.
+// wstar and levels. Its work total arcs_scanned counts the live arcs the
+// w-peel's sweeps visited. PWC cannot be canceled.
 func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
 	tr, p := opts.Trace, opts.Workers
 	tr.SetAlgorithm("PWC")
@@ -42,6 +42,7 @@ func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.Direc
 		tr.Counter("arcs_densest", arcsDensest)
 		tr.Counter("wstar", ws.WStar)
 		tr.Counter("levels", int64(ws.Levels))
+		tr.AddWork("arcs_scanned", ws.ArcsScanned)
 		tr.RaisePeak(ws.ArcsAfterWarmStart)
 	}()
 	if d.M() == 0 {
@@ -67,9 +68,10 @@ func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.Direc
 		// the maximum pair by walking down the levels instead, and peel
 		// its core out of the warm-start remainder, which contains it.
 		// This runs inside the extraction phase.
-		x, y = certifiedMaxPair(ws, p)
-		s, t = XYCore(ws.base, x, y)
-		orig = ws.baseOrig
+		rest, restOrig, removal := arcsFrom(d, ws.removal, ws.steps[0])
+		x, y = certifiedMaxPair(rest, removal, ws.steps, p)
+		s, t = XYCore(rest, x, y)
+		orig = restOrig
 		if len(s) == 0 || len(t) == 0 {
 			return solver.DirectedResult{Algorithm: "PWC"}, nil
 		}
@@ -103,14 +105,16 @@ func findMaxCNPair(h *graph.Directed, wstar int64, p int) (xstar, ystar int32) {
 	for st.arcsLeft > 0 {
 		cands := exactInDegrees(st, wstar, p)
 		if len(cands) == 0 {
-			// No arc currently weighs exactly w*: every live arc weighs
-			// more, which contradicts w* being the maximum induce-number
-			// (Proposition 4) unless rounding races delayed a cleanup.
-			// One cleanup pass below w* restores the invariant.
-			if st.peelLevel(wstar-1, nil, p) == 0 {
-				break // defensive: avoid looping on a theory violation
+			// No arc weighs exactly w*, so every live arc weighs more,
+			// which contradicts w* being the maximum induce-number
+			// (Proposition 4). The sweeps run to an exact fixpoint, so
+			// this branch is purely defensive: one cleanup below w*, and
+			// stop if it removes nothing.
+			left := st.arcsLeft
+			st.peelLevel(wstar-1, p)
+			if st.arcsLeft == left {
+				break
 			}
-			st.refreshActive()
 			continue
 		}
 		for _, dstar := range cands {
@@ -138,16 +142,9 @@ func exactInDegrees(st *wState, wstar int64, p int) []int32 {
 		for i := lo; i < hi; i++ {
 			u := st.active[i]
 			du := int64(st.dplus[u])
-			if du == 0 {
-				continue
-			}
-			alo, ahi := st.d.OutArcRange(u)
-			for a := alo; a < ahi; a++ {
-				if !st.alive[a] {
-					continue
-				}
-				dv := st.dminus[st.d.ArcHead(a)].Load()
-				if du*int64(dv) == wstar {
+			alo, _ := st.d.OutArcRange(u)
+			for _, v := range st.heads[alo : alo+du] {
+				if dv := st.dminus[v].Load(); du*int64(dv) == wstar {
 					local[dv] = struct{}{}
 				}
 			}
@@ -180,22 +177,21 @@ func (st *wState) deleteExact(wstar int64, dstar int32, p int) bool {
 			exact := false
 			for i := lo; i < hi; i++ {
 				u := st.active[i]
-				alo, ahi := st.d.OutArcRange(u)
-				for a := alo; a < ahi; a++ {
-					if !st.alive[a] {
+				alo, _ := st.d.OutArcRange(u)
+				du := int64(st.dplus[u])
+				for a := alo; a < alo+du; {
+					dv := st.dminus[st.heads[a]].Load()
+					w := du * int64(dv)
+					if w > wstar || (w == wstar && dv != dstar) {
+						a++
 						continue
 					}
-					dv := st.dminus[st.d.ArcHead(a)].Load()
-					w := int64(st.dplus[u]) * int64(dv)
-					if w < wstar {
-						st.remove(u, a)
-						removed++
-					} else if w == wstar && dv == dstar {
-						st.remove(u, a)
-						removed++
-						exact = true
-					}
+					exact = exact || w == wstar
+					du--
+					st.drop(alo, a, alo+du)
+					removed++
 				}
+				st.dplus[u] = int32(du)
 			}
 			if exact {
 				removedExact.Store(true)
@@ -217,30 +213,20 @@ func (st *wState) deleteExact(wstar int64, dstar int32, p int) bool {
 // whose removal level is at least L. Every [x, y]-core with x·y >= L lies
 // in H_L, and H_L is the same graph for every L in (L_{j-1}, L_j] of two
 // consecutive levels. So the walk runs PXY's enumeration on H_{L_j} for
-// the levels L_j of the working graph, from w* down, and stops at the
-// first whose best product P reaches L_{j-1}: a larger product would
-// exceed L_{j-1}, lie in H_{L_j}, and have been found. Once the walk
-// reaches the working graph's first level it searches the warm-start
-// remainder instead, which holds the [x*, y*]-core because x*·y* >= d_max.
-func certifiedMaxPair(ws WStarResult, p int) (x, y int32) {
-	levels := slices.Clone(ws.workLevel)
-	slices.Sort(levels)
-	levels = slices.Compact(levels)
-	slices.Reverse(levels)
-	for j := 0; j+1 < len(levels); j++ {
-		var arcs []int64
-		for a, level := range ws.workLevel {
-			if level >= levels[j] {
-				arcs = append(arcs, int64(a))
-			}
-		}
-		h, _ := induceFromArcs(ws.work, arcs)
+// the levels after the warm start, from w* down, and stops at the first
+// whose best product P reaches L_{j-1}: a larger product would exceed
+// L_{j-1}, lie in H_{L_j}, and have been found. The walk ends at the
+// first level, whose H is the whole warm-start remainder rest: it holds
+// the [x*, y*]-core because x*·y* >= d_max. removal is rest's arc levels
+// and steps the levels in ascending order.
+func certifiedMaxPair(rest *graph.Directed, removal, steps []int64, p int) (x, y int32) {
+	for j := len(steps) - 1; j >= 0; j-- {
+		h, _, _ := arcsFrom(rest, removal, steps[j])
 		x, y, _ = maxProductPair(h, p)
-		if int64(x)*int64(y) >= levels[j+1] {
-			return x, y
+		if j == 0 || int64(x)*int64(y) >= steps[j-1] {
+			break
 		}
 	}
-	x, y, _ = maxProductPair(ws.base, p)
 	return x, y
 }
 

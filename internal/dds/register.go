@@ -12,7 +12,7 @@ func init() {
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation: the w*-induced subgraph's density is at least ρ*/2 (Theorem 3)",
 		Paper:        "Algorithms 3–4 (the reproduced paper)",
-		TraceColumns: []string{"phases", "counters"},
+		TraceColumns: []string{"phases", "counters", "work"},
 		Default:      true, DegradeRank: 1,
 		SolveDDS: PWC,
 	})

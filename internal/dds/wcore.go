@@ -16,54 +16,63 @@ import (
 // w* >= x*·y* holds in general, and PWC falls back on the peel levels
 // when the two differ.
 
-// wState is the mutable arc-peeling state over a Directed: per-arc alive
-// flags (arc ids are out-CSR positions) plus degree counters. The
-// level-sweep block bodies are prebound as method values at construction
-// (with their per-call inputs staged in fields), so the //dsd:hotpath peel
-// and min-weight kernels never allocate a closure per sweep.
+// noArc is the minimum weight a sweep reports when it sees no live arc.
+const noArc = int64(1) << 62
+
+// wState is the mutable arc-peeling state over a Directed. Tail u's live
+// out-arcs are the prefix heads[lo : lo+dplus[u]] of its own out-CSR range
+// [lo, hi), so d⁺(u) is the prefix length and a sweep scans live arcs
+// only: removing an arc swaps it with the prefix's last slot. slot holds
+// each slot's original arc id as an offset from lo. The sweep body is
+// prebound as a method value at construction (with its per-call inputs
+// staged in fields), so the //dsd:hotpath peel never allocates a closure
+// per sweep.
 //
-// Ownership rule: every parallel sweep (peelBlock, minBlock, deleteExact,
+// Ownership rule: every parallel sweep (peelBlock, deleteExact,
 // exactInDegrees) partitions st.active, and active lists each tail once,
-// so a tail's out-arc range of alive and its dplus entry are read and
-// written only by the one block that owns the tail. That is why alive and
-// dplus are plain slices and remove is plain stores. dminus is the only
+// so a tail's range of heads and slot and its dplus entry are read and
+// written only by the one block that owns the tail. That is why they are
+// plain slices and a removal is plain stores. dminus is the only
 // cross-block write (many tails share a head) and stays atomic. arcsLeft
 // is touched only between regions: each block adds its removal count to
 // removed once, and the caller subtracts the total after the region.
 type wState struct {
 	d        *graph.Directed
-	alive    []bool  // owned by the arc's tail block
+	heads    []int32 // live prefix of each tail's range, owned by its block
+	slot     []int32 // arc id of each slot, as an offset within its range
 	dplus    []int32 // owned by the vertex's tail block
 	dminus   []atomic.Int32
 	arcsLeft int64   // written between regions only
 	active   []int32 // vertices that may still have out-arcs, ascending
 
-	// Staged inputs and accumulators of the prebound sweep bodies.
+	// Staged inputs and accumulators of the prebound sweep body.
 	level   int64   // peel threshold of the sweep in flight
-	induce  []int64 // optional induce-number sink of the sweep in flight
+	removal []int64 // optional sink: the level that removed each arc id
 	removed atomic.Int64
-	minW    atomic.Int64
+	scanned atomic.Int64 // live arcs the peel sweeps visited, in total
+	minW    atomic.Int64 // least surviving weight of the sweep in flight
 	peelFn  func(lo, hi int)
-	minFn   func(lo, hi int)
 }
 
 func newWState(d *graph.Directed, p int) *wState {
 	n := d.N()
 	st := &wState{
 		d:        d,
-		alive:    make([]bool, d.M()),
+		heads:    make([]int32, d.M()),
+		slot:     make([]int32, d.M()),
 		dplus:    make([]int32, n),
 		dminus:   make([]atomic.Int32, n),
 		arcsLeft: d.M(),
 	}
 	st.peelFn = st.peelBlock
-	st.minFn = st.minBlock
 	parallel.For(n, p, func(v int) {
-		st.dplus[v] = d.OutDegree(int32(v))
+		lo, hi := d.OutArcRange(int32(v))
+		copy(st.heads[lo:hi], d.OutNeighbors(int32(v)))
+		for a := lo; a < hi; a++ {
+			st.slot[a] = int32(a - lo)
+		}
+		st.dplus[v] = int32(hi - lo)
 		st.dminus[v].Store(d.InDegree(int32(v)))
-	})
-	parallel.For(int(d.M()), p, func(a int) {
-		st.alive[a] = true
 	})
 	for v := int32(0); int(v) < n; v++ {
 		if st.dplus[v] > 0 {
@@ -77,135 +86,86 @@ func newWState(d *graph.Directed, p int) *wState {
 // active list, in place. Out-degrees only fall, so no vertex ever rejoins
 // and the filtered list stays ascending.
 func (st *wState) refreshActive() {
-	act := st.active[:0]
+	k := 0
 	for _, v := range st.active {
 		if st.dplus[v] > 0 {
-			act = append(act, v)
+			st.active[k] = v
+			k++
 		}
 	}
-	st.active = act
+	st.active = st.active[:k]
 }
 
-// weight returns the current weight of the arc u -> head(a). The caller
-// owns u, so d⁺(u) is exact; d⁻(head) may be read while other blocks lower
-// it. Degrees only decrease, so a stale read can only overestimate — the
-// peel sweeps repeat to a fixpoint, which makes overestimates safe (an arc
-// is never removed above the level, only kept one sweep too long).
-//
-//dsd:hotpath
-func (st *wState) weight(u int32, a int64) int64 {
-	return int64(st.dplus[u]) * int64(st.dminus[st.d.ArcHead(a)].Load())
-}
-
-// minWeight returns the minimum live arc weight, or -1 if no arcs remain.
-//
-//dsd:hotpath
-func (st *wState) minWeight(p int) int64 {
-	st.minW.Store(int64(1) << 62)
-	parallel.ForBlocks(len(st.active), p, 256, st.minFn)
-	if st.minW.Load() == int64(1)<<62 {
-		return -1
+// drop removes the live arc in slot i of the tail range starting at lo,
+// whose live prefix ends at slot last: the arc in slot last moves into
+// slot i, and the caller shortens the prefix. Only the block owning the
+// tail calls it.
+func (st *wState) drop(lo, i, last int64) {
+	st.dminus[st.heads[i]].Add(-1)
+	if st.removal != nil {
+		st.removal[lo+int64(st.slot[i])] = st.level
 	}
-	return st.minW.Load()
-}
-
-// minBlock is minWeight's block body, reached through the prebound method
-// value: it folds the block's live arc weights into a local minimum and
-// publishes it with one atomic min at the end.
-//
-//dsd:hotpath
-func (st *wState) minBlock(lo, hi int) {
-	local := int64(1) << 62
-	for i := lo; i < hi; i++ {
-		u := st.active[i]
-		alo, ahi := st.d.OutArcRange(u)
-		du := int64(st.dplus[u])
-		if du == 0 {
-			continue
-		}
-		for a := alo; a < ahi; a++ {
-			if !st.alive[a] {
-				continue
-			}
-			if w := du * int64(st.dminus[st.d.ArcHead(a)].Load()); w < local {
-				local = w
-			}
-		}
-	}
-	parallel.MinInt64(&st.minW, local)
-}
-
-// remove deletes the live arc a = (u, head). Only the block owning tail u
-// calls it, so the alive flag and d⁺(u) are plain stores; the head's d⁻ is
-// the one shared counter. The caller accounts for the removal in arcsLeft.
-//
-//dsd:hotpath
-func (st *wState) remove(u int32, a int64) {
-	st.alive[a] = false
-	st.dplus[u]--
-	st.dminus[st.d.ArcHead(a)].Add(-1)
+	st.heads[i], st.slot[i] = st.heads[last], st.slot[last]
 }
 
 // peelLevel removes, to a fixpoint, every live arc whose current weight is
-// at most level, optionally recording induce-numbers. It is the inner
-// while-loop of Algorithm 3 (lines 6-15): each sweep walks the active
-// vertices in parallel; removals lower neighbor degrees, which can pull
-// more arcs under the level, so sweeps repeat until one changes nothing.
-// Returns the number of arcs removed.
+// at most level, recording level as the removal level of each arc when
+// st.removal is set. It is the inner while-loop of Algorithm 3 (lines
+// 6-15): each sweep walks the active vertices in parallel; removals lower
+// neighbor degrees, which can pull more arcs under the level, so sweeps
+// repeat until one removes nothing. That last sweep changed no degree, so
+// the least weight it saw is exact: peelLevel returns it as the next level
+// (noArc once the graph is empty).
 //
 //dsd:hotpath
-func (st *wState) peelLevel(level int64, induce []int64, p int) int64 {
+func (st *wState) peelLevel(level int64, p int) int64 {
 	st.level = level
-	st.induce = induce
-	var total int64
 	for {
 		st.removed.Store(0)
+		st.minW.Store(noArc)
 		parallel.ForBlocks(len(st.active), p, 256, st.peelFn)
 		swept := st.removed.Load()
 		if swept == 0 {
-			st.arcsLeft -= total
-			return total
+			return st.minW.Load()
 		}
-		total += swept
+		st.arcsLeft -= swept
+		st.refreshActive()
 	}
 }
 
 // peelBlock is peelLevel's block body, reached through the prebound method
-// value; its threshold and induce sink are staged in st.level/st.induce.
+// value; its threshold is staged in st.level. A tail's weight falls with
+// each removal, so the arc swapped into a freed slot is weighed afresh.
+// The block publishes its removals, its scanned arcs and its least
+// surviving weight once each, at the end.
 //
 //dsd:hotpath
 func (st *wState) peelBlock(lo, hi int) {
-	var removed int64
+	var removed, scanned int64
+	least := noArc
 	for i := lo; i < hi; i++ {
 		u := st.active[i]
-		alo, ahi := st.d.OutArcRange(u)
-		for a := alo; a < ahi; a++ {
-			if st.alive[a] && st.weight(u, a) <= st.level {
-				st.remove(u, a)
-				if st.induce != nil {
-					st.induce[a] = st.level
-				}
-				removed++
+		alo, _ := st.d.OutArcRange(u)
+		du := int64(st.dplus[u])
+		scanned += du
+		for a := alo; a < alo+du; {
+			w := du * int64(st.dminus[st.heads[a]].Load())
+			if w > st.level {
+				least = min(least, w)
+				a++
+				continue
 			}
+			du--
+			st.drop(alo, a, alo+du)
+			removed++
 		}
+		st.dplus[u] = int32(du)
 	}
+	st.scanned.Add(scanned)
 	if removed > 0 {
 		st.removed.Add(removed)
 	}
-}
-
-// snapshotArcs returns the live arc ids (out-CSR order).
-func (st *wState) snapshotArcs() []int64 {
-	var arcs []int64
-	for _, u := range st.active {
-		alo, ahi := st.d.OutArcRange(u)
-		for a := alo; a < ahi; a++ {
-			if st.alive[a] {
-				arcs = append(arcs, a)
-			}
-		}
-	}
-	return arcs
+	parallel.MinInt64(&st.minW, least)
 }
 
 // DecomposeResult is the outcome of the full w-induced decomposition.
@@ -223,16 +183,15 @@ type DecomposeResult struct {
 // parallel) and records every arc's induce-number. O(m·d_max) worst case.
 func WDecompose(d *graph.Directed, p int) DecomposeResult {
 	st := newWState(d, p)
-	induce := make([]int64, d.M())
-	res := DecomposeResult{InduceNumber: induce}
+	st.removal = make([]int64, d.M())
+	res := DecomposeResult{InduceNumber: st.removal}
+	// Live weights are at least 1, so a sweep at level 0 removes nothing
+	// and only reports the first level.
+	level := st.peelLevel(0, p)
 	for st.arcsLeft > 0 {
-		level := st.minWeight(p)
-		st.peelLevel(level, induce, p)
-		st.refreshActive()
+		res.WStar = level
+		level = st.peelLevel(level, p)
 		res.Levels++
-		if level > res.WStar {
-			res.WStar = level
-		}
 	}
 	return res
 }
@@ -240,8 +199,9 @@ func WDecompose(d *graph.Directed, p int) DecomposeResult {
 // WStarResult is the outcome of the PWC-oriented w*-subgraph computation.
 type WStarResult struct {
 	WStar int64
-	// Subgraph is the w*-induced subgraph re-labeled to dense ids;
-	// Original maps its vertices back to the input digraph.
+	// Subgraph is the w*-induced subgraph re-labeled to dense ids in
+	// ascending order; Original maps its vertices back to the input
+	// digraph.
 	Subgraph *graph.Directed
 	Original []int32
 	// ArcsAfterWarmStart is |E| remaining after the warm-start peel at
@@ -252,14 +212,14 @@ type WStarResult struct {
 	// Levels is the number of weight levels processed (including the warm
 	// start), i.e. the t counter of Algorithm 3.
 	Levels int
+	// ArcsScanned is the number of live arcs the peel sweeps visited.
+	ArcsScanned int64
 
-	// What PWC's certified fallback walks down: the working graph the last
-	// levels were peeled on with each arc's removal level, and the
-	// warm-start remainder with its mapping back to the input.
-	work      *graph.Directed
-	workLevel []int64
-	base      *graph.Directed
-	baseOrig  []int32
+	// What PWC's certified fallback walks down: the level that removed
+	// each arc id (d_max - 1 for the warm start), and the levels after the
+	// warm start in ascending order.
+	removal []int64
+	steps   []int64
 }
 
 // WStarSubgraph computes only the w*-induced subgraph, using the paper's
@@ -268,11 +228,9 @@ type WStarResult struct {
 // < d_max — on the benchmark graphs this one step discards most of the
 // graph, which is where PWC's advantage over PXY comes from (Exp-6).
 //
-// After the warm start, and again whenever the live arc set shrinks by
-// another 8x, the working graph is re-materialized as a compact subgraph.
-// Without this the level sweeps keep scanning the original CSR ranges,
-// whose slots are mostly dead arcs — the re-compaction is the "reduce the
-// size of the graph in each iteration" step of the paper's Exp-6.
+// The sweeps scan only each tail's live prefix, so every level costs work
+// proportional to the arcs still left: this is the paper's "reduce the
+// size of the graph in each iteration" (Exp-6), with no re-built graph.
 func WStarSubgraph(d *graph.Directed, p int) WStarResult {
 	var res WStarResult
 	if d.M() == 0 {
@@ -280,105 +238,79 @@ func WStarSubgraph(d *graph.Directed, p int) WStarResult {
 		return res
 	}
 	st := newWState(d, p)
-	dmax := int64(d.MaxOutDegree())
-	if in := int64(d.MaxInDegree()); in > dmax {
-		dmax = in
-	}
+	st.removal = make([]int64, d.M())
+	dmax := int64(max(d.MaxOutDegree(), d.MaxInDegree()))
 	// Warm start: remove everything strictly below d_max. The remainder
 	// is the d_max-induced subgraph, non-empty by the Remark.
-	st.peelLevel(dmax-1, nil, p)
-	st.refreshActive()
+	level := st.peelLevel(dmax-1, p)
 	res.Levels = 1
 	res.ArcsAfterWarmStart = st.arcsLeft
 
-	// cur is the current working graph; orig maps its vertex ids back to
-	// d's ids (nil = identity).
-	cur, orig, st := compactState(d, nil, st, p)
-	res.base, res.baseOrig = cur, orig
-	lastCompact := st.arcsLeft
-
-	// Level loop: levels strictly increase, and removal records the level
-	// that removed each arc of the working graph. The last level empties
-	// the graph, so the arcs it removed are the w*-induced subgraph.
-	removal := make([]int64, cur.M())
+	// Level loop: levels strictly increase, and the last one empties the
+	// graph, so the arcs it removed are the w*-induced subgraph.
 	for st.arcsLeft > 0 {
-		res.WStar = st.minWeight(p)
-		st.peelLevel(res.WStar, removal, p)
-		st.refreshActive()
+		res.WStar = level
+		res.steps = append(res.steps, level)
+		level = st.peelLevel(level, p)
 		res.Levels++
-		if st.arcsLeft > 0 && st.arcsLeft < lastCompact/8 {
-			cur, orig, st = compactState(cur, orig, st, p)
-			lastCompact = st.arcsLeft
-			// Every arc of the new working graph is removed by a later
-			// level, so the stale entries get overwritten.
-			removal = removal[:cur.M()]
-		}
 	}
-	var wArcs []int64
-	for a, level := range removal {
-		if level == res.WStar {
-			wArcs = append(wArcs, int64(a))
-		}
-	}
-	res.work, res.workLevel = cur, removal
-	res.ArcsAtWStar = int64(len(wArcs))
-	sub, subOrig := induceFromArcs(cur, wArcs)
-	res.Subgraph = sub
-	res.Original = composeMapping(orig, subOrig)
+	res.removal = st.removal
+	res.ArcsScanned = st.scanned.Load()
+	res.Subgraph, res.Original, _ = arcsFrom(d, st.removal, res.WStar)
+	res.ArcsAtWStar = res.Subgraph.M()
 	return res
 }
 
-// compactState materializes the live subgraph of st as a fresh compact
-// digraph with fresh peeling state, composing the id mapping.
-func compactState(cur *graph.Directed, orig []int32, st *wState, p int) (*graph.Directed, []int32, *wState) {
-	live := st.snapshotArcs()
-	sub, subOrig := induceFromArcs(cur, live)
-	return sub, composeMapping(orig, subOrig), newWState(sub, p)
-}
-
-// composeMapping resolves sub-ids through an optional outer mapping
-// (nil = identity).
-func composeMapping(orig, subOrig []int32) []int32 {
-	if orig == nil {
-		return subOrig
-	}
-	out := make([]int32, len(subOrig))
-	for i, v := range subOrig {
-		out[i] = orig[v]
-	}
-	return out
-}
-
-// induceFromArcs builds a re-labeled digraph from a set of arc ids of d.
-func induceFromArcs(d *graph.Directed, arcIDs []int64) (*graph.Directed, []int32) {
-	tails := make([]int32, 0, len(arcIDs))
-	// Recover tails by walking arc ids against the CSR offsets; arcIDs is
-	// sorted (snapshot order), so a single forward scan suffices.
-	u := int32(0)
-	for _, a := range arcIDs {
-		for {
-			_, hi := d.OutArcRange(u)
-			if a < hi {
-				break
+// arcsFrom builds the subdigraph of d formed by the arcs whose removal
+// level is at least level, re-labeled to dense ids in ascending order. It
+// returns the mapping of its vertices back to d and its own arcs' removal
+// levels: the relabeling keeps the CSR order, so arc ids stay in step.
+func arcsFrom(d *graph.Directed, removal []int64, level int64) (*graph.Directed, []int32, []int64) {
+	var arcs []graph.Edge
+	var kept []int64
+	for u := int32(0); int(u) < d.N(); u++ {
+		lo, hi := d.OutArcRange(u)
+		for a := lo; a < hi; a++ {
+			if removal[a] >= level {
+				arcs = append(arcs, graph.Edge{U: u, V: d.ArcHead(a)})
+				kept = append(kept, removal[a])
 			}
-			u++
 		}
-		tails = append(tails, u)
 	}
-	local := make(map[int32]int32)
+	sub, original := relabel(d.N(), arcs)
+	return sub, original, kept
+}
+
+// liveSubgraph builds the subdigraph of the arcs still live in st,
+// re-labeled like arcsFrom.
+func (st *wState) liveSubgraph() (*graph.Directed, []int32) {
+	arcs := make([]graph.Edge, 0, st.arcsLeft)
+	for _, u := range st.active {
+		lo, _ := st.d.OutArcRange(u)
+		for _, v := range st.heads[lo : lo+int64(st.dplus[u])] {
+			arcs = append(arcs, graph.Edge{U: u, V: v})
+		}
+	}
+	return relabel(st.d.N(), arcs)
+}
+
+// relabel builds a digraph from arcs over vertices 0..n-1, keeping only
+// the vertices some arc touches and numbering them in ascending order. It
+// rewrites arcs in place and returns the new-to-old vertex mapping.
+func relabel(n int, arcs []graph.Edge) (*graph.Directed, []int32) {
+	id := make([]int32, n)
+	for _, e := range arcs {
+		id[e.U], id[e.V] = 1, 1
+	}
 	var original []int32
-	lookup := func(v int32) int32 {
-		if lv, ok := local[v]; ok {
-			return lv
+	for v, seen := range id {
+		if seen != 0 {
+			id[v] = int32(len(original))
+			original = append(original, int32(v))
 		}
-		lv := int32(len(original))
-		local[v] = lv
-		original = append(original, v)
-		return lv
 	}
-	arcs := make([]graph.Edge, len(arcIDs))
-	for i, a := range arcIDs {
-		arcs[i] = graph.Edge{U: lookup(tails[i]), V: lookup(d.ArcHead(a))}
+	for i, e := range arcs {
+		arcs[i] = graph.Edge{U: id[e.U], V: id[e.V]}
 	}
 	return graph.NewDirected(len(original), arcs), original
 }

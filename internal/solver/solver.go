@@ -104,7 +104,7 @@ type Descriptor struct {
 	Paper string
 	// TraceColumns names the trace record kinds the solver emits when
 	// Params.Trace is armed (e.g. "phases", "iterations", "convergence",
-	// "counters"). Empty means the solve is timed as a whole but adds no
+	// "counters", "work"). Empty means the solve is timed as a whole but adds no
 	// rows of its own.
 	TraceColumns []string
 	// Default marks the family's default algorithm (empty algo name).

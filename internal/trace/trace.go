@@ -73,6 +73,11 @@ type Trace struct {
 	// Counters holds algorithm-specific totals (e.g. PWC's Table-7 arc
 	// counts: arcs_input, arcs_after_warm_start, arcs_at_wstar, wstar).
 	Counters map[string]int64 `json:"counters,omitempty"`
+	// Work holds algorithm-specific work totals that, unlike Counters,
+	// may depend on the interleaving above one worker (e.g. PWC's
+	// arcs_scanned: how many arcs one sweep leaves to the next depends
+	// on which removals it saw). At one worker they are exact.
+	Work map[string]int64 `json:"work,omitempty"`
 	// Parallel is the internal/parallel counter delta over the solve.
 	// Deltas are process-wide, so concurrent solves blend into each other's
 	// numbers; single-solve contexts (CLI, bench) read them exactly.
@@ -168,6 +173,17 @@ func (t *Trace) Counter(name string, v int64) {
 		t.Counters = make(map[string]int64)
 	}
 	t.Counters[name] += v
+}
+
+// AddWork adds v to a named schedule-dependent work total. Nil-safe.
+func (t *Trace) AddWork(name string, v int64) {
+	if t == nil {
+		return
+	}
+	if t.Work == nil {
+		t.Work = make(map[string]int64)
+	}
+	t.Work[name] += v
 }
 
 // RaisePeak lifts PeakCandidates to v if larger. Nil-safe.

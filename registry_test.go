@@ -29,6 +29,9 @@ func traceKinds(tr *dsd.Trace) []string {
 	if len(tr.Counters) > 0 {
 		kinds = append(kinds, "counters")
 	}
+	if len(tr.Work) > 0 {
+		kinds = append(kinds, "work")
+	}
 	slices.Sort(kinds)
 	return kinds
 }
