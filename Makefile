@@ -85,13 +85,16 @@ fuzz:
 	$(GO) test -fuzz FuzzReadEdgeList -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 30s ./internal/graph
+	$(GO) test -fuzz FuzzExactPruned -fuzztime 30s ./internal/uds
 
 # Quick CI-grade pass over every fuzz target: seeds plus a few seconds of
-# mutation each, enough to catch reader regressions without a long soak.
+# mutation each, enough to catch reader regressions, and an exact-pruned
+# answer that differs from the oracles', without a long soak.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 5s ./internal/graph
+	$(GO) test -fuzz FuzzExactPruned -fuzztime 5s ./internal/uds
 
 # Every testing.B benchmark in the module, one iteration each: at the root,
 # BenchmarkPaper (every case of internal/bench's experiment table, the same

@@ -16,7 +16,7 @@ func TestSolveUDSCanceled(t *testing.T) {
 	g := dsd.GenerateChungLu(300, 1200, 2.1, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, algo := range []dsd.Algo{dsd.AlgoExact, dsd.AlgoExactPruned, dsd.AlgoExactEps, dsd.AlgoPFW, dsd.AlgoGreedyPP} {
+	for _, algo := range []dsd.Algo{dsd.AlgoExactPruned, dsd.AlgoPFW, dsd.AlgoGreedyPP} {
 		_, err := dsd.SolveUDS(g, algo, dsd.Options{Ctx: ctx})
 		if !errors.Is(err, dsd.ErrCanceled) {
 			t.Errorf("%s with canceled ctx: err = %v, want ErrCanceled", algo, err)
@@ -31,7 +31,7 @@ func TestSolveDDSCanceled(t *testing.T) {
 	d := dsd.GenerateChungLuDirected(300, 1200, 2.1, 2.1, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, algo := range []dsd.Algo{dsd.AlgoExactDDS, dsd.AlgoPBS, dsd.AlgoPFKS, dsd.AlgoPBD} {
+	for _, algo := range []dsd.Algo{dsd.AlgoExactPrunedDDS, dsd.AlgoPBS, dsd.AlgoPFKS, dsd.AlgoPBD} {
 		_, err := dsd.SolveDDS(d, algo, dsd.Options{Ctx: ctx})
 		if !errors.Is(err, dsd.ErrCanceled) {
 			t.Errorf("%s with canceled ctx: err = %v, want ErrCanceled", algo, err)
@@ -44,7 +44,7 @@ func TestSolveDeadlineWrapsCause(t *testing.T) {
 	g := dsd.GenerateChungLu(300, 1200, 2.1, 3)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := dsd.SolveUDS(g, dsd.AlgoExact, dsd.Options{Ctx: ctx})
+	_, err := dsd.SolveUDS(g, dsd.AlgoExactPruned, dsd.Options{Ctx: ctx})
 	if !errors.Is(err, dsd.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
@@ -53,7 +53,7 @@ func TestSolveDeadlineWrapsCause(t *testing.T) {
 // A nil Ctx (the default) must keep every solver working untouched.
 func TestSolveNilContext(t *testing.T) {
 	g := dsd.GenerateChungLu(300, 1200, 2.1, 3)
-	res, err := dsd.SolveUDS(g, dsd.AlgoExact, dsd.Options{})
+	res, err := dsd.SolveUDS(g, dsd.AlgoExactPruned, dsd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

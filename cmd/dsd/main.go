@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	dsd -in graph.txt [-directed] [-algo pkmc|local|pkc|bz|charikar|greedypp|pbu|pfw|fista|fracpeel|exact|exact-pruned]
-//	    [-algo pwc|pxy|pbs|pfks|pbd|pfw|exact|exact-pruned] (directed families)
+//	dsd -in graph.txt [-directed] [-algo pkmc|pkmc-sync|local|pkc|bz|charikar|greedypp|pbu|pfw|fista|fracpeel|exact-pruned]
+//	    [-algo pwc|pxy|pbs|pfks|pbd|pfw|exact-pruned] (directed families)
 //	    [-p N] [-budget 30s] [-timeout 10s] [-verbose]
 //	dsd -in graph.txt -mode replay -mutations stream.txt   # dynamic maintenance
 //	dsd -algorithms [-json]                                # registered-algorithm catalog

@@ -163,7 +163,7 @@ func TestRunAlgorithmsJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &catalog); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
-	if len(catalog["uds"]) != len(dsd.UDSAlgorithms()) || len(catalog["dds"]) != len(dsd.DDSAlgorithms()) {
+	if len(catalog["uds"]) != len(dsd.Algorithms(dsd.ProblemUDS)) || len(catalog["dds"]) != len(dsd.Algorithms(dsd.ProblemDDS)) {
 		t.Fatalf("catalog sizes %d/%d disagree with the registry", len(catalog["uds"]), len(catalog["dds"]))
 	}
 	var fista *dsd.AlgorithmInfo

@@ -63,14 +63,15 @@ func TestDigraphAccessors(t *testing.T) {
 
 func TestSolveUDSAllAlgorithms(t *testing.T) {
 	g := fig1a()
-	exact, err := dsd.SolveUDS(g, dsd.AlgoExact, dsd.Options{})
+	exact, err := dsd.SolveUDS(g, dsd.AlgoExactPruned, dsd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(exact.Density-1.25) > 1e-9 {
 		t.Fatalf("exact density = %v", exact.Density)
 	}
-	for _, algo := range dsd.UDSAlgorithms() {
+	for _, info := range dsd.Algorithms(dsd.ProblemUDS) {
+		algo := info.Name
 		res, err := dsd.SolveUDS(g, algo, dsd.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -99,14 +100,15 @@ func TestSolveUDSUnknownAlgo(t *testing.T) {
 
 func TestSolveDDSAllAlgorithms(t *testing.T) {
 	d := fig1b()
-	exact, err := dsd.SolveDDS(d, dsd.AlgoExactDDS, dsd.Options{})
+	exact, err := dsd.SolveDDS(d, dsd.AlgoExactPrunedDDS, dsd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(exact.Density-2.0) > 1e-9 {
 		t.Fatalf("exact density = %v", exact.Density)
 	}
-	for _, algo := range dsd.DDSAlgorithms() {
+	for _, info := range dsd.Algorithms(dsd.ProblemDDS) {
+		algo := info.Name
 		res, err := dsd.SolveDDS(d, algo, dsd.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -350,23 +352,6 @@ func TestDynamicGraphAPI(t *testing.T) {
 	}
 }
 
-func TestInduceNumbersAPI(t *testing.T) {
-	d := fig1b()
-	arcs, nums := dsd.InduceNumbers(d, 2)
-	if len(arcs) != 5 || len(nums) != 5 {
-		t.Fatalf("%d arcs, %d nums", len(arcs), len(nums))
-	}
-	var max int64
-	for _, w := range nums {
-		if w > max {
-			max = w
-		}
-	}
-	if max != 4 { // w* = x*·y* = 2·2
-		t.Fatalf("max induce number = %d, want 4", max)
-	}
-}
-
 func TestCNPairSkylineAPI(t *testing.T) {
 	sky := dsd.CNPairSkyline(fig1b(), 2)
 	if len(sky) == 0 {
@@ -421,11 +406,6 @@ func TestOptionsPlumbing(t *testing.T) {
 	fw, err := dsd.SolveUDS(g, dsd.AlgoPFW, dsd.Options{Iterations: 7})
 	if err != nil || fw.Iterations != 7 {
 		t.Fatalf("PFW iterations = %d (err %v), want 7", fw.Iterations, err)
-	}
-	// Exact-eps converges in a handful of probes at coarse epsilon.
-	ee, err := dsd.SolveUDS(g, dsd.AlgoExactEps, dsd.Options{Epsilon: 0.5})
-	if err != nil || ee.Iterations > 4 || ee.Density <= 0 {
-		t.Fatalf("exact-eps: %+v (err %v)", ee, err)
 	}
 	d := dsd.GenerateChungLuDirected(400, 2000, 2.6, 2.4, 38)
 	// PBD accepts custom delta/epsilon.

@@ -25,8 +25,8 @@ func main() {
 	fmt.Printf("  PKMC found |S|=%d, density %.3f (k* = %d)\n", len(res.Vertices), res.Density, res.KStar)
 	fmt.Printf("  S = %v\n", res.Vertices)
 
-	// The exact solver agrees on small graphs:
-	exact, err := dsd.SolveUDS(g, dsd.AlgoExact, dsd.Options{})
+	// The exact solver confirms the 2-approximation bound:
+	exact, err := dsd.SolveUDS(g, dsd.AlgoExactPruned, dsd.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

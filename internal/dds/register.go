@@ -56,14 +56,6 @@ func init() {
 		SolveDDS:  PFW,
 	})
 	solver.Register(solver.Descriptor{
-		Name: "exact", Kind: solver.KindDDS, Display: "Exact",
-		Grade:     solver.GradeExact,
-		Guarantee: "exact via the ratio-enumerating parameterized min-cut search",
-		Paper:     "Khuller–Saha flow formulation; the reproduced paper's exactness baseline",
-		Serial:    true, Degradable: true,
-		SolveDDS: Exact,
-	})
-	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindDDS, Display: "Exact-Pruned",
 		Grade:      solver.GradeExact,
 		Guarantee:  "exact: PWC lower bound prunes to the ⌈ρ̃²/4⌉-induced subgraph before the flow search",

@@ -6,7 +6,7 @@ import (
 )
 
 // Eps is the tolerance under which residual capacities are treated as zero.
-// The densest-subgraph binary searches have candidate densities that are
+// The densest-subgraph flow searches have candidate densities that are
 // ratios of small integers, so 1e-9 cleanly separates distinct candidates
 // on every graph this repository targets.
 const Eps = 1e-9

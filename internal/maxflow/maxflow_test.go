@@ -134,163 +134,3 @@ func TestFractionalCapacities(t *testing.T) {
 		t.Fatalf("flow = %v, want 0.75", f)
 	}
 }
-
-func buildCLRS() *Network {
-	nw := NewNetwork(6)
-	nw.AddArc(0, 1, 16)
-	nw.AddArc(0, 2, 13)
-	nw.AddArc(1, 3, 12)
-	nw.AddArc(2, 1, 4)
-	nw.AddArc(2, 4, 14)
-	nw.AddArc(3, 2, 9)
-	nw.AddArc(3, 5, 20)
-	nw.AddArc(4, 3, 7)
-	nw.AddArc(4, 5, 4)
-	return nw
-}
-
-func TestPushRelabelCLRS(t *testing.T) {
-	nw := buildCLRS()
-	if f := nw.SolvePushRelabel(0, 5); math.Abs(f-23) > 1e-6 {
-		t.Fatalf("flow = %v, want 23", f)
-	}
-}
-
-func TestPushRelabelMatchesDinic(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(20)
-		type capArc struct {
-			u, v int32
-			c    float64
-		}
-		var arcs []capArc
-		for i := 0; i < n*4; i++ {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			arcs = append(arcs, capArc{u, v, float64(1 + rng.Intn(12))})
-		}
-		build := func() *Network {
-			nw := NewNetwork(n)
-			for _, a := range arcs {
-				nw.AddArc(a.u, a.v, a.c)
-			}
-			return nw
-		}
-		d := build().Solve(0, int32(n-1))
-		pr := build().SolvePushRelabel(0, int32(n-1))
-		if math.Abs(d-pr) > 1e-6 {
-			t.Fatalf("trial %d: dinic %v, push-relabel %v", trial, d, pr)
-		}
-	}
-}
-
-func TestPushRelabelMinCut(t *testing.T) {
-	nw := NewNetwork(4)
-	nw.AddArc(0, 1, 10)
-	nw.AddArc(1, 2, 1)
-	nw.AddArc(2, 3, 10)
-	nw.SolvePushRelabel(0, 3)
-	side := nw.MinCutSource(0)
-	if len(side) != 2 {
-		t.Fatalf("source side = %v, want {0,1}", side)
-	}
-}
-
-func TestPushRelabelSourceEqualsSink(t *testing.T) {
-	nw := NewNetwork(2)
-	nw.AddArc(0, 1, 5)
-	if f := nw.SolvePushRelabel(0, 0); f != 0 {
-		t.Fatalf("flow = %v", f)
-	}
-}
-
-func TestPushRelabelDisconnected(t *testing.T) {
-	nw := NewNetwork(4)
-	nw.AddArc(0, 1, 5)
-	nw.AddArc(2, 3, 5)
-	if f := nw.SolvePushRelabel(0, 3); f > Eps {
-		t.Fatalf("flow = %v, want 0", f)
-	}
-}
-
-// TestPushRelabelCutDuality verifies that MinCutSource on the residual
-// preflow network still certifies the flow value — the property the exact
-// densest-subgraph solvers rely on.
-func TestPushRelabelCutDuality(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(18)
-		type capArc struct {
-			u, v int32
-			c    float64
-		}
-		var arcs []capArc
-		nw := NewNetwork(n)
-		for i := 0; i < n*4; i++ {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			c := float64(1 + rng.Intn(9))
-			arcs = append(arcs, capArc{u, v, c})
-			nw.AddArc(u, v, c)
-		}
-		s, tt := int32(0), int32(n-1)
-		flow := nw.SolvePushRelabel(s, tt)
-		side := nw.MinCutSource(s)
-		inSide := make([]bool, n)
-		for _, v := range side {
-			inSide[v] = true
-		}
-		if inSide[tt] {
-			t.Fatalf("trial %d: sink on source side", trial)
-		}
-		var cut float64
-		for _, a := range arcs {
-			if inSide[a.u] && !inSide[a.v] {
-				cut += a.c
-			}
-		}
-		if math.Abs(flow-cut) > 1e-6 {
-			t.Fatalf("trial %d: flow %v != cut %v", trial, flow, cut)
-		}
-	}
-}
-
-// BenchmarkFlowEngines compares the two engines on a layered random
-// network shaped like the exact solvers' instances.
-func BenchmarkFlowEngines(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	n := 2000
-	type capArc struct {
-		u, v int32
-		c    float64
-	}
-	var arcs []capArc
-	for i := 0; i < n*8; i++ {
-		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-		if u != v {
-			arcs = append(arcs, capArc{u, v, float64(1 + rng.Intn(20))})
-		}
-	}
-	build := func() *Network {
-		nw := NewNetwork(n)
-		for _, a := range arcs {
-			nw.AddArc(a.u, a.v, a.c)
-		}
-		return nw
-	}
-	b.Run("dinic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			build().Solve(0, int32(n-1))
-		}
-	})
-	b.Run("push-relabel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			build().SolvePushRelabel(0, int32(n-1))
-		}
-	})
-}

@@ -259,7 +259,7 @@ func TestQueueWaitExpires(t *testing.T) {
 
 	go func() {
 		var resp UDSResponse
-		doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "clique", Algo: "exact"}, &resp)
+		doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "clique", Algo: "exact-pruned"}, &resp)
 	}()
 	<-admitted
 

@@ -23,16 +23,16 @@ func seedEstimate(s *Server, graph, wireAlgo string, ms int) {
 // guarantee the substitute still carries.
 func TestDegradeDowngradesExact(t *testing.T) {
 	s, ts := newTestServer(t, Config{DegradePolicy: DegradeAuto})
-	seedEstimate(s, "clique", "exact", 10_000)
+	seedEstimate(s, "clique", "exact-pruned", 10_000)
 	seedEstimate(s, "clique", "greedypp", 1)
 
 	var resp UDSResponse
-	req := SolveRequest{Graph: "clique", Algo: "exact", Options: SolveOptions{TimeoutMs: 1000}}
+	req := SolveRequest{Graph: "clique", Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1000}}
 	if got := doJSON(t, "POST", ts.URL+"/solve/uds", req, &resp); got != http.StatusOK {
 		t.Fatalf("degradable solve = %d, want 200", got)
 	}
-	if !resp.Degraded || resp.DegradedFrom != "exact" {
-		t.Fatalf("degraded/from = %v/%q, want true/\"exact\"", resp.Degraded, resp.DegradedFrom)
+	if !resp.Degraded || resp.DegradedFrom != "exact-pruned" {
+		t.Fatalf("degraded/from = %v/%q, want true/\"exact-pruned\"", resp.Degraded, resp.DegradedFrom)
 	}
 	if want := dsd.DegradationLadder(dsd.ProblemUDS)[0].Guarantee; resp.Guarantee != want {
 		t.Fatalf("guarantee = %q, want the first rung's registered bound %q", resp.Guarantee, want)
@@ -50,11 +50,11 @@ func TestDegradeDowngradesExact(t *testing.T) {
 // viable — it is the floor, there is nothing cheaper to save for).
 func TestDegradeFallsToFloor(t *testing.T) {
 	s, ts := newTestServer(t, Config{DegradePolicy: DegradeAuto})
-	seedEstimate(s, "clique", "exact", 10_000)
+	seedEstimate(s, "clique", "exact-pruned", 10_000)
 	seedEstimate(s, "clique", "greedypp", 10_000)
 
 	var resp UDSResponse
-	req := SolveRequest{Graph: "clique", Algo: "exact", Options: SolveOptions{TimeoutMs: 1000}}
+	req := SolveRequest{Graph: "clique", Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1000}}
 	if got := doJSON(t, "POST", ts.URL+"/solve/uds", req, &resp); got != http.StatusOK {
 		t.Fatalf("degradable solve = %d, want 200", got)
 	}
@@ -69,11 +69,11 @@ func TestDegradeFallsToFloor(t *testing.T) {
 // estimated cost rides in the body so the client can pick a real deadline.
 func TestDegradeInfeasibleRejects(t *testing.T) {
 	s, ts := newTestServer(t, Config{DegradePolicy: DegradeAuto})
-	seedEstimate(s, "clique", "exact", 60_000)
+	seedEstimate(s, "clique", "exact-pruned", 60_000)
 	seedEstimate(s, "clique", "greedypp", 50_000)
 	seedEstimate(s, "clique", "pkmc", 40_000)
 
-	for _, algo := range []string{"exact", "pkmc"} {
+	for _, algo := range []string{"exact-pruned", "pkmc"} {
 		body, _ := json.Marshal(SolveRequest{Graph: "clique", Algo: algo, Options: SolveOptions{TimeoutMs: 1000}})
 		resp, err := http.Post(ts.URL+"/solve/uds", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -113,10 +113,10 @@ func TestDegradeOffAndNoDeadline(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, Config{DegradePolicy: tc.policy})
-			seedEstimate(s, "clique", "exact", 60_000)
+			seedEstimate(s, "clique", "exact-pruned", 60_000)
 
 			var resp UDSResponse
-			req := SolveRequest{Graph: "clique", Algo: "exact", Options: tc.opts}
+			req := SolveRequest{Graph: "clique", Algo: "exact-pruned", Options: tc.opts}
 			if got := doJSON(t, "POST", ts.URL+"/solve/uds", req, &resp); got != http.StatusOK {
 				t.Fatalf("solve = %d, want 200", got)
 			}
@@ -134,15 +134,15 @@ func TestDegradeOffAndNoDeadline(t *testing.T) {
 // predicted to miss falls to PWC with its guarantee.
 func TestDegradeDDSLadder(t *testing.T) {
 	s, ts := newTestServer(t, Config{DegradePolicy: DegradeAuto})
-	seedEstimate(s, "biclique", "exact", 10_000)
+	seedEstimate(s, "biclique", "exact-pruned", 10_000)
 	seedEstimate(s, "biclique", "pwc", 1)
 
 	var resp DDSResponse
-	req := SolveRequest{Graph: "biclique", Algo: "exact", Options: SolveOptions{TimeoutMs: 1000}}
+	req := SolveRequest{Graph: "biclique", Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1000}}
 	if got := doJSON(t, "POST", ts.URL+"/solve/dds", req, &resp); got != http.StatusOK {
 		t.Fatalf("degradable DDS solve = %d, want 200", got)
 	}
-	if want := dsd.DegradationLadder(dsd.ProblemDDS)[0].Guarantee; !resp.Degraded || resp.DegradedFrom != "exact" || resp.Guarantee != want {
+	if want := dsd.DegradationLadder(dsd.ProblemDDS)[0].Guarantee; !resp.Degraded || resp.DegradedFrom != "exact-pruned" || resp.Guarantee != want {
 		t.Fatalf("degraded/from/guarantee = %v/%q/%q, want the PWC rung %q", resp.Degraded, resp.DegradedFrom, resp.Guarantee, want)
 	}
 }
@@ -153,10 +153,10 @@ func TestDegradeDDSLadder(t *testing.T) {
 // flags), and a repeat degraded request re-attaches them per-request.
 func TestDegradeCacheStaysCanonical(t *testing.T) {
 	s, ts := newTestServer(t, Config{DegradePolicy: DegradeAuto})
-	seedEstimate(s, "clique", "exact", 10_000)
+	seedEstimate(s, "clique", "exact-pruned", 10_000)
 	seedEstimate(s, "clique", "greedypp", 1)
 
-	degraded := SolveRequest{Graph: "clique", Algo: "exact", Options: SolveOptions{TimeoutMs: 1000}}
+	degraded := SolveRequest{Graph: "clique", Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1000}}
 	var first UDSResponse
 	if got := doJSON(t, "POST", ts.URL+"/solve/uds", degraded, &first); got != http.StatusOK {
 		t.Fatalf("first degraded solve = %d, want 200", got)
@@ -180,7 +180,7 @@ func TestDegradeCacheStaysCanonical(t *testing.T) {
 	if got := doJSON(t, "POST", ts.URL+"/solve/uds", degraded, &third); got != http.StatusOK {
 		t.Fatalf("repeat degraded solve = %d, want 200", got)
 	}
-	if !third.Cached || !third.Degraded || third.DegradedFrom != "exact" {
+	if !third.Cached || !third.Degraded || third.DegradedFrom != "exact-pruned" {
 		t.Fatalf("repeat = cached %v degraded %v %q, want a degraded-flagged cache hit", third.Cached, third.Degraded, third.DegradedFrom)
 	}
 	// 2 seed observations + exactly 1 real run; both repeats were hits.

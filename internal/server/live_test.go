@@ -78,7 +78,7 @@ func TestLiveHTTPRoundTrip(t *testing.T) {
 
 	// A full solve runs against the mutated snapshot and agrees.
 	var sres UDSResponse
-	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "exact"}, &sres); got != http.StatusOK {
+	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "exact-pruned"}, &sres); got != http.StatusOK {
 		t.Fatalf("solve = %d, want 200", got)
 	}
 	if sres.Density != 1.5 || sres.Version != mres.Version {
@@ -89,7 +89,7 @@ func TestLiveHTTPRoundTrip(t *testing.T) {
 	// query must re-solve at a new version, and see the new graph.
 	doJSON(t, "POST", ts.URL+"/graphs/lg/edges", MutateRequest{Mutations: []MutationOp{{Op: "delete", U: 0, V: 3}}}, &mres)
 	sres = UDSResponse{}
-	doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "exact"}, &sres)
+	doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "exact-pruned"}, &sres)
 	if sres.Cached || sres.Version != mres.Version {
 		t.Fatalf("post-delete solve: cached=%v version=%d, want fresh at %d", sres.Cached, sres.Version, mres.Version)
 	}

@@ -212,9 +212,9 @@ func TestSolvePathEquivalence(t *testing.T) {
 			cfg:  Config{DegradePolicy: DegradeAuto},
 			serve: func(t *testing.T, s *Server, ts *httptest.Server, f pathFamily) (pathAnswer, string, dsd.Algo) {
 				rung := dsd.DegradationLadder(f.problem)[0].Name
-				seedEstimate(s, f.graph, "exact", 10_000)
+				seedEstimate(s, f.graph, "exact-pruned", 10_000)
 				seedEstimate(s, f.graph, string(rung), 1)
-				req := SolveRequest{Graph: f.graph, Algo: "exact", Options: SolveOptions{TimeoutMs: 1000}}
+				req := SolveRequest{Graph: f.graph, Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1000}}
 				return f.mustPost(t, ts.URL, req), f.graph, rung
 			},
 			want: pathFlags{degraded: true},

@@ -198,7 +198,7 @@ func TestDeleteGraph(t *testing.T) {
 
 func TestSolveUDS(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, algo := range []string{"", "pkmc", "charikar", "exact"} {
+	for _, algo := range []string{"", "pkmc", "charikar", "exact-pruned"} {
 		var resp UDSResponse
 		req := SolveRequest{Graph: "clique", Algo: algo}
 		if got := doJSON(t, "POST", ts.URL+"/solve/uds", req, &resp); got != http.StatusOK {
@@ -384,7 +384,7 @@ func TestSolveDeadlineExceeded(t *testing.T) {
 	}
 
 	var eb errorBody
-	req := SolveRequest{Graph: "clique", Algo: "exact", Options: SolveOptions{TimeoutMs: 1}}
+	req := SolveRequest{Graph: "clique", Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1}}
 	if got := doJSON(t, "POST", ts.URL+"/solve/uds", req, &eb); got != http.StatusGatewayTimeout {
 		t.Fatalf("expired solve = %d, want 504", got)
 	}
@@ -394,7 +394,7 @@ func TestSolveDeadlineExceeded(t *testing.T) {
 
 	// Same for the directed family.
 	eb = errorBody{}
-	dreq := SolveRequest{Graph: "biclique", Algo: "exact", Options: SolveOptions{TimeoutMs: 1}}
+	dreq := SolveRequest{Graph: "biclique", Algo: "exact-pruned", Options: SolveOptions{TimeoutMs: 1}}
 	if got := doJSON(t, "POST", ts.URL+"/solve/dds", dreq, &eb); got != http.StatusGatewayTimeout {
 		t.Fatalf("expired dds solve = %d, want 504", got)
 	}
@@ -419,7 +419,7 @@ func TestServerDefaultTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{DefaultTimeout: time.Millisecond})
 	s.solveGate = func() { time.Sleep(20 * time.Millisecond) }
 	var eb errorBody
-	req := SolveRequest{Graph: "clique", Algo: "exact"}
+	req := SolveRequest{Graph: "clique", Algo: "exact-pruned"}
 	if got := doJSON(t, "POST", ts.URL+"/solve/uds", req, &eb); got != http.StatusGatewayTimeout {
 		t.Fatalf("default-timeout solve = %d, want 504", got)
 	}
@@ -437,7 +437,7 @@ func TestOverloaded(t *testing.T) {
 
 	go func() {
 		var resp UDSResponse
-		doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "clique", Algo: "exact"}, &resp)
+		doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "clique", Algo: "exact-pruned"}, &resp)
 	}()
 	<-admitted
 

@@ -1,6 +1,8 @@
 // Package uds solves the Undirected Densest Subgraph problem (the paper's
 // Problem 1): given G, find S maximizing ρ(G[S]) = |E(S)|/|S|. It provides
-// the exact Goldberg flow solver plus every approximation algorithm of the
+// the exact solver ExactPruned (a core reduction, then density-jump
+// Goldberg min-cuts; the unpruned bisection Exact and BruteForce remain as
+// test oracles) plus every approximation algorithm of the
 // paper's Exp-1 lineup — Charikar's serial peeling, PBU (Bahmani batch
 // peeling), PFW (Frank–Wolfe), and the three k*-core routes Local, PKC and
 // PKMC (the paper's contribution, Algorithm 2, here with in-place sweeps

@@ -20,30 +20,14 @@ import (
 // ratios with denominators <= n, so the search stops once the interval is
 // narrower than 1/(n(n-1)) and returns the last non-empty cut.
 //
-// Cost: O(log n) max-flows on a network with n+2 nodes and n+m arcs —
-// practical up to ~10^5-edge graphs, and the oracle every approximation
-// algorithm in this package is tested against.
+// Cost: O(log n) max-flows on a network with n+2 nodes and n+m arcs. It is
+// not registered: it is the oracle ExactPruned and every approximation
+// algorithm in this package are tested against.
 //
 // The binary search polls ctx between min-cut probes (and inside each flow
 // computation, between blocking-flow phases) and returns a wrapped
-// cancel.ErrCanceled once ctx is done. A nil ctx never cancels. An armed
-// opts.Trace times the search as one "flow-search" phase and counts its
-// probes.
-func Exact(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
-	tr := opts.Trace
-	tr.SetAlgorithm("Exact")
-	endFlow := tr.StartPhase("flow-search")
-	res, err := exact(ctx, g)
-	endFlow()
-	if err == nil {
-		tr.Counter("flow_probes", int64(res.Iterations))
-	}
-	return res, err
-}
-
-// exact is Exact's untraced Goldberg search, shared with ExactPruned and
-// ExactEpsilon so their own traces carry no second flow-search record.
-func exact(ctx context.Context, g *graph.Undirected) (solver.Result, error) {
+// cancel.ErrCanceled once ctx is done. A nil ctx never cancels.
+func Exact(ctx context.Context, g *graph.Undirected, _ solver.Params) (solver.Result, error) {
 	n := g.N()
 	if n == 0 {
 		return solver.Result{Algorithm: "Exact"}, nil
@@ -151,19 +135,35 @@ func BruteForce(g *graph.Undirected) solver.Result {
 // paper's [6]): the densest subgraph is contained in the ⌈ρ*⌉-core, and any
 // lower bound ρ̃ <= ρ* gives ⌈ρ̃⌉-core ⊇ ⌈ρ*⌉-core. It takes the k*-core
 // 2-approximation as ρ̃ (so ρ̃ >= ρ*/2 >= k*/2), prunes the graph to the
-// ⌈ρ̃⌉-core, and runs the Goldberg binary search there — typically orders
-// of magnitude fewer flow nodes than Exact on power-law graphs.
+// ⌈ρ̃⌉-core, and runs a density-jump (Dinkelbach) search of Goldberg
+// min-cuts there — usually two cuts, where a binary search needs ~25.
 //
-// It has Exact's cancellation contract. An armed opts.Trace splits the
-// solve into the paper's natural phases — the PKMC lower bound
-// ("approx-lower-bound", with its h-index sweeps), the single-threshold
-// peel to the ⌈ρ̃⌉-core ("prune"), and the Goldberg flow binary search on
-// the remnant ("flow-search") — plus the pruning and probe counters.
+// The search starts the bound at ρ̃ − 1/(2n′(n′−1)) on the n′-vertex
+// remnant, so the bound is below ρ*, and moves it to the density of each
+// non-empty cut until a cut is empty or no denser than the bound. The
+// answer is D, the maximal densest subgraph (the union of all densest
+// sets). A cut S taken at a bound g < ρ* maximizes the supermodular
+// f(S) = |E(S)| − g|S|, so f(S ∪ D) + f(S ∩ D) >= f(S) + f(D) and
+// f(S ∪ D) <= f(S) give f(S ∩ D) >= f(D). Every T ⊆ D has
+// f(T) <= (ρ* − g)|T|, which is below f(D) unless T = D; so D ⊆ S, and
+// ρ(S) > g because f(S) >= f(D) > 0. The bound therefore rises strictly
+// through cuts that contain D until one has density ρ*, which is then D
+// itself; the cut at g = ρ* is empty or ties, and the search returns D.
+// Starting at ρ̃ itself would stop at once whenever the PKMC answer is
+// densest but not maximal.
+//
+// It polls ctx between min-cuts (and inside each flow computation,
+// between blocking-flow phases) and returns a wrapped cancel.ErrCanceled
+// once ctx is done; a nil ctx never cancels. An armed opts.Trace splits
+// the solve into the PKMC lower bound ("approx-lower-bound", with its
+// h-index sweeps), the single-threshold peel to the ⌈ρ̃⌉-core ("prune"),
+// and the min-cut search on the remnant ("flow-search"), plus the pruning
+// and probe counters.
 func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
 	tr, p := opts.Trace, opts.Workers
 	tr.SetAlgorithm("ExactPruned")
 	if g.N() == 0 || g.M() == 0 {
-		res, err := exact(ctx, g)
+		res, err := Exact(ctx, g, solver.Params{})
 		res.Algorithm = "ExactPruned"
 		return res, err
 	}
@@ -183,76 +183,39 @@ func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (
 	endPrune := tr.StartPhase("prune")
 	sub, orig := g.Induced(core.PeelTo(g, k))
 	endPrune()
-	tr.Counter("pruned_vertices", int64(g.N()-sub.N()))
-	tr.Counter("flow_vertices", int64(sub.N()))
-	tr.RaisePeak(int64(sub.N()))
+	n := sub.N()
+	tr.Counter("pruned_vertices", int64(g.N()-n))
+	tr.Counter("flow_vertices", int64(n))
+	tr.RaisePeak(int64(n))
 	endFlow := tr.StartPhase("flow-search")
-	res, err := exact(ctx, sub)
-	endFlow()
-	if err != nil {
-		return solver.Result{}, err
-	}
-	tr.Counter("flow_probes", int64(res.Iterations))
-	mapped := make([]int32, len(res.Vertices))
-	for i, v := range res.Vertices {
-		mapped[i] = orig[v]
-	}
-	return solver.Result{
-		Algorithm:  "ExactPruned",
-		Vertices:   mapped,
-		Density:    g.InducedDensity(mapped),
-		Iterations: res.Iterations,
-		KStar:      approx.KStar,
-	}, nil
-}
-
-// ExactEpsilon is the (1+ε)-approximate flow solver: the same Goldberg
-// binary search as Exact, but the search stops once the density interval
-// is within a relative ε instead of the exact 1/(n(n-1)) separation —
-// trading the last bits of precision for a O(log(1/ε)) probe count, the
-// trade-off behind the (1+ε) flow algorithms of the paper's related work
-// (Chekuri et al. [29]). With the PKMC lower bound seeding the interval,
-// a handful of min-cuts suffice.
-//
-// ε is opts.Epsilon (default 0.1), and cancellation follows Exact's
-// contract.
-func ExactEpsilon(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
-	eps := opts.Epsilon
-	n := g.N()
-	if n == 0 || g.M() == 0 {
-		res, err := exact(ctx, g)
-		res.Algorithm = "ExactEpsilon"
-		return res, err
-	}
-	if eps <= 0 {
-		eps = 0.1
-	}
-	if err := cancel.Check(ctx); err != nil {
-		return solver.Result{}, err
-	}
-	approx := core.PKMC(g, opts.Workers, nil)
-	lower := g.InducedDensity(approx.Vertices)
-	edges := g.Edges()
-	degs := g.Degrees()
-	lo, hi := lower, 2*lower+1 // ρ* <= 2ρ̃ by Lemma 1
+	edges, degs := sub.Edges(), sub.Degrees()
 	best := approx.Vertices
+	bound := lower - 1/(2*float64(n)*float64(n-1))
 	probes := 0
-	for hi-lo > eps*lo {
-		mid := (lo + hi) / 2
+	for {
 		probes++
-		s, err := denserThan(ctx, n, edges, degs, mid)
+		s, err := denserThan(ctx, n, edges, degs, bound)
 		if err != nil {
+			endFlow()
 			return solver.Result{}, err
 		}
-		if len(s) > 0 {
-			lo = mid
-			best = s
-		} else {
-			hi = mid
+		if len(s) == 0 {
+			break
 		}
+		d := sub.InducedDensity(s)
+		if d <= bound {
+			break
+		}
+		best = make([]int32, len(s))
+		for i, v := range s {
+			best[i] = orig[v]
+		}
+		bound = d
 	}
+	endFlow()
+	tr.Counter("flow_probes", int64(probes))
 	return solver.Result{
-		Algorithm:  "ExactEpsilon",
+		Algorithm:  "ExactPruned",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),
 		Iterations: probes,

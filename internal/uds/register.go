@@ -94,29 +94,12 @@ func init() {
 		SolveUDS:     FracPeel,
 	})
 	solver.Register(solver.Descriptor{
-		Name: "exact", Kind: solver.KindUDS, Display: "Exact",
-		Grade:        solver.GradeExact,
-		Guarantee:    "exact via Goldberg's parameterized min-cut binary search",
-		Paper:        "Goldberg (1984); the reproduced paper's exactness baseline",
-		TraceColumns: []string{"phases", "counters"},
-		Serial:       true, Degradable: true,
-		SolveUDS: Exact,
-	})
-	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindUDS, Display: "Exact-Pruned",
 		Grade:        solver.GradeExact,
-		Guarantee:    "exact: PKMC lower bound prunes to the ⌈ρ̃⌉-core before the flow search",
+		Guarantee:    "exact: PKMC lower bound prunes to the ⌈ρ̃⌉-core, then density-jump min-cuts",
 		Paper:        "Fang et al. (the reproduced paper's [6])",
 		TraceColumns: []string{"phases", "iterations", "counters"},
 		Degradable:   true,
 		SolveUDS:     ExactPruned,
-	})
-	solver.Register(solver.Descriptor{
-		Name: "exact-eps", Kind: solver.KindUDS, Display: "Exact-ε",
-		Grade:      solver.GradeEps,
-		Guarantee:  "(1+ε)-approximation via O(log 1/ε) min-cuts (Options.Epsilon, default 0.1)",
-		Paper:      "Goldberg's search truncated at gap ε·ρ̃",
-		Degradable: true,
-		SolveUDS:   ExactEpsilon,
 	})
 }

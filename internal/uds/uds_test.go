@@ -3,6 +3,7 @@ package uds
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,16 +253,78 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// TestExactPrunedMatchesExact pins exact-pruned's answer, not just its
+// density: on ER, Chung–Lu and planted-clique graphs, at p = 1 and p = 2,
+// the density-jump search must return exactly the vertex set of Goldberg's
+// bisection (the maximal densest subgraph), and on graphs of at most 14
+// vertices the density of BruteForce.
 func TestExactPrunedMatchesExact(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 40, 4)
-		a := must(Exact(nil, g, solver.Params{}))
-		b := must(ExactPruned(nil, g, solver.Params{Workers: 2}))
-		return math.Abs(a.Density-b.Density) < 1e-6
+	kinds := []struct {
+		name  string
+		build func(seed int64) *graph.Undirected
+	}{
+		{"er-14", func(seed int64) *graph.Undirected { return gen.ErdosRenyi(14, 10+seed%30, seed) }},
+		{"chunglu-60", func(seed int64) *graph.Undirected { return gen.ChungLu(60, 240, 2.3, seed) }},
+		{"er-200", func(seed int64) *graph.Undirected { return gen.ErdosRenyi(200, 800, seed) }},
+		{"planted-100", func(seed int64) *graph.Undirected {
+			g, _ := gen.PlantClique(gen.ErdosRenyi(100, 300, seed), 5+int(seed%4), seed+1)
+			return g
+		}},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	for _, k := range kinds {
+		for seed := int64(1); seed <= 80; seed++ {
+			g := k.build(seed)
+			want := must(Exact(nil, g, solver.Params{}))
+			for _, p := range []int{1, 2} {
+				got := must(ExactPruned(nil, g, solver.Params{Workers: p}))
+				if !sameSet(got.Vertices, want.Vertices) || got.Density != want.Density {
+					t.Fatalf("%s seed %d p=%d: ExactPruned %v (ρ=%v), Exact %v (ρ=%v)",
+						k.name, seed, p, sorted(got.Vertices), got.Density, sorted(want.Vertices), want.Density)
+				}
+			}
+			if g.N() <= 14 {
+				if bf := BruteForce(g); math.Abs(bf.Density-want.Density) > 1e-9 {
+					t.Fatalf("%s seed %d: BruteForce ρ=%v, ExactPruned ρ=%v", k.name, seed, bf.Density, want.Density)
+				}
+			}
+		}
 	}
+}
+
+// FuzzExactPruned turns bytes into a graph on at most 12 vertices (the
+// first byte picks n, each later byte pair one edge) and checks that
+// ExactPruned finds BruteForce's density and Exact's vertex set.
+func FuzzExactPruned(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	f.Add([]byte{10, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 6, 6, 3, 3, 5, 4, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%12
+		var edges []graph.Edge
+		for i := 1; i+1 < len(data); i += 2 {
+			edges = append(edges, graph.Edge{U: int32(int(data[i]) % n), V: int32(int(data[i+1]) % n)})
+		}
+		g := graph.NewUndirected(n, edges)
+		got := must(ExactPruned(nil, g, solver.Params{Workers: 1}))
+		if bf := BruteForce(g); math.Abs(got.Density-bf.Density) > 1e-9 {
+			t.Fatalf("ExactPruned ρ=%v, BruteForce ρ=%v", got.Density, bf.Density)
+		}
+		if want := must(Exact(nil, g, solver.Params{})); !sameSet(got.Vertices, want.Vertices) {
+			t.Fatalf("ExactPruned %v, Exact %v", sorted(got.Vertices), sorted(want.Vertices))
+		}
+	})
+}
+
+func sorted(s []int32) []int32 {
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return out
+}
+
+func sameSet(a, b []int32) bool {
+	return slices.Equal(sorted(a), sorted(b))
 }
 
 func TestExactPrunedOnPlantedClique(t *testing.T) {
@@ -418,38 +481,5 @@ func TestDensityFriendlyTwoCommunities(t *testing.T) {
 func TestDensityFriendlyEmpty(t *testing.T) {
 	if tiers := DensityFriendly(graph.NewUndirected(4, nil), 2); len(tiers) != 0 {
 		t.Fatalf("edgeless graph produced tiers: %v", tiers)
-	}
-}
-
-func TestExactEpsilonBound(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 40, 4)
-		if g.M() == 0 {
-			return true
-		}
-		opt := must(Exact(nil, g, solver.Params{})).Density
-		for _, eps := range []float64{0.01, 0.1, 0.5} {
-			res := must(ExactEpsilon(nil, g, solver.Params{Epsilon: eps, Workers: 2}))
-			if res.Density*(1+eps) < opt-1e-9 || res.Density > opt+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExactEpsilonCheaperThanExact(t *testing.T) {
-	base := gen.ChungLu(1500, 12000, 2.3, 80)
-	g, _ := gen.PlantClique(base, 25, 81)
-	res := must(ExactEpsilon(nil, g, solver.Params{Epsilon: 0.1, Workers: 2}))
-	// log2(1/0.1) ≈ 4 probes, versus Exact's ~40.
-	if res.Iterations > 8 {
-		t.Fatalf("probes = %d, want <= 8", res.Iterations)
-	}
-	if res.Density < 12*0.9 { // clique density 12, within 10%
-		t.Fatalf("density = %v", res.Density)
 	}
 }

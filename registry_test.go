@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dds"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/solver"
+	"repro/internal/uds"
 )
 
 // traceKinds names the record kinds a traced solve emitted, in the
@@ -95,17 +97,13 @@ func TestRegistryAnswers(t *testing.T) {
 	// checkGrade holds a p=1 density to the grade it declares against the
 	// exact optimum.
 	checkGrade := func(desc solver.Descriptor, name string, density, exact float64) {
-		switch {
-		case desc.Grade == solver.GradeExact && math.Abs(density-exact) > 1e-9:
+		if desc.Grade == solver.GradeExact && math.Abs(density-exact) > 1e-9 {
 			t.Errorf("%s/%s on %s: exact-grade density %v, exact oracle %v", desc.Kind, desc.Name, name, density, exact)
-		case desc.Name == "exact-eps" && exact > 1.1*density+1e-9:
-			t.Errorf("%s/%s on %s: density %v is past ε=0.1 of the optimum %v", desc.Kind, desc.Name, name, density, exact)
 		}
 	}
-	udsExact, _ := solver.Lookup(solver.KindUDS, "exact")
 	udsOpt := map[string]float64{}
 	for name, g := range udsGraphs {
-		r, err := udsExact.SolveUDS(nil, g, solver.Params{Workers: 1})
+		r, err := uds.Exact(nil, g, solver.Params{})
 		if err != nil {
 			t.Fatalf("uds/exact on %s: %v", name, err)
 		}
@@ -130,11 +128,10 @@ func TestRegistryAnswers(t *testing.T) {
 			checkGrade(desc, name, density[0], udsOpt[name])
 		}
 	}
-	ddsExact, _ := solver.Lookup(solver.KindDDS, "exact")
 	pxy, _ := solver.Lookup(solver.KindDDS, "pxy")
 	ddsOpt, pxyProduct := map[string]float64{}, map[string]int64{}
 	for name, d := range ddsGraphs {
-		r, err := ddsExact.SolveDDS(nil, d, solver.Params{Workers: 1})
+		r, err := dds.Exact(nil, d, solver.Params{})
 		if err != nil {
 			t.Fatalf("dds/exact on %s: %v", name, err)
 		}

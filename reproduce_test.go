@@ -164,7 +164,7 @@ func TestWorkCounters(t *testing.T) {
 		{"U1", dsd.AlgoLocal, map[string]int64{"iterations": 60}},
 		{"U1", dsd.AlgoPKC, map[string]int64{"iterations": 40}},
 		{"U1", dsd.AlgoPBU, map[string]int64{"iterations": 4}},
-		{"U1", dsd.AlgoExactPruned, map[string]int64{"flow_probes": 16, "flow_vertices": 40, "pruned_vertices": 21160}},
+		{"U1", dsd.AlgoExactPruned, map[string]int64{"flow_probes": 2, "flow_vertices": 40, "pruned_vertices": 21160}},
 		{"U2", dsd.AlgoPKMC, map[string]int64{"iterations": 36, "peak_candidates": 19992, "k_star": 6, "vertices": 19992}},
 		{"U2", dsd.AlgoPKMCSync, map[string]int64{"iterations": 38, "peak_candidates": 19992, "k_star": 6, "vertices": 19992}},
 		{"U2", dsd.AlgoLocal, map[string]int64{"iterations": 38}},

@@ -33,21 +33,16 @@ const (
 	AlgoCharikar Algo = "charikar"  // serial greedy peeling, 2-approx
 	AlgoPBU      Algo = "pbu"       // Bahmani batch peeling, 2(1+ε)-approx
 	AlgoPFW      Algo = "pfw"       // Frank–Wolfe, (1+ε)-approx
-	AlgoExact    Algo = "exact"     // flow-based exact (small graphs)
 	// AlgoGreedyPP is the iterated peeling of Boob et al. ("Flowless",
 	// the remaining 2-approximation row of the paper's Table 1): never
 	// worse than Charikar, near-exact after a few dozen rounds
 	// (Options.Iterations; default 16).
 	AlgoGreedyPP Algo = "greedypp"
-	// AlgoExactPruned is the core-accelerated exact solver of Fang et al.
-	// (the paper's [6]): prune to the ⌈ρ̃⌉-core using the PKMC lower bound,
-	// then run the flow search on the remnant — exact answers on graphs far
-	// beyond AlgoExact's reach.
+	// AlgoExactPruned is the exact solver: the core reduction of Fang et
+	// al. (the paper's [6]) prunes to the ⌈ρ̃⌉-core using the PKMC lower
+	// bound, then a density-jump min-cut search on the remnant returns the
+	// maximal densest subgraph, usually in two min-cuts.
 	AlgoExactPruned Algo = "exact-pruned"
-	// AlgoExactEps is the (1+ε)-approximate flow solver (ε from
-	// Options.Epsilon, default 0.1): O(log 1/ε) min-cuts seeded by the
-	// PKMC lower bound.
-	AlgoExactEps Algo = "exact-eps"
 	// AlgoFISTA is accelerated projected gradient descent on the edge-load
 	// splitting (Harb et al.): a (1+ε)-approximation certified per
 	// iteration by its primal/dual duality gap (ε from Options.Epsilon,
@@ -61,16 +56,15 @@ const (
 
 // DDS algorithms (the paper's Exp-5 lineup plus the exact solver).
 const (
-	AlgoPWC      Algo = "pwc"   // w*-induced subgraph route (the paper's Algorithms 3-4) — default
-	AlgoPXY      Algo = "pxy"   // [x, y]-core enumeration (Ma et al. Core-Approx)
-	AlgoPBS      Algo = "pbs"   // Charikar directed ratio sweep, O(n²) ratios
-	AlgoPFKS     Algo = "pfks"  // fixed Khuller–Saha, n ratios
-	AlgoPBD      Algo = "pbd"   // Bahmani directed batch peeling, 2δ(1+ε)-approx
-	AlgoPFWD     Algo = "pfw"   // directed Frank–Wolfe (same name; family decides)
-	AlgoExactDDS Algo = "exact" // flow-based exact (small graphs)
-	// AlgoExactPrunedDDS prunes to the ⌈ρ̃²/4⌉-induced subgraph using the
-	// PWC lower bound before the ratio-enumeration flow search — exact DDS
-	// answers on graphs far beyond AlgoExactDDS's reach.
+	AlgoPWC  Algo = "pwc"  // w*-induced subgraph route (the paper's Algorithms 3-4) — default
+	AlgoPXY  Algo = "pxy"  // [x, y]-core enumeration (Ma et al. Core-Approx)
+	AlgoPBS  Algo = "pbs"  // Charikar directed ratio sweep, O(n²) ratios
+	AlgoPFKS Algo = "pfks" // fixed Khuller–Saha, n ratios
+	AlgoPBD  Algo = "pbd"  // Bahmani directed batch peeling, 2δ(1+ε)-approx
+	AlgoPFWD Algo = "pfw"  // directed Frank–Wolfe (same name; family decides)
+	// AlgoExactPrunedDDS is the exact DDS solver: it prunes to the
+	// ⌈ρ̃²/4⌉-induced subgraph using the PWC lower bound, then runs the
+	// ratio-enumeration flow search on the remnant (small graphs only).
 	AlgoExactPrunedDDS Algo = "exact-pruned"
 )
 
@@ -78,10 +72,11 @@ const (
 // configuration.
 type Options struct {
 	// Workers is the parallelism degree p; 0 means GOMAXPROCS. Serial
-	// algorithms (charikar, bz, exact) ignore it.
+	// algorithms (charikar, bz) ignore it.
 	Workers int
-	// Epsilon is the accuracy knob of PBU (default 0.5), PBD (default 1.0)
-	// — the paper's settings.
+	// Epsilon is the accuracy knob of PBU (default 0.5) and PBD (default
+	// 1.0) — the paper's settings — and FISTA's duality-gap stop (default
+	// 0.01).
 	Epsilon float64
 	// Delta is PBD's ratio-grid base (default 2.0).
 	Delta float64
@@ -93,7 +88,7 @@ type Options struct {
 	// with TimedOut set.
 	Budget time.Duration
 	// Ctx requests cooperative cancellation: the long-running solvers (the
-	// exact flow binary searches, Frank–Wolfe sweeps, Greedy++ rounds, and
+	// exact flow searches, Frank–Wolfe sweeps, Greedy++ rounds, and
 	// the budgeted ratio sweeps) poll it at iteration boundaries and
 	// SolveUDS/SolveDDS return a wrapped ErrCanceled once it is done. For
 	// the budgeted DDS baselines a Ctx deadline also tightens Budget, so a
@@ -126,27 +121,6 @@ type DirectedResult struct {
 	YStar      int32
 	Iterations int
 	TimedOut   bool // a budgeted baseline hit Options.Budget
-}
-
-// UDSAlgorithms lists the valid SolveUDS algorithm names, in the
-// registry's presentation order.
-func UDSAlgorithms() []Algo {
-	return algoNames(solver.KindUDS)
-}
-
-// DDSAlgorithms lists the valid SolveDDS algorithm names, in the
-// registry's presentation order.
-func DDSAlgorithms() []Algo {
-	return algoNames(solver.KindDDS)
-}
-
-func algoNames(kind solver.Kind) []Algo {
-	names := solver.Names(kind)
-	out := make([]Algo, len(names))
-	for i, n := range names {
-		out[i] = Algo(n)
-	}
-	return out
 }
 
 // params converts the public Options into the registry's solver-facing
@@ -278,16 +252,6 @@ func WStar(d *Digraph, workers int) (int64, []int32) {
 	out := append([]int32(nil), res.Original...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return res.WStar, out
-}
-
-// InduceNumbers computes the induce-number of every arc of a digraph
-// (Definition 10 of the paper) via the full parallel w-induced
-// decomposition (Algorithm 3): arcs[i] has induce-number nums[i], and the
-// maximum over all arcs is w*, at least x*·y* (the paper's Theorem 2
-// claims equality, which fails on some graphs).
-func InduceNumbers(d *Digraph, workers int) (arcs []Edge, nums []int64) {
-	res := dds.WDecompose(d.d, workers)
-	return d.d.Arcs(), res.InduceNumber
 }
 
 // CNPairSkyline returns the maximal [x, y]-core pairs of a digraph (every
