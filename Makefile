@@ -72,7 +72,7 @@ chaos:
 	$(GO) test -race -count=2 -run 'PKMC|KStar|WorkerCounts' ./internal/core .
 	$(GO) test -race -count=2 -run 'PWC|WDecompose|WStar|ExactPruned' ./internal/dds
 	$(GO) test -race -count=2 \
-		-run 'TestChaos|TestCoalesce|TestQuota|TestDegrade|TestSnapshot|TestLivePublishMidFlight|TestSolveDeadline|TestOverloaded|TestSolvePathEquivalence' \
+		-run 'TestChaos|TestCoalesce|TestQuota|TestDegrade|TestSnapshot|TestLivePublishMidFlight|TestSolveDeadline|TestOverloaded|TestSolvePathEquivalence|TestMaintainedSolveRandomized' \
 		./internal/server
 	$(GO) test -race -count=2 \
 		-run 'TestRunWarmRestart|TestParseQuotaSpec|TestParseArgsServingTier' \
@@ -121,10 +121,11 @@ docs-algorithms:
 	$(GO) run ./cmd/dsddocs
 
 # End-to-end smoke of the live-graph serving path: load live over HTTP,
-# mutate, and check the standing densest answer against a from-scratch
-# solve — the fastest proof the streaming subsystem still works.
+# mutate, and check the standing densest answer, the maintained k*-core
+# solves and the snapshots against from-scratch solves and builds — the
+# fastest proof the streaming subsystem still works.
 live-smoke:
-	$(GO) test -run 'TestLiveHTTPRoundTrip|TestApplyEquivalenceRandomized' ./internal/server ./internal/live
+	$(GO) test -run 'TestLiveHTTPRoundTrip|TestMaintainedSolveRandomized|TestApplyEquivalenceRandomized' ./internal/server ./internal/live
 
 # Regenerate every table and figure of the paper's evaluation as text
 # tables (EXPERIMENTS.md documents the expected shapes).

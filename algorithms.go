@@ -50,6 +50,11 @@ type AlgorithmInfo struct {
 	// answer.
 	Serial   bool `json:"serial,omitempty"`
 	Budgeted bool `json:"budgeted,omitempty"`
+	// KStarCore marks solvers whose answer is exactly the k*-core (vertex
+	// set, density and k*). The k*-core is unique, so they all agree, and
+	// the server answers them on live graphs from the maintained core
+	// decomposition instead of running a solve.
+	KStarCore bool `json:"k_star_core,omitempty"`
 }
 
 func infoOf(d solver.Descriptor) AlgorithmInfo {
@@ -66,7 +71,19 @@ func infoOf(d solver.Descriptor) AlgorithmInfo {
 		DegradeRank:  d.DegradeRank,
 		Serial:       d.Serial,
 		Budgeted:     d.Budgeted,
+		KStarCore:    d.KStarCore,
 	}
+}
+
+// Algorithm returns the catalog entry of one registered solver (an empty
+// algo names the family default), false when the family has no such
+// solver.
+func Algorithm(problem Problem, algo Algo) (AlgorithmInfo, bool) {
+	d, ok := solver.Lookup(solver.Kind(problem), string(algo))
+	if !ok {
+		return AlgorithmInfo{}, false
+	}
+	return infoOf(d), true
 }
 
 // Algorithms returns the registered catalog for one problem family in

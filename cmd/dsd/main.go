@@ -172,6 +172,9 @@ func listAlgorithms(asJSON bool, out io.Writer) error {
 			if info.Budgeted {
 				marks = append(marks, "budgeted")
 			}
+			if info.KStarCore {
+				marks = append(marks, "k*-core")
+			}
 			fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\n", info.Name, info.Display, info.Grade, strings.Join(marks, ", "))
 			fmt.Fprintf(tw, "  \t%s\t\t\n", info.Guarantee)
 		}

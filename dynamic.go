@@ -22,6 +22,9 @@ func NewDynamicGraph(g *Graph) *DynamicGraph {
 // N returns the vertex count (fixed at construction).
 func (dg *DynamicGraph) N() int { return dg.d.N() }
 
+// Degree returns v's current degree.
+func (dg *DynamicGraph) Degree(v int32) int32 { return dg.d.Degree(v) }
+
 // HasEdge reports whether {u, v} is currently present.
 func (dg *DynamicGraph) HasEdge(u, v int32) bool { return dg.d.HasEdge(u, v) }
 

@@ -6,13 +6,17 @@
 //
 // One live.Graph owns the authoritative mutable state of a served graph:
 //
-//   - a core.Dynamic whose traversal repair keeps core numbers — and with
-//     them the k*-core, the standing 2-approximate densest subgraph — exact
-//     after every edge change in O(changed neighborhood) work, the dynamic
-//     setting the paper's related work points at;
-//   - a delta log (base edge list + an overlay of edges touched since the
-//     last compaction) from which immutable snapshots are materialized
-//     copy-on-write: an in-flight solve keeps the *dsd.Graph it grabbed,
+//   - a dsd.DynamicGraph whose traversal repair keeps core numbers — and
+//     with them the k*-core, the standing 2-approximate densest subgraph —
+//     exact after every edge change in O(changed neighborhood) work, the
+//     dynamic setting the paper's related work points at. The k*-core
+//     answer is recomputed once per batch that changes the graph and kept
+//     with the version, so Densest is O(1), and the server serves it as
+//     the answer of every solver that returns the k*-core;
+//   - a delta log (canonical base edge list + an overlay of edges touched
+//     since the last compaction) from which immutable snapshots are
+//     materialized copy-on-write, by one merge of the base with the sorted
+//     overlay: an in-flight solve keeps the *dsd.Graph it grabbed,
 //     mutations never write into a published snapshot;
 //   - a version, advanced in lockstep with the server registry through the
 //     publish callback so a (snapshot, version) pair can never alias two

@@ -3,13 +3,12 @@ package live
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/graph"
 )
 
 // Config tunes one live graph. The zero value is a sensible serving setup.
@@ -96,7 +95,8 @@ type ApplyResult struct {
 	CompactMs float64 `json:"compact_ms,omitempty"`
 }
 
-// Densest is the standing incremental answer served without a solve.
+// Densest is the standing incremental answer served without a solve: the
+// k*-core of the graph at Version, with its density.
 type Densest struct {
 	Version  int64
 	KStar    int32
@@ -126,16 +126,20 @@ type Graph struct {
 	publish PublishFunc
 
 	mu  sync.RWMutex
-	dyn *core.Dynamic
-	n   int
-	m   int64
+	dyn *dsd.DynamicGraph
+	// densest is the k*-core answer of the current state, refreshed by
+	// every batch that changes the graph; Densest pairs it with version.
+	densest Densest
+	n       int
+	m       int64
 	// maxDeg is exact after compactions and insert-only traffic, and an
 	// upper bound between a deletion and the next compaction.
 	maxDeg int32
 	// base and delta are the delta log: base is the edge list at the last
-	// compaction, delta the present/absent overlay of every edge slot
-	// touched since. A snapshot is base filtered by absent entries plus
-	// the present entries (the constructor dedups overlap).
+	// compaction, in canonical order (u < v, ascending), and delta the
+	// present/absent overlay of every edge slot touched since. A snapshot
+	// merges the two: base edges the overlay does not mark absent, plus the
+	// overlay's present slots.
 	base  []dsd.Edge
 	delta map[uint64]bool
 	// compactions counts delta-log rebases since the graph was wrapped —
@@ -160,23 +164,24 @@ type Graph struct {
 }
 
 // New wraps a static graph as a live graph. The seed decomposition runs
-// once (core.NewDynamic); publish may be nil for registry-less use.
+// once, over g itself (dsd.NewDynamicGraph only reads it); publish may be
+// nil for registry-less use.
 func New(g *dsd.Graph, cfg Config, publish PublishFunc) *Graph {
 	cfg = cfg.withDefaults()
-	edges := g.Edges()
 	lg := &Graph{
 		cfg:     cfg,
 		publish: publish,
-		dyn:     core.NewDynamic(graph.NewUndirected(g.N(), edges)),
+		dyn:     dsd.NewDynamicGraph(g),
 		n:       g.N(),
 		m:       g.M(),
 		maxDeg:  g.Stats().MaxDegree,
-		base:    edges,
+		base:    g.Edges(),
 		delta:   map[uint64]bool{},
 		queue:   make(chan request, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	lg.refreshDensestLocked()
 	// The wrapped graph is immutable and already canonical: serve it as
 	// the version-0 snapshot until the first batch.
 	lg.snap, lg.snapVersion = g, 0
@@ -287,13 +292,23 @@ func (lg *Graph) Snapshot() (*dsd.Graph, int64) {
 }
 
 // Densest returns the standing 2-approximate densest subgraph — the
-// k*-core maintained incrementally — in O(volume of the core), without
-// materializing anything.
+// k*-core maintained incrementally — at the current version, in O(1): the
+// answer is computed once per batch that changes the graph. Vertices is
+// sorted ascending and shared by every caller at that version; callers
+// must not modify it.
 func (lg *Graph) Densest() Densest {
 	lg.mu.RLock()
 	defer lg.mu.RUnlock()
-	k, vs, density := lg.dyn.KStarDensity()
-	return Densest{Version: lg.version, KStar: k, Vertices: vs, Density: density}
+	d := lg.densest
+	d.Version = lg.version
+	return d
+}
+
+// refreshDensestLocked recomputes the standing answer from the maintained
+// core numbers, in O(volume of the k*-core).
+func (lg *Graph) refreshDensestLocked() {
+	r := lg.dyn.DensestSubgraph()
+	lg.densest = Densest{KStar: r.KStar, Vertices: r.Vertices, Density: r.Density}
 }
 
 // packKey canonicalizes an edge slot {u, v} (u != v) into one map key.
@@ -309,20 +324,39 @@ func unpackKey(k uint64) (u, v int32) {
 }
 
 // snapshotEdgesLocked materializes the current edge list from the delta
-// log: base edges not marked absent, plus overlay edges marked present
-// (overlap with base is deduped by the graph constructor).
+// log, in canonical order and without duplicates. packKey orders slots as
+// the base is ordered, so one merge of the base with the sorted overlay
+// keys replaces a map lookup per base edge: a slot in both takes the
+// overlay's state, a slot in one alone keeps that one's.
 func (lg *Graph) snapshotEdgesLocked() []dsd.Edge {
-	edges := make([]dsd.Edge, 0, len(lg.base)+len(lg.delta))
-	for _, e := range lg.base {
-		if present, touched := lg.delta[packKey(e.U, e.V)]; !touched || present {
-			edges = append(edges, e)
-		}
+	keys := make([]uint64, 0, len(lg.delta))
+	for k := range lg.delta {
+		keys = append(keys, k)
 	}
-	for k, present := range lg.delta {
-		if present {
+	slices.Sort(keys)
+	edges := make([]dsd.Edge, 0, lg.m)
+	overlay := func(k uint64) {
+		if lg.delta[k] {
 			u, v := unpackKey(k)
 			edges = append(edges, dsd.Edge{U: u, V: v})
 		}
+	}
+	i := 0
+	for _, e := range lg.base {
+		be := packKey(e.U, e.V)
+		for ; i < len(keys) && keys[i] < be; i++ {
+			overlay(keys[i])
+		}
+		if i < len(keys) && keys[i] == be {
+			i++
+			if !lg.delta[be] {
+				continue
+			}
+		}
+		edges = append(edges, e)
+	}
+	for _, k := range keys[i:] {
+		overlay(k)
 	}
 	return edges
 }
@@ -384,7 +418,10 @@ func (lg *Graph) Apply(batch []Mutation) (ApplyResult, error) {
 		}
 	}
 
-	res.KStar, res.CoreSize, res.Density = lg.densestLocked()
+	if res.Inserted+res.Deleted > 0 && !res.Compacted {
+		lg.refreshDensestLocked() // a compaction has refreshed it already
+	}
+	res.KStar, res.CoreSize, res.Density = lg.densest.KStar, len(lg.densest.Vertices), lg.densest.Density
 	res.N, res.M = lg.n, lg.m
 
 	if res.Inserted+res.Deleted > 0 {
@@ -409,18 +446,13 @@ func (lg *Graph) Apply(batch []Mutation) (ApplyResult, error) {
 	return res, nil
 }
 
-func (lg *Graph) densestLocked() (int32, int, float64) {
-	k, vs, density := lg.dyn.KStarDensity()
-	return k, len(vs), density
-}
-
 // applyIncrementalLocked repairs core numbers per edge via the traversal
 // algorithm — O(changed neighborhood) per mutation.
 func (lg *Graph) applyIncrementalLocked(batch []Mutation, res *ApplyResult) {
 	for _, mu := range batch {
 		switch mu.Op {
 		case OpInsert:
-			applied, changed := lg.dyn.InsertEdge(mu.U, mu.V)
+			applied, changed := lg.dyn.ApplyInsert(mu.U, mu.V)
 			if !applied {
 				res.Noops++
 				continue
@@ -436,7 +468,7 @@ func (lg *Graph) applyIncrementalLocked(batch []Mutation, res *ApplyResult) {
 			}
 			lg.delta[packKey(mu.U, mu.V)] = true
 		case OpDelete:
-			applied, changed := lg.dyn.DeleteEdge(mu.U, mu.V)
+			applied, changed := lg.dyn.ApplyDelete(mu.U, mu.V)
 			if !applied {
 				res.Noops++
 				continue
@@ -494,20 +526,19 @@ func (lg *Graph) applyFullLocked(batch []Mutation, res *ApplyResult) {
 
 // compactLocked rebases the delta log: materialize the current edge list,
 // make it the new base, clear the overlay, and recompute the decomposition
-// from scratch — the full-recompute fallback that heals any state and
-// re-canonicalizes memory after heavy deletion traffic.
+// and the standing answer from scratch — the full-recompute fallback that
+// heals any state and re-canonicalizes memory after heavy deletion traffic.
 func (lg *Graph) compactLocked() {
-	edges := lg.snapshotEdgesLocked()
-	g := graph.NewUndirected(lg.n, edges)
-	lg.dyn = core.NewDynamic(g)
-	// Re-extract from the canonical graph: snapshotEdgesLocked may carry
-	// duplicates (redundant overlay entries) that the constructor deduped.
-	lg.base = g.Edges()
+	edges := lg.snapshotEdgesLocked() // canonical, so it is the new base as is
+	g := dsd.NewGraph(lg.n, edges)
+	lg.dyn = dsd.NewDynamicGraph(g)
+	lg.base = edges
 	lg.delta = map[uint64]bool{}
 	lg.compactions++
 	lg.m = g.M()
-	lg.maxDeg = g.MaxDegree()
+	lg.maxDeg = g.Stats().MaxDegree
 	lg.snap = nil
+	lg.refreshDensestLocked()
 }
 
 // recoverRebuild heals the graph after a contained apply panic: the state

@@ -2,6 +2,7 @@ package live
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro"
@@ -52,25 +53,34 @@ func assertMatchesReference(t *testing.T, lg *Graph) {
 	}
 }
 
-// TestApplyEquivalenceRandomized is the satellite-3 contract: randomized
+// TestApplyEquivalenceRandomized is the live graph's core contract: randomized
 // insert/delete sequences — including deletes of absent edges, self-loops
 // and duplicate entries within one batch — must leave the incremental
-// state equal to a from-scratch BZ decomposition after every batch.
+// state equal to a from-scratch BZ decomposition after every batch. The
+// batches also compact and take the full-recompute fallback, and after each
+// one the snapshot's edge list must be canonical (strictly ascending,
+// u < v) and its CSR equal to a from-scratch build of the current edge set.
 func TestApplyEquivalenceRandomized(t *testing.T) {
 	const n = 60
 	rng := rand.New(rand.NewSource(7))
+	want := map[dsd.Edge]bool{} // the current edge set, by canonical slot
 	var edges []dsd.Edge
 	for u := int32(0); u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Intn(100) < 8 {
 				edges = append(edges, dsd.Edge{U: u, V: v})
+				want[dsd.Edge{U: u, V: v}] = true
 			}
 		}
 	}
-	lg := New(seedGraph(n, edges), Config{CompactEvery: 64}, nil)
+	lg := New(seedGraph(n, edges), Config{CompactEvery: 64, RecomputeBatch: 40}, nil)
 
+	var compactions, recomputes int
 	for batchNo := 0; batchNo < 40; batchNo++ {
 		size := 1 + rng.Intn(24)
+		if batchNo%8 == 7 {
+			size = 40 // the full-recompute fallback
+		}
 		batch := make([]Mutation, 0, size)
 		for i := 0; i < size; i++ {
 			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -85,16 +95,52 @@ func TestApplyEquivalenceRandomized(t *testing.T) {
 			if rng.Intn(7) == 0 {
 				batch = append(batch, Mutation{Op: op, U: u, V: u}) // self-loop
 			}
+			if u != v {
+				want[dsd.Edge{U: min(u, v), V: max(u, v)}] = op == OpInsert
+			}
 		}
 		res, err := lg.Apply(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", batchNo, err)
 		}
-		if res.M != lg.M() || int64(len(lg.Snapshot2().Edges())) != res.M {
-			t.Fatalf("batch %d: edge-count bookkeeping diverged: res.M=%d lg.M=%d snapshot=%d",
-				batchNo, res.M, lg.M(), len(lg.Snapshot2().Edges()))
+		if res.Compacted {
+			compactions++
+		}
+		if res.Recomputed {
+			recomputes++
+		}
+		var current []dsd.Edge
+		for e, present := range want {
+			if present {
+				current = append(current, e)
+			}
+		}
+		rebuilt := dsd.NewGraph(n, current)
+		lg.mu.RLock()
+		merged := lg.snapshotEdgesLocked()
+		lg.mu.RUnlock()
+		for i := 1; i < len(merged); i++ {
+			if a, b := merged[i-1], merged[i]; a.U >= a.V || a.U > b.U || (a.U == b.U && a.V >= b.V) {
+				t.Fatalf("batch %d: snapshot edges not canonical at %d: %v then %v", batchNo, i, a, b)
+			}
+		}
+		if !slices.Equal(merged, rebuilt.Edges()) {
+			t.Fatalf("batch %d: snapshot has %d edges, the current edge set %d", batchNo, len(merged), rebuilt.M())
+		}
+		snap := lg.Snapshot2()
+		if res.M != lg.M() || snap.M() != rebuilt.M() || res.M != rebuilt.M() {
+			t.Fatalf("batch %d: edge-count bookkeeping diverged: res.M=%d lg.M=%d snapshot=%d rebuilt=%d",
+				batchNo, res.M, lg.M(), snap.M(), rebuilt.M())
+		}
+		for v := int32(0); v < n; v++ {
+			if !slices.Equal(snap.Neighbors(v), rebuilt.Neighbors(v)) {
+				t.Fatalf("batch %d: N(%d) = %v in the snapshot, %v rebuilt", batchNo, v, snap.Neighbors(v), rebuilt.Neighbors(v))
+			}
 		}
 		assertMatchesReference(t, lg)
+	}
+	if compactions == 0 || recomputes == 0 {
+		t.Fatalf("saw %d compactions and %d full recomputes, want both", compactions, recomputes)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"strings"
 	"sync"
@@ -17,14 +18,44 @@ import (
 	"repro/internal/parallel"
 )
 
+// logBuffer collects the standard logger's output; the log package and
+// stray goroutines may write while the test reads.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// captureLog routes the standard logger into a buffer until the test ends.
+func captureLog(t *testing.T) *logBuffer {
+	buf := &logBuffer{}
+	prev := log.Writer()
+	log.SetOutput(buf)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return buf
+}
+
 // TestChaosInjectedSolvePanics is the headline containment test: with a
 // 1-in-N panic armed inside the parallel workers, a burst of concurrent
 // solves must yield only clean 200s and structured 500 internal errors —
 // never a dropped connection or a dead process — and the server must keep
-// serving afterwards.
+// serving afterwards. Each contained panic is logged with the solve's
+// identity.
 func TestChaosInjectedSolvePanics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	t.Cleanup(faultinject.Reset)
+	logs := captureLog(t)
 
 	// Every 4th chunk hit panics, at most 6 times total: enough firings
 	// that some requests certainly die, a cap so most certainly survive.
@@ -86,6 +117,9 @@ func TestChaosInjectedSolvePanics(t *testing.T) {
 	}
 	if got := s.Metrics().Panics.Value(); got < int64(failed) {
 		t.Fatalf("panics metric = %d, want >= %d", got, failed)
+	}
+	if want := "solver panic (contained) in clique@1 uds/pkmc:"; !strings.Contains(logs.String(), want) {
+		t.Fatalf("panic log lacks the solve's identity %q:\n%s", want, logs.String())
 	}
 
 	// The process survived; a clean request still works.
@@ -367,10 +401,12 @@ func TestChaosProbeRegistryCoverage(t *testing.T) {
 // TestChaosCoalescedLeaderPanic proves a panic in a coalesced flight's
 // leader poisons only that flight: every rider gets a structured 500 (not a
 // dropped connection), the panic counter moves exactly once, and the next
-// identical request starts a fresh flight that succeeds.
+// identical request starts a fresh flight that succeeds. The panic is
+// logged with the solve's identity.
 func TestChaosCoalescedLeaderPanic(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	t.Cleanup(faultinject.Reset)
+	logs := captureLog(t)
 
 	faultinject.Arm(faultinject.SiteFlightLeader, faultinject.Fault{
 		Mode:  faultinject.ModePanic,
@@ -431,6 +467,9 @@ func TestChaosCoalescedLeaderPanic(t *testing.T) {
 	}
 	if got := s.Metrics().Panics.Value(); got != 1 {
 		t.Fatalf("panics metric = %d, want 1 (one poisoned flight, not one per rider)", got)
+	}
+	if want := "leader panic (contained) in clique@1 uds/pkmc:"; !strings.Contains(logs.String(), want) {
+		t.Fatalf("leader panic log lacks the solve's identity %q:\n%s", want, logs.String())
 	}
 
 	// The poisoned flight is gone; an identical request leads a fresh one.

@@ -44,14 +44,7 @@ type degradeRung struct {
 // no change here.
 func degradeLadder(family string, algo dsd.Algo) []degradeRung {
 	problem := dsd.Problem(family)
-	degradable := false
-	for _, info := range dsd.Algorithms(problem) {
-		if info.Name == algo {
-			degradable = info.Degradable
-			break
-		}
-	}
-	if !degradable {
+	if info, ok := dsd.Algorithm(problem, algo); !ok || !info.Degradable {
 		return nil
 	}
 	var rungs []degradeRung

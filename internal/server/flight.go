@@ -64,12 +64,13 @@ func (g *flightGroup) waiting(key string) int {
 }
 
 // do returns the shared result for key, leading a new flight if none is in
-// progress. lead runs in its own goroutine under the flight context and a
+// progress. ident names the solve in the log line of a leader panic
+// (solveIdent). lead runs in its own goroutine under the flight context and a
 // panic barrier; its result (or structured error) is fanned out to every
 // waiter. shared reports whether this caller rode an existing flight.
 // waitCtx bounds only this caller's wait — detaching early neither cancels
 // nor corrupts the flight unless no other waiter remains.
-func (g *flightGroup) do(key string, waitCtx context.Context, lead func(ctx context.Context) (any, *apiError)) (val any, aerr *apiError, shared bool) {
+func (g *flightGroup) do(key, ident string, waitCtx context.Context, lead func(ctx context.Context) (any, *apiError)) (val any, aerr *apiError, shared bool) {
 	g.mu.Lock()
 	f, ok := g.flights[key]
 	if ok {
@@ -78,7 +79,7 @@ func (g *flightGroup) do(key string, waitCtx context.Context, lead func(ctx cont
 		fctx, cancel := context.WithCancel(context.Background())
 		f = &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 		g.flights[key] = f
-		go g.run(key, f, fctx, lead)
+		go g.run(key, ident, f, fctx, lead)
 	}
 	g.mu.Unlock()
 
@@ -88,7 +89,7 @@ func (g *flightGroup) do(key string, waitCtx context.Context, lead func(ctx cont
 			// The flight died because every earlier waiter abandoned it just
 			// as this caller joined — this caller is still here, so the
 			// cancellation was not its own. Lead a fresh flight.
-			return g.do(key, waitCtx, lead)
+			return g.do(key, ident, waitCtx, lead)
 		}
 		return f.val, f.err, ok
 	case <-waitCtx.Done():
@@ -108,12 +109,12 @@ func (g *flightGroup) do(key string, waitCtx context.Context, lead func(ctx cont
 // poisons only this flight. Every waiter receives the structured 500 and
 // the flight is unlinked before they wake, so the next request leads a
 // fresh one.
-func (g *flightGroup) run(key string, f *flight, fctx context.Context, lead func(ctx context.Context) (any, *apiError)) {
+func (g *flightGroup) run(key, ident string, f *flight, fctx context.Context, lead func(ctx context.Context) (any, *apiError)) {
 	defer f.cancel()
 	func() {
 		defer func() {
 			if rec := recover(); rec != nil {
-				log.Printf("server: coalesced-solve leader panic (contained): %v", rec)
+				log.Printf("server: coalesced-solve leader panic (contained) in %s: %v", ident, rec)
 				g.onPanic()
 				f.err = &apiError{status: http.StatusInternalServerError, code: CodeInternal,
 					message: fmt.Sprintf("internal error (coalesced solve panicked): %v", rec)}

@@ -118,10 +118,15 @@ type SolveMeta struct {
 	// request named, because the deadline-aware policy predicted the
 	// requested one would miss the deadline; DegradedFrom names what was
 	// asked for and Guarantee the approximation bound actually delivered.
-	Degraded     bool    `json:"degraded,omitempty"`
-	DegradedFrom string  `json:"degraded_from,omitempty"`
-	Guarantee    string  `json:"guarantee,omitempty"`
-	ElapsedMs    float64 `json:"elapsed_ms"`
+	Degraded     bool   `json:"degraded,omitempty"`
+	DegradedFrom string `json:"degraded_from,omitempty"`
+	Guarantee    string `json:"guarantee,omitempty"`
+	// Maintained marks an answer read from a live graph's incrementally
+	// maintained k*-core instead of a solver run: the solver named returns
+	// exactly the k*-core, so it would have returned this answer on the
+	// snapshot at this version. It carries no iteration count.
+	Maintained bool    `json:"maintained,omitempty"`
+	ElapsedMs  float64 `json:"elapsed_ms"`
 	// Trace is present only when the request set options.trace.
 	Trace *dsd.Trace `json:"trace,omitempty"`
 }
@@ -292,8 +297,9 @@ func withTimeout(parent context.Context, timeout time.Duration) (context.Context
 
 // solveError maps a solver failure to a structured response. A recovered
 // solver panic (dsd.ErrInternal) becomes a 500 internal error and bumps the
-// panic counter — the request fails, the process keeps serving.
-func (s *Server) solveError(ctx context.Context, err error) *apiError {
+// panic counter — the request fails, the process keeps serving; its log
+// line names the solve (solveIdent).
+func (s *Server) solveError(ctx context.Context, ident string, err error) *apiError {
 	switch {
 	case errors.Is(err, dsd.ErrUnknownAlgorithm):
 		// Normally caught by the up-front ValidateAlgorithm check; this
@@ -308,7 +314,7 @@ func (s *Server) solveError(ctx context.Context, err error) *apiError {
 		s.metrics.Panics.Add(1)
 		var pe *dsd.PanicError
 		if errors.As(err, &pe) {
-			log.Printf("server: solver panic (contained): %v\n%s", pe.Value, pe.Stack)
+			log.Printf("server: solver panic (contained) in %s: %v\n%s", ident, pe.Value, pe.Stack)
 		}
 		return &apiError{status: http.StatusInternalServerError, code: CodeInternal, message: err.Error()}
 	default:
@@ -316,11 +322,21 @@ func (s *Server) solveError(ctx context.Context, err error) *apiError {
 	}
 }
 
+// solveIdent names one solve in log lines: graph@version, family and
+// algorithm.
+func solveIdent(graph string, version int64, family string, algo dsd.Algo) string {
+	return fmt.Sprintf("%s@%d %s/%s", graph, version, family, algo)
+}
+
 // solveFamily adapts the solve pipeline to one problem family: G is the
 // graph state a solve reads, R the family's wire response. Everything else
 // about serving a solve is shared.
 type solveFamily[G, R any] struct {
 	problem dsd.Problem
+	// maintained, when set, answers a request from state the graph keeps
+	// up to date anyway, with no snapshot and no solver run; ok is false
+	// when the request needs a solve.
+	maintained func(e *GraphEntry, algo dsd.Algo, o SolveOptions) (resp R, ok bool)
 	// resolve pins the graph state a request solves and its version.
 	resolve func(e *GraphEntry) (G, int64)
 	// solve runs algo on g and fills the family's answer fields;
@@ -338,6 +354,20 @@ type solveResponse[R any] interface {
 
 var udsFamily = solveFamily[*dsd.Graph, UDSResponse]{
 	problem: dsd.ProblemUDS,
+	// A live graph maintains its k*-core, which is exactly what a KStarCore
+	// solver returns on the snapshot at the same version: serve it as that
+	// solver's answer. Traced and budgeted requests ask for a run, so they
+	// take the snapshot path.
+	maintained: func(e *GraphEntry, algo dsd.Algo, o SolveOptions) (UDSResponse, bool) {
+		if e.Live == nil || o.Trace || o.BudgetMs > 0 {
+			return UDSResponse{}, false
+		}
+		info, ok := dsd.Algorithm(dsd.ProblemUDS, algo)
+		if !ok || !info.KStarCore {
+			return UDSResponse{}, false
+		}
+		return densestResponse(e.Name, info.Display, e.Live.Densest(), o.OmitVertices), true
+	},
 	// Live graphs solve against an immutable snapshot: the (graph, version)
 	// pair is taken atomically, so concurrent mutations neither perturb the
 	// running solver nor let a result land in the cache under a version it
@@ -395,8 +425,9 @@ var ddsFamily = solveFamily[*dsd.Digraph, DDSResponse]{
 
 // solveHandler serves POST /solve/{family} through the one solve pipeline.
 // Stages, in order: decode, quota, registry lookup, family check,
-// algorithm validation, graph resolution, degradation plan, cache key,
-// cache read, then the traced path or the coalesced flight — both via
+// algorithm validation, the maintained answer (which ends the request when
+// the family has one for it), graph resolution, degradation plan, cache
+// key, cache read, then the traced path or the coalesced flight — both via
 // solveInSlot — and the response.
 func solveHandler[G, R any, P solveResponse[R]](s *Server, f solveFamily[G, R]) apiHandler {
 	family := string(f.problem)
@@ -425,6 +456,17 @@ func solveHandler[G, R any, P solveResponse[R]](s *Server, f solveFamily[G, R]) 
 		if err := dsd.ValidateAlgorithm(f.problem, dsd.Algo(req.Algo)); err != nil {
 			return &apiError{status: http.StatusBadRequest, code: CodeUnknownAlgorithm, message: err.Error()}
 		}
+		if f.maintained != nil {
+			// No slot, flight or cache entry: the answer is already kept.
+			mstart := time.Now()
+			if resp, ok := f.maintained(e, effectiveAlgo(family, req.Algo), req.Options); ok {
+				s.metrics.MaintainedSolves.Add(1)
+				m := P(&resp).meta()
+				m.Maintained, m.ElapsedMs = true, msSince(mstart)
+				writeJSON(w, http.StatusOK, resp)
+				return nil
+			}
+		}
 		g, version := f.resolve(e)
 		timeout := s.requestTimeout(req.Options)
 		// The request keys, coalesces, and caches as the algorithm it
@@ -436,6 +478,7 @@ func solveHandler[G, R any, P solveResponse[R]](s *Server, f solveFamily[G, R]) 
 			return aerr
 		}
 		key := cacheKey(e.Name, version, family, string(algo), req.Options)
+		ident := solveIdent(e.Name, version, family, algo)
 		start := time.Now()
 		finish := func(resp R, cached, coalesced bool) *apiError {
 			m := P(&resp).meta()
@@ -468,7 +511,7 @@ func solveHandler[G, R any, P solveResponse[R]](s *Server, f solveFamily[G, R]) 
 				Trace:      tr,
 			}, req.Options.OmitVertices)
 			if err != nil {
-				return nil, s.solveError(ctx, err)
+				return nil, s.solveError(ctx, ident, err)
 			}
 			a := P(&resp).answer()
 			a.Graph, a.Version = e.Name, version
@@ -502,7 +545,7 @@ func solveHandler[G, R any, P solveResponse[R]](s *Server, f solveFamily[G, R]) 
 			// when the last waiter detaches or the cap expires.
 			waitCtx, cancel := withTimeout(r.Context(), timeout)
 			defer cancel()
-			v, aerr, shared = s.flights.do(key, waitCtx, func(fctx context.Context) (any, *apiError) {
+			v, aerr, shared = s.flights.do(key, ident, waitCtx, func(fctx context.Context) (any, *apiError) {
 				return s.solveInSlot(fctx, s.cfg.MaxTimeout, func(ctx context.Context) (any, *apiError) {
 					if err := faultinject.Hit(faultinject.SiteFlightLeader); err != nil {
 						return nil, &apiError{status: http.StatusInternalServerError, code: CodeInternal,
@@ -639,8 +682,9 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) *apiE
 
 // handleDensest serves GET /graphs/{name}/densest: the live graph's
 // standing 2-approximate densest subgraph (the incrementally maintained
-// k*-core), read in O(volume of the core) without a solver run, a cache
-// entry, or a semaphore slot. ?omit_vertices=true drops the vertex array.
+// k*-core), the answer kept for the current version, without a solver
+// run, a cache entry, or a semaphore slot. ?omit_vertices=true drops the
+// vertex array.
 func (s *Server) handleDensest(w http.ResponseWriter, r *http.Request) *apiError {
 	e, err := s.reg.Get(r.PathValue("name"))
 	if err != nil {
@@ -650,18 +694,25 @@ func (s *Server) handleDensest(w http.ResponseWriter, r *http.Request) *apiError
 		return errNotLive(e.Name)
 	}
 	start := time.Now()
-	d := e.Live.Densest()
-	resp := UDSResponse{
-		SolveAnswer: SolveAnswer{Graph: e.Name, Version: d.Version, Algorithm: "DynamicKStarCore", Density: d.Density},
-		Size:        len(d.Vertices),
-		KStar:       d.KStar,
-	}
-	if v := r.URL.Query().Get("omit_vertices"); v != "true" && v != "1" {
-		resp.Vertices = d.Vertices
-	}
+	omit := r.URL.Query().Get("omit_vertices")
+	resp := densestResponse(e.Name, "DynamicKStarCore", e.Live.Densest(), omit == "true" || omit == "1")
 	resp.ElapsedMs = msSince(start)
 	writeJSON(w, http.StatusOK, resp)
 	return nil
+}
+
+// densestResponse is the wire form of a live graph's maintained k*-core
+// answer, named algorithm.
+func densestResponse(graph, algorithm string, d live.Densest, omitVertices bool) UDSResponse {
+	resp := UDSResponse{
+		SolveAnswer: SolveAnswer{Graph: graph, Version: d.Version, Algorithm: algorithm, Density: d.Density},
+		Size:        len(d.Vertices),
+		KStar:       d.KStar,
+	}
+	if !omitVertices {
+		resp.Vertices = d.Vertices
+	}
+	return resp
 }
 
 func msSince(t time.Time) float64 {

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro"
 )
 
 // loadLive posts a live graph and returns its info.
@@ -157,7 +160,7 @@ func TestLiveDeleteClosesWriter(t *testing.T) {
 // serializes all structural change. Consistency is then proven by a final
 // equivalence check of the standing answer against a fresh exact solve.
 func TestLiveConcurrentMutateSolve(t *testing.T) {
-	_, ts := newTestServer(t, Config{LiveQueueDepth: 256, LiveCompactEvery: 32})
+	s, ts := newTestServer(t, Config{LiveQueueDepth: 256, LiveCompactEvery: 32})
 	const n = 24
 	var seed strings.Builder
 	for v := 1; v < n; v++ {
@@ -207,8 +210,14 @@ func TestLiveConcurrentMutateSolve(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
+				// pkmc is answered from the maintained core, charikar solves
+				// a snapshot: both race the writer.
+				algo := "pkmc"
+				if b%2 == 1 {
+					algo = "charikar"
+				}
 				var sres UDSResponse
-				if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "race", Algo: "pkmc", Options: SolveOptions{Workers: 2}}, &sres); got != http.StatusOK {
+				if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "race", Algo: algo, Options: SolveOptions{Workers: 2}}, &sres); got != http.StatusOK {
 					t.Errorf("solver %d: status %d", w, got)
 					return
 				}
@@ -228,14 +237,20 @@ func TestLiveConcurrentMutateSolve(t *testing.T) {
 	// maintained k*-core density can be below the exact optimum but the
 	// core numbers must be exact, so compare against the exact k*-core
 	// via a from-scratch solve with the same algorithm family).
-	var dres, sres UDSResponse
+	var dres UDSResponse
 	doJSON(t, "GET", ts.URL+"/graphs/race/densest", nil, &dres)
-	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "race", Algo: "bz"}, &sres); got != http.StatusOK {
-		t.Fatalf("final solve = %d", got)
+	e, err := s.Registry().Get("race")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dres.KStar != sres.KStar || dres.Density != sres.Density || dres.Size != sres.Size {
-		t.Fatalf("standing answer diverged from from-scratch recompute: live k*=%d ρ=%g |S|=%d, recompute k*=%d ρ=%g |S|=%d",
-			dres.KStar, dres.Density, dres.Size, sres.KStar, sres.Density, sres.Size)
+	snap, version := e.Live.Snapshot()
+	want, err := dsd.SolveUDS(snap, dsd.AlgoBZ, dsd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dres.Version != version || dres.KStar != want.KStar || dres.Density != want.Density || len(dres.Vertices) != len(want.Vertices) {
+		t.Fatalf("standing answer diverged from from-scratch recompute: live @%d k*=%d ρ=%g |S|=%d, BZ @%d k*=%d ρ=%g |S|=%d",
+			dres.Version, dres.KStar, dres.Density, len(dres.Vertices), version, want.KStar, want.Density, len(want.Vertices))
 	}
 }
 
@@ -244,7 +259,9 @@ func TestLiveConcurrentMutateSolve(t *testing.T) {
 // admission, so a request arriving after a mid-flight version publish must
 // not ride the stale flight — it runs (and caches) against the new version,
 // while the stale flight's riders get a result honestly labeled with the
-// displaced version it was computed from.
+// displaced version it was computed from. It solves with charikar, which
+// runs on the snapshot (k*-core solvers are answered from the maintained
+// core and never fly).
 func TestLivePublishMidFlight(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	info := loadLive(t, ts.URL, "lg", "0 1\n1 2\n2 0\n0 3\n")
@@ -265,7 +282,7 @@ func TestLivePublishMidFlight(t *testing.T) {
 	stale := make(chan UDSResponse, 1)
 	go func() {
 		var resp UDSResponse
-		if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg"}, &resp); got != http.StatusOK {
+		if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "charikar"}, &resp); got != http.StatusOK {
 			t.Errorf("stale-flight request = %d, want 200", got)
 		}
 		stale <- resp
@@ -288,7 +305,7 @@ func TestLivePublishMidFlight(t *testing.T) {
 	// Request B arrives after the publish: its snapshot is the new
 	// version, its key differs, and it must not join A's stale flight.
 	var fresh UDSResponse
-	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg"}, &fresh); got != http.StatusOK {
+	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "charikar"}, &fresh); got != http.StatusOK {
 		t.Fatalf("post-publish request = %d, want 200", got)
 	}
 	if fresh.Coalesced || fresh.Cached {
@@ -315,10 +332,99 @@ func TestLivePublishMidFlight(t *testing.T) {
 	// The cache serves the current version: a repeat request hits B's
 	// entry (the publish invalidated nothing newer than it).
 	var cached UDSResponse
-	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg"}, &cached); got != http.StatusOK {
+	if got := doJSON(t, "POST", ts.URL+"/solve/uds", SolveRequest{Graph: "lg", Algo: "charikar"}, &cached); got != http.StatusOK {
 		t.Fatalf("repeat request = %d, want 200", got)
 	}
 	if !cached.Cached || cached.Version != mres.Version {
 		t.Fatalf("repeat = cached %v version %d, want a hit on version %d", cached.Cached, cached.Version, mres.Version)
+	}
+}
+
+// TestMaintainedSolveRandomized pins the maintained route to the library:
+// on ER and Chung–Lu live graphs under random insert/delete batches (with
+// compactions), after every batch each k*-core solver — and the family
+// default — is answered from the maintained core with exactly what
+// dsd.SolveUDS returns on the snapshot at the same version: density (==),
+// k*, the sorted vertex set and the version. A traced request for the same
+// solver still runs on the snapshot and agrees.
+func TestMaintainedSolveRandomized(t *testing.T) {
+	s, ts := newTestServer(t, Config{LiveCompactEvery: 64})
+	graphs := map[string]*dsd.Graph{
+		"er":      dsd.GenerateErdosRenyi(80, 320, 31),
+		"chunglu": dsd.GenerateChungLu(120, 420, 2.3, 32),
+	}
+	var algos []string
+	for _, info := range dsd.Algorithms(dsd.ProblemUDS) {
+		if info.KStarCore {
+			algos = append(algos, string(info.Name))
+		}
+	}
+	if len(algos) < 2 {
+		t.Fatalf("registry marks %v as k*-core solvers, want several", algos)
+	}
+	algos = append(algos, "") // the family default
+	var served int64
+	for name, g := range graphs {
+		if _, err := s.PutLive(name, g, "generated", false); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		for batchNo := 0; batchNo < 20; batchNo++ {
+			e, err := s.Registry().Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, _ := e.Live.Snapshot()
+			edges := snap.Edges()
+			var muts []MutationOp
+			for k := 1 + rng.Intn(24); k > 0; k-- {
+				if len(edges) > 0 && rng.Intn(3) == 0 {
+					ed := edges[rng.Intn(len(edges))]
+					muts = append(muts, MutationOp{Op: "delete", U: ed.U, V: ed.V})
+					continue
+				}
+				// Degree-biased inserts grow the dense core.
+				u := int32(rng.Intn(g.N()))
+				v := int32(rng.Intn(g.N()))
+				if len(edges) > 0 {
+					v = edges[rng.Intn(len(edges))].V
+				}
+				muts = append(muts, MutationOp{Op: "insert", U: u, V: v})
+			}
+			var mres MutateResponse
+			if got := doJSON(t, "POST", ts.URL+"/graphs/"+name+"/edges", MutateRequest{Mutations: muts}, &mres); got != http.StatusOK {
+				t.Fatalf("%s batch %d: mutation = %d", name, batchNo, got)
+			}
+			snap, version := e.Live.Snapshot()
+			for _, algo := range algos {
+				want, err := dsd.SolveUDS(snap, dsd.Algo(algo), dsd.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, traced := range []bool{false, true} {
+					var got UDSResponse
+					req := SolveRequest{Graph: name, Algo: algo, Options: SolveOptions{Trace: traced}}
+					if code := doJSON(t, "POST", ts.URL+"/solve/uds", req, &got); code != http.StatusOK {
+						t.Fatalf("%s batch %d %q: solve = %d", name, batchNo, algo, code)
+					}
+					if got.Maintained == traced {
+						t.Fatalf("%s batch %d %q traced=%v: maintained = %v", name, batchNo, algo, traced, got.Maintained)
+					}
+					if !traced {
+						served++
+					}
+					if got.Version != version || got.Algorithm != want.Algorithm || got.Density != want.Density ||
+						got.KStar != want.KStar || got.Size != len(want.Vertices) ||
+						!slices.Equal(sortedCopy(got.Vertices), sortedCopy(want.Vertices)) {
+						t.Fatalf("%s batch %d %q traced=%v: served %s@%d k*=%d ρ=%v |S|=%d, library %s@%d k*=%d ρ=%v |S|=%d",
+							name, batchNo, algo, traced, got.Algorithm, got.Version, got.KStar, got.Density, got.Size,
+							want.Algorithm, version, want.KStar, want.Density, len(want.Vertices))
+					}
+				}
+			}
+		}
+	}
+	if got := s.metrics.MaintainedSolves.Value(); got != served {
+		t.Fatalf("%s = %d, want the %d maintained answers served", MetricMaintainedSolves, got, served)
 	}
 }

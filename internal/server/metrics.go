@@ -36,6 +36,7 @@ const (
 	MetricPhaseMsSum           = "phase_ms_sum"
 	MetricCoalescedSolves      = "coalesced_solves"
 	MetricDegradedSolves       = "degraded_solves"
+	MetricMaintainedSolves     = "maintained_solves"
 	MetricRequestsByTenant     = "requests_by_tenant"
 	MetricQuotaRejectsByTenant = "quota_rejects_by_tenant"
 	MetricSolveEstimateMs      = "solve_estimate_ms"
@@ -66,6 +67,7 @@ func MetricNames() []string {
 		MetricPhaseMsSum,
 		MetricCoalescedSolves,
 		MetricDegradedSolves,
+		MetricMaintainedSolves,
 		MetricRequestsByTenant,
 		MetricQuotaRejectsByTenant,
 		MetricSolveEstimateMs,
@@ -133,6 +135,10 @@ type Metrics struct {
 	// DegradedSolves counts requests the deadline-aware policy downgraded
 	// from an exact solver to a registered approximation.
 	DegradedSolves expvar.Int
+	// MaintainedSolves counts live-graph solves answered from the
+	// maintained k*-core instead of a solver run; they are not counted in
+	// the solve counters, the latency histogram or the cache totals.
+	MaintainedSolves expvar.Int
 	// RequestsByTenant / QuotaRejectsByTenant split the expensive-route
 	// traffic (solves, mutations, loads) per X-DSD-Tenant header — the
 	// noisy-neighbor forensics a 429 spike calls for.
@@ -326,6 +332,7 @@ func (m *Metrics) series() []metricSeries {
 		{live.MetricLiveRecomputes, &m.LiveRecomputes},
 		{MetricCoalescedSolves, &m.CoalescedSolves},
 		{MetricDegradedSolves, &m.DegradedSolves},
+		{MetricMaintainedSolves, &m.MaintainedSolves},
 		{MetricRequestsByTenant, &m.RequestsByTenant},
 		{MetricQuotaRejectsByTenant, &m.QuotaRejectsByTenant},
 		{MetricSolveEstimateMs, &m.SolveEstimateMs},

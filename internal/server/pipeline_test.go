@@ -23,7 +23,7 @@ type pathAnswer struct {
 }
 
 type pathFlags struct {
-	cached, coalesced, degraded, traced bool
+	cached, coalesced, degraded, traced, maintained bool
 }
 
 // pathFamily binds the path-equivalence suite to one problem family: its
@@ -90,7 +90,7 @@ var pathFamilies = []pathFamily{
 			status := trySolve(url+"/solve/uds", req, &resp)
 			return status, pathAnswer{
 				density: resp.Density, s: sortedCopy(resp.Vertices), version: resp.Version,
-				flags: pathFlags{resp.Cached, resp.Coalesced, resp.Degraded, resp.Trace != nil},
+				flags: pathFlags{resp.Cached, resp.Coalesced, resp.Degraded, resp.Trace != nil, resp.Maintained},
 			}
 		},
 	},
@@ -113,7 +113,7 @@ var pathFamilies = []pathFamily{
 			status := trySolve(url+"/solve/dds", req, &resp)
 			return status, pathAnswer{
 				density: resp.Density, s: sortedCopy(resp.S), t: sortedCopy(resp.T), version: resp.Version,
-				flags: pathFlags{resp.Cached, resp.Coalesced, resp.Degraded, resp.Trace != nil},
+				flags: pathFlags{resp.Cached, resp.Coalesced, resp.Degraded, resp.Trace != nil, resp.Maintained},
 			}
 		},
 	},
@@ -131,9 +131,10 @@ func (f pathFamily) mustPost(t *testing.T, url string, req SolveRequest) pathAns
 
 // TestSolvePathEquivalence pins that every way a solve request can be
 // served — fresh, from the cache, riding a coalesced flight, traced,
-// degraded, or against a mutated live graph — returns exactly the
-// library's answer for the (graph state, algorithm) that ran, with the
-// per-request flags describing the path taken.
+// degraded, from a mutated live graph's maintained k*-core, or against its
+// snapshot — returns exactly the library's answer for the (graph state,
+// algorithm) that ran, with the per-request flags describing the path
+// taken.
 func TestSolvePathEquivalence(t *testing.T) {
 	paths := []struct {
 		name    string
@@ -220,26 +221,18 @@ func TestSolvePathEquivalence(t *testing.T) {
 			want: pathFlags{degraded: true},
 		},
 		{
+			name:    "live maintained",
+			udsOnly: true,
+			serve: func(t *testing.T, _ *Server, ts *httptest.Server, f pathFamily) (pathAnswer, string, dsd.Algo) {
+				return solveMutatedLive(t, ts.URL, f, "pkmc"), "lg", "pkmc"
+			},
+			want: pathFlags{maintained: true},
+		},
+		{
 			name:    "live snapshot",
 			udsOnly: true,
 			serve: func(t *testing.T, _ *Server, ts *httptest.Server, f pathFamily) (pathAnswer, string, dsd.Algo) {
-				info := loadLive(t, ts.URL, "lg", cliqueEdges)
-				// Join the pendant vertex 4 to the 4-clique: a 5-clique.
-				var mres MutateResponse
-				batch := MutateRequest{Mutations: []MutationOp{
-					{Op: "insert", U: 4, V: 0}, {Op: "insert", U: 4, V: 1}, {Op: "insert", U: 4, V: 2},
-				}}
-				if got := doJSON(t, "POST", ts.URL+"/graphs/lg/edges", batch, &mres); got != http.StatusOK {
-					t.Fatalf("mutation = %d, want 200", got)
-				}
-				if mres.Version <= info.Version {
-					t.Fatalf("mutation did not advance the version: %d -> %d", info.Version, mres.Version)
-				}
-				got := f.mustPost(t, ts.URL, SolveRequest{Graph: "lg", Algo: f.algo})
-				if got.version != mres.Version {
-					t.Fatalf("solve version = %d, want the post-mutation %d", got.version, mres.Version)
-				}
-				return got, "lg", dsd.Algo(f.algo)
+				return solveMutatedLive(t, ts.URL, f, "charikar"), "lg", "charikar"
 			},
 		},
 	}
@@ -265,6 +258,30 @@ func TestSolvePathEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// solveMutatedLive loads a live copy of the 4-clique graph, grows it into a
+// 5-clique, and solves it with algo, checking the answer is at the
+// post-mutation version.
+func solveMutatedLive(t *testing.T, url string, f pathFamily, algo string) pathAnswer {
+	t.Helper()
+	info := loadLive(t, url, "lg", cliqueEdges)
+	// Join the pendant vertex 4 to the 4-clique: a 5-clique.
+	var mres MutateResponse
+	batch := MutateRequest{Mutations: []MutationOp{
+		{Op: "insert", U: 4, V: 0}, {Op: "insert", U: 4, V: 1}, {Op: "insert", U: 4, V: 2},
+	}}
+	if got := doJSON(t, "POST", url+"/graphs/lg/edges", batch, &mres); got != http.StatusOK {
+		t.Fatalf("mutation = %d, want 200", got)
+	}
+	if mres.Version <= info.Version {
+		t.Fatalf("mutation did not advance the version: %d -> %d", info.Version, mres.Version)
+	}
+	got := f.mustPost(t, url, SolveRequest{Graph: "lg", Algo: algo})
+	if got.version != mres.Version {
+		t.Fatalf("solve version = %d, want the post-mutation %d", got.version, mres.Version)
+	}
+	return got
 }
 
 // TestSolveDDSTruncatedNotCached pins the DDS family's one caching

@@ -122,6 +122,11 @@ type Descriptor struct {
 	// Budgeted marks solvers that honor Params.Budget by returning their
 	// best-so-far answer with TimedOut set.
 	Budgeted bool
+	// KStarCore marks UDS solvers whose answer is exactly the k*-core:
+	// its vertex set, its density and k* itself. The k*-core is unique,
+	// so every such solver returns the same answer, and a live graph that
+	// maintains its core decomposition can serve it without a solve.
+	KStarCore bool
 	// SolveUDS runs a KindUDS descriptor: the solver's exported function
 	// itself (uds.PKMC), never a wrapper. The context may be nil (never
 	// cancel); cancelable implementations poll it at iteration boundaries,
@@ -195,6 +200,8 @@ func validate(d Descriptor) error {
 		return fmt.Errorf("algorithm %q is exact-grade and cannot serve as a degradation rung", d.Name)
 	case d.DegradeRank < 0:
 		return fmt.Errorf("algorithm %q has negative degrade rank", d.Name)
+	case d.KStarCore && d.Kind != KindUDS:
+		return fmt.Errorf("algorithm %q: only UDS solvers can return the k*-core", d.Name)
 	}
 	return nil
 }

@@ -153,4 +153,10 @@ func TestRegisterValidatesDescriptors(t *testing.T) {
 		Grade: GradeExact, Guarantee: "t", Paper: "t", SolveUDS: udsSolve,
 	}
 	mustPanic(t, "exactly SolveDDS", func() { Register(bad) })
+
+	kStarDDS := Descriptor{
+		Name: "invalid-kstar", Kind: KindDDS, Display: "X",
+		Grade: Grade2Approx, Guarantee: "t", Paper: "t", SolveDDS: ddsSolve, KStarCore: true,
+	}
+	mustPanic(t, "only UDS solvers can return the k*-core", func() { Register(kStarDDS) })
 }

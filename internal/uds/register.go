@@ -13,7 +13,7 @@ func init() {
 		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
 		Paper:        "Algorithm 2 (the reproduced paper) with in-place sweeps and a certified k*-core stop",
 		TraceColumns: []string{"phases", "iterations", "counters"},
-		Default:      true, DegradeRank: 2,
+		Default:      true, DegradeRank: 2, KStarCore: true,
 		SolveUDS: PKMC,
 	})
 	solver.Register(solver.Descriptor{
@@ -22,6 +22,7 @@ func init() {
 		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
 		Paper:        "Algorithm 2 as published (synchronous sweeps, Theorem-1 stop)",
 		TraceColumns: []string{"phases", "iterations", "counters"},
+		KStarCore:    true,
 		SolveUDS:     PKMCSync,
 	})
 	solver.Register(solver.Descriptor{
@@ -30,6 +31,7 @@ func init() {
 		Guarantee:    "2-approximation via full h-index core decomposition",
 		Paper:        "Sariyüce et al. (baseline of the reproduced paper's Exp-1)",
 		TraceColumns: []string{"phases", "iterations", "counters"},
+		KStarCore:    true,
 		SolveUDS:     Local,
 	})
 	solver.Register(solver.Descriptor{
@@ -37,6 +39,7 @@ func init() {
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2-approximation via parallel level peeling",
 		Paper:     "Kabir–Madduri (baseline of the reproduced paper's Exp-1)",
+		KStarCore: true,
 		SolveUDS:  PKC,
 	})
 	solver.Register(solver.Descriptor{
@@ -44,8 +47,8 @@ func init() {
 		Grade:     solver.Grade2Approx,
 		Guarantee: "2-approximation via serial bucket-queue k*-core",
 		Paper:     "Batagelj–Zaveršnik (baseline of the reproduced paper's Exp-1)",
-		Serial:    true,
-		SolveUDS:  BZ,
+		Serial:    true, KStarCore: true,
+		SolveUDS: BZ,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "charikar", Kind: solver.KindUDS, Display: "Charikar",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/dds"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -69,8 +70,11 @@ func TestTraceColumnsMatchEmitted(t *testing.T) {
 // TestRegistryAnswers checks every registered solver on small generated
 // graphs: the reported density is the density of the returned set, the
 // answer's density does not depend on the worker count, and the answer
-// keeps the solver's grade against the family's exact oracle. Registering
-// a solver is enough to put it under this check.
+// keeps the solver's grade against the family's exact oracle. A solver
+// marked KStarCore must return BZ's k*-core exactly (k* and vertex set,
+// under its display name), since the server serves the maintained k*-core
+// as its answer on live graphs. Registering a solver is enough to put it
+// under this check.
 //
 // PWC is held to PXY by the product x*·y*, not by density: when products
 // tie, the two pick different [x, y] pairs, and both are valid.
@@ -102,7 +106,14 @@ func TestRegistryAnswers(t *testing.T) {
 		}
 	}
 	udsOpt := map[string]float64{}
+	type kStarCore struct {
+		k  int32
+		vs []int32
+	}
+	bzCore := map[string]kStarCore{}
 	for name, g := range udsGraphs {
+		k, vs := core.KStarCore(core.BZ(g))
+		bzCore[name] = kStarCore{k, vs}
 		r, err := uds.Exact(nil, g, solver.Params{})
 		if err != nil {
 			t.Fatalf("uds/exact on %s: %v", name, err)
@@ -119,6 +130,12 @@ func TestRegistryAnswers(t *testing.T) {
 				}
 				if got := g.InducedDensity(r.Vertices); math.Abs(got-r.Density) > 1e-9 {
 					t.Errorf("uds/%s on %s (p=%d): reports density %v, its set has %v", desc.Name, name, workers, r.Density, got)
+				}
+				vs := slices.Clone(r.Vertices)
+				slices.Sort(vs)
+				if want := bzCore[name]; desc.KStarCore && (r.Algorithm != desc.Display || r.KStar != want.k || !slices.Equal(vs, want.vs)) {
+					t.Errorf("uds/%s on %s (p=%d): marked KStarCore, but returns %s k*=%d |S|=%d, BZ's k*-core is k*=%d |S|=%d",
+						desc.Name, name, workers, r.Algorithm, r.KStar, len(r.Vertices), want.k, len(want.vs))
 				}
 				density[i] = r.Density
 			}
