@@ -9,7 +9,7 @@
 //	dsdserver [-addr :8080] [-load name=path[,directed|,live]]...
 //	          [-max-concurrent N] [-cache N] [-max-queue-wait 30s]
 //	          [-default-timeout 0] [-max-timeout 0] [-drain 30s]
-//	          [-live-queue N] [-live-compact N] [-pprof] [-trace-phases]
+//	          [-live-queue N] [-pprof] [-trace-phases]
 //	          [-state-dir DIR] [-state-interval 30s]
 //	          [-quota rate=R[,burst=B][,concurrent=C]] [-degrade off|auto]
 //
@@ -72,7 +72,6 @@ type options struct {
 	pprof         bool
 	tracePhases   bool
 	liveQueue     int
-	liveCompact   int
 	stateDir      string
 	stateInterval time.Duration
 	degrade       string
@@ -106,7 +105,6 @@ func parseArgs(args []string) (*options, error) {
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
 	fs.BoolVar(&o.tracePhases, "trace-phases", false, "trace every solve and export per-phase wall times at /debug/vars")
 	fs.IntVar(&o.liveQueue, "live-queue", 0, "per-live-graph mutation queue depth; overflow is a 429 (0 = 64)")
-	fs.IntVar(&o.liveCompact, "live-compact", 0, "delta-log entries per live graph before compaction (0 = 4096)")
 	fs.StringVar(&o.stateDir, "state-dir", "", "directory for warm-restart snapshots: the resident-graph manifest is saved there on shutdown and every -state-interval, and restored at startup")
 	fs.DurationVar(&o.stateInterval, "state-interval", 30*time.Second, "period between snapshot saves with -state-dir (0 = only at shutdown)")
 	fs.StringVar(&o.degrade, "degrade", server.DegradeOff, "deadline-aware degradation policy: \"off\" or \"auto\" (downgrade exact solves predicted to miss their deadline to a registered approximation)")
@@ -200,14 +198,13 @@ func run(ctx context.Context, o *options, logger *log.Logger) error {
 		// With preloads (or a snapshot restore) pending, /readyz reports 503
 		// until they land, so a load balancer never routes to a replica that
 		// would 404 its graphs.
-		StartUnready:     len(o.loads) > 0 || o.stateDir != "",
-		PublishExpvar:    true,
-		EnablePprof:      o.pprof,
-		TracePhases:      o.tracePhases,
-		LiveQueueDepth:   o.liveQueue,
-		LiveCompactEvery: o.liveCompact,
-		DegradePolicy:    o.degrade,
-		Quota:            o.quota,
+		StartUnready:   len(o.loads) > 0 || o.stateDir != "",
+		PublishExpvar:  true,
+		EnablePprof:    o.pprof,
+		TracePhases:    o.tracePhases,
+		LiveQueueDepth: o.liveQueue,
+		DegradePolicy:  o.degrade,
+		Quota:          o.quota,
 	})
 
 	// Listen before loading: liveness and diagnostics are reachable while

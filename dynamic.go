@@ -48,6 +48,14 @@ func (dg *DynamicGraph) ApplyDelete(u, v int32) (applied bool, changed int) {
 	return dg.d.DeleteEdge(u, v)
 }
 
+// SetEdge makes {u, v} present or absent without repairing the core
+// numbers, and reports whether the edge set changed (self-loops never do).
+// Core numbers and DensestSubgraph are stale until the structure is
+// reseeded from its Snapshot: this is the bulk path for batches large
+// enough that one decomposition beats per-edge repair. Panics on
+// out-of-range ids.
+func (dg *DynamicGraph) SetEdge(u, v int32, present bool) bool { return dg.d.SetEdge(u, v, present) }
+
 // CoreNumbers returns the maintained core numbers (read-only view).
 func (dg *DynamicGraph) CoreNumbers() []int32 { return dg.d.CoreNumbers() }
 

@@ -53,15 +53,15 @@ type replayStats struct {
 
 // replay applies a deterministic insert/delete stream, in batches of b,
 // to the PT catalog model (the smallest undirected dataset) held as a live
-// graph, with compaction and the oversized-batch fallback pushed out of
-// the way so every batch takes the incremental repair path. With
+// graph, with the oversized-batch fallback pushed out of the way so every
+// batch takes the incremental repair path. With
 // recompute, it also re-times a full serial re-solve of the evolving graph
 // after every batch; snapshot materialization stays outside that timing (a
 // recompute-based server would keep its graph materialized anyway).
 func replay(cfg Config, b int, recompute bool) replayStats {
 	g := Undirected("PT", cfg.Scale)
 	dg := dsd.NewGraph(g.N(), g.Edges())
-	lg := live.New(dg, live.Config{CompactEvery: 1 << 30, RecomputeBatch: 1 << 30}, nil)
+	lg := live.New(dg, live.Config{RecomputeBatch: 1 << 30}, nil)
 	present := map[[2]int32]bool{}
 	for _, e := range dg.Edges() {
 		present[[2]int32{e.U, e.V}] = true

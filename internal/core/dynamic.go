@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -15,24 +15,41 @@ import (
 // only inside the connected region of the lower endpoint's core-number
 // class, so each update touches a small neighborhood instead of
 // recomputing the decomposition.
+//
+// The adjacency is the graph's only edge store: every neighbor list is
+// kept strictly ascending, so membership is a binary search and the
+// current graph materializes in canonical order.
 type Dynamic struct {
-	adj []map[int32]struct{}
+	adj [][]int32
 	k   []int32
+	// Repair scratch, owned here so an update allocates nothing per edge:
+	// mark[v] == epoch flags v within the current update (a candidate on
+	// insert, a demoted vertex on delete), and cnt[v] is a flagged
+	// candidate's count of neighbors that can sit in the raised core.
+	// cand and queue keep their capacity across updates.
+	mark        []uint32
+	cnt         []int32
+	epoch       uint32
+	cand, queue []int32
 }
 
-// NewDynamic seeds the structure from a static graph (core numbers via the
-// serial decomposition).
+// NewDynamic seeds the structure from a static graph: core numbers via
+// the serial decomposition, neighbor lists copied from the CSR (already
+// ascending) into one backing array.
 func NewDynamic(g *graph.Undirected) *Dynamic {
 	n := g.N()
 	d := &Dynamic{
-		adj: make([]map[int32]struct{}, n),
-		k:   BZ(g),
+		adj:  make([][]int32, n),
+		k:    BZ(g),
+		mark: make([]uint32, n),
+		cnt:  make([]int32, n),
 	}
-	for v := int32(0); int(v) < n; v++ {
-		d.adj[v] = make(map[int32]struct{}, g.Degree(v))
-		for _, u := range g.Neighbors(v) {
-			d.adj[v][u] = struct{}{}
-		}
+	store := make([]int32, 0, 2*g.M())
+	for v := range d.adj {
+		lo := len(store)
+		store = append(store, g.Neighbors(int32(v))...)
+		// Capped, so growing one list reallocates that list alone.
+		d.adj[v] = store[lo:len(store):len(store)]
 	}
 	return d
 }
@@ -45,7 +62,7 @@ func (d *Dynamic) Degree(v int32) int32 { return int32(len(d.adj[v])) }
 
 // HasEdge reports whether {u, v} is currently an edge.
 func (d *Dynamic) HasEdge(u, v int32) bool {
-	_, ok := d.adj[u][v]
+	_, ok := slices.BinarySearch(d.adj[u], v)
 	return ok
 }
 
@@ -70,7 +87,7 @@ func (d *Dynamic) KStarDensity() (kstar int32, vertices []int32, density float64
 	}
 	var twiceEdges int64
 	for _, v := range vertices {
-		for x := range d.adj[v] {
+		for _, x := range d.adj[v] {
 			if d.k[x] >= kstar {
 				twiceEdges++
 			}
@@ -79,17 +96,70 @@ func (d *Dynamic) KStarDensity() (kstar int32, vertices []int32, density float64
 	return kstar, vertices, float64(twiceEdges) / 2 / float64(len(vertices))
 }
 
-// Graph materializes the current graph.
+// Graph materializes the current graph. The lists are walked in order, so
+// the edge list reaches the builder already canonical.
 func (d *Dynamic) Graph() *graph.Undirected {
-	var edges []graph.Edge
-	for u := int32(0); int(u) < d.N(); u++ {
-		for v := range d.adj[u] {
-			if u < v {
-				edges = append(edges, graph.Edge{U: u, V: v})
+	var arcs int
+	for _, nb := range d.adj {
+		arcs += len(nb)
+	}
+	edges := make([]graph.Edge, 0, arcs/2)
+	for u, nb := range d.adj {
+		for _, v := range nb {
+			if int32(u) < v {
+				edges = append(edges, graph.Edge{U: int32(u), V: v})
 			}
 		}
 	}
 	return graph.NewUndirected(d.N(), edges)
+}
+
+// SetEdge makes {u, v} present or absent without repairing core numbers,
+// and reports whether the edge set changed (self-loops never do). The core
+// numbers are stale until the structure is reseeded from Graph(): this is
+// the bulk path for batches large enough that one decomposition beats
+// per-edge repair. Panics on out-of-range ids.
+func (d *Dynamic) SetEdge(u, v int32, present bool) bool {
+	d.check(u, v)
+	if present {
+		return d.link(u, v)
+	}
+	return d.unlink(u, v)
+}
+
+// link inserts {u, v} into both sorted lists; false if it is present or a
+// self-loop.
+func (d *Dynamic) link(u, v int32) bool {
+	i, found := slices.BinarySearch(d.adj[u], v)
+	if u == v || found {
+		return false
+	}
+	d.adj[u] = slices.Insert(d.adj[u], i, v)
+	j, _ := slices.BinarySearch(d.adj[v], u)
+	d.adj[v] = slices.Insert(d.adj[v], j, u)
+	return true
+}
+
+// unlink removes {u, v} from both sorted lists; false if it is absent.
+func (d *Dynamic) unlink(u, v int32) bool {
+	i, found := slices.BinarySearch(d.adj[u], v)
+	if !found {
+		return false
+	}
+	d.adj[u] = slices.Delete(d.adj[u], i, i+1)
+	j, _ := slices.BinarySearch(d.adj[v], u)
+	d.adj[v] = slices.Delete(d.adj[v], j, j+1)
+	return true
+}
+
+// nextEpoch starts a new update's marks. When the counter wraps, every
+// mark is cleared so no stale flag can equal the new epoch.
+func (d *Dynamic) nextEpoch() {
+	d.epoch++
+	if d.epoch == 0 {
+		clear(d.mark)
+		d.epoch = 1
+	}
 }
 
 // InsertEdge adds {u, v} and repairs the core numbers. Inserting an
@@ -99,16 +169,11 @@ func (d *Dynamic) Graph() *graph.Undirected {
 // tier histograms. Panics on out-of-range ids.
 func (d *Dynamic) InsertEdge(u, v int32) (applied bool, changed int) {
 	d.check(u, v)
-	if u == v || d.HasEdge(u, v) {
+	if !d.link(u, v) {
 		return false, 0
 	}
-	d.adj[u][v] = struct{}{}
-	d.adj[v][u] = struct{}{}
-
-	kmin := d.k[u]
-	if d.k[v] < kmin {
-		kmin = d.k[v]
-	}
+	kmin := min(d.k[u], d.k[v])
+	d.nextEpoch()
 	// Candidate region: the kmin-class vertices reachable from the lower
 	// endpoint(s) through kmin-class paths of *expandable* vertices. Only
 	// they can be promoted, and by exactly one. The expansion prune is the
@@ -120,43 +185,39 @@ func (d *Dynamic) InsertEdge(u, v int32) (applied bool, changed int) {
 	cand := d.candidateRegion(u, v, kmin)
 	// Peel the candidates: w survives (is promoted) iff it keeps more
 	// than kmin neighbors that will sit in a core of at least kmin+1 —
-	// neighbors of higher class, or surviving candidates.
-	inCand := map[int32]bool{}
-	for _, w := range cand {
-		inCand[w] = true
-	}
-	cd := map[int32]int32{}
+	// neighbors of higher class, or surviving candidates. A candidate is
+	// evicted once its count drops to kmin; the peel is confluent, so the
+	// order candidates are visited in does not change the survivors.
 	for _, w := range cand {
 		var c int32
-		for x := range d.adj[w] {
-			if d.k[x] > kmin || inCand[x] {
+		for _, x := range d.adj[w] {
+			if d.k[x] > kmin || d.mark[x] == d.epoch {
 				c++
 			}
 		}
-		cd[w] = c
+		d.cnt[w] = c
 	}
-	queue := make([]int32, 0, len(cand))
+	queue := d.queue[:0]
 	for _, w := range cand {
-		if cd[w] <= kmin {
+		if d.cnt[w] <= kmin {
 			queue = append(queue, w)
-			inCand[w] = false
 		}
 	}
 	for len(queue) > 0 {
 		w := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for x := range d.adj[w] {
-			if inCand[x] {
-				cd[x]--
-				if cd[x] <= kmin {
-					inCand[x] = false
+		for _, x := range d.adj[w] {
+			if d.mark[x] == d.epoch && d.cnt[x] > kmin {
+				d.cnt[x]--
+				if d.cnt[x] <= kmin {
 					queue = append(queue, x)
 				}
 			}
 		}
 	}
-	for w, in := range inCand {
-		if in {
+	d.queue = queue
+	for _, w := range cand {
+		if d.cnt[w] > kmin {
 			d.k[w] = kmin + 1
 			changed++
 		}
@@ -169,30 +230,24 @@ func (d *Dynamic) InsertEdge(u, v int32) (applied bool, changed int) {
 // it reports the structural outcome and the repair size.
 func (d *Dynamic) DeleteEdge(u, v int32) (applied bool, changed int) {
 	d.check(u, v)
-	if u == v || !d.HasEdge(u, v) {
+	if !d.unlink(u, v) {
 		return false, 0
 	}
-	delete(d.adj[u], v)
-	delete(d.adj[v], u)
-
-	kmin := d.k[u]
-	if d.k[v] < kmin {
-		kmin = d.k[v]
-	}
+	kmin := min(d.k[u], d.k[v])
+	d.nextEpoch()
 	// Only kmin-class vertices around the endpoints can be demoted, by
 	// exactly one. Demote w when it no longer has kmin neighbors of class
 	// >= kmin; each demotion lowers its neighbors' supports, so demotions
 	// cascade within the class. Supports are recomputed on every visit —
 	// each recount is one adjacency scan and the cascade only revisits a
 	// vertex when a neighbor was demoted, keeping the update local.
-	demoted := map[int32]bool{}
-	var queue []int32
+	queue := d.queue[:0]
 	visit := func(w int32) {
-		if d.k[w] != kmin || demoted[w] {
+		if d.k[w] != kmin || d.mark[w] == d.epoch {
 			return
 		}
 		if d.support(w, kmin) < kmin {
-			demoted[w] = true
+			d.mark[w] = d.epoch
 			queue = append(queue, w)
 		}
 	}
@@ -203,17 +258,18 @@ func (d *Dynamic) DeleteEdge(u, v int32) (applied bool, changed int) {
 		queue = queue[:len(queue)-1]
 		d.k[w] = kmin - 1
 		changed++
-		for x := range d.adj[w] {
+		for _, x := range d.adj[w] {
 			visit(x)
 		}
 	}
+	d.queue = queue
 	return true, changed
 }
 
 // support counts w's neighbors of class >= kmin under the current k.
 func (d *Dynamic) support(w int32, kmin int32) int32 {
 	var c int32
-	for x := range d.adj[w] {
+	for _, x := range d.adj[w] {
 		if d.k[x] >= kmin {
 			c++
 		}
@@ -221,46 +277,36 @@ func (d *Dynamic) support(w int32, kmin int32) int32 {
 	return c
 }
 
-// candidateRegion collects the k == kmin vertices reachable from whichever
-// endpoints sit in that class, expanding only through vertices whose
-// optimistic support (neighbors of class >= kmin) exceeds kmin — the
-// others can never be promoted, and the promoted region is connected
-// through promoted vertices, so they are dead ends for the search.
-// Non-expandable vertices are still *returned* (the peel evicts them and
-// their eviction must propagate into the candidate counts).
+// candidateRegion collects — and marks with the current epoch — the
+// k == kmin vertices reachable from whichever endpoints sit in that class,
+// expanding only through vertices whose optimistic support (neighbors of
+// class >= kmin) exceeds kmin — the others can never be promoted, and the
+// promoted region is connected through promoted vertices, so they are dead
+// ends for the search. Non-expandable vertices are still *returned* (the
+// peel evicts them and their eviction must propagate into the candidate
+// counts). The result aliases d.cand.
 func (d *Dynamic) candidateRegion(u, v, kmin int32) []int32 {
-	var roots []int32
-	if d.k[u] == kmin {
-		roots = append(roots, u)
-	}
-	if d.k[v] == kmin {
-		roots = append(roots, v)
-	}
-	seen := map[int32]bool{}
-	var stack, out []int32
+	out, stack := d.cand[:0], d.queue[:0]
 	visit := func(w int32) {
-		if seen[w] {
+		if d.k[w] != kmin || d.mark[w] == d.epoch {
 			return
 		}
-		seen[w] = true
+		d.mark[w] = d.epoch
 		out = append(out, w)
 		if d.support(w, kmin) > kmin {
 			stack = append(stack, w)
 		}
 	}
-	for _, r := range roots {
-		visit(r)
-	}
+	visit(u)
+	visit(v)
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for x := range d.adj[w] {
-			if d.k[x] == kmin {
-				visit(x)
-			}
+		for _, x := range d.adj[w] {
+			visit(x)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	d.cand, d.queue = out, stack
 	return out
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -102,7 +104,27 @@ func TestDynamicRandomInsertions(t *testing.T) {
 	}
 }
 
-// TestDynamicRandomMixed interleaves insertions and deletions.
+// checkStore asserts the adjacency invariants the single edge store relies
+// on: every neighbor list is strictly ascending and free of self-loops, and
+// {u, v} is listed at u exactly when it is listed at v.
+func checkStore(t *testing.T, d *Dynamic) {
+	t.Helper()
+	for u, nb := range d.adj {
+		for i, v := range nb {
+			if v == int32(u) || (i > 0 && nb[i-1] >= v) {
+				t.Fatalf("N(%d) = %v is not strictly ascending and loop-free", u, nb)
+			}
+			if !d.HasEdge(v, int32(u)) {
+				t.Fatalf("arc %d->%d has no reverse arc", u, v)
+			}
+		}
+	}
+}
+
+// TestDynamicRandomMixed interleaves insertions and deletions: small
+// random graphs under quick.Check, then a planted clique in a Chung–Lu
+// graph, whose deep cores make the repair cascade, under thousands of
+// mixed updates that also dismantle and regrow the clique.
 func TestDynamicRandomMixed(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,6 +152,49 @@ func TestDynamicRandomMixed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+
+	g, clique := gen.PlantClique(gen.ChungLu(300, 1200, 2.3, 41), 16, 42)
+	d := NewDynamic(g)
+	rng := rand.New(rand.NewSource(43))
+	n := int32(g.N())
+	for i := 0; i < 3000; i++ {
+		var u, v int32
+		if rng.Intn(2) == 0 {
+			u, v = clique[rng.Intn(len(clique))], clique[rng.Intn(len(clique))]
+		} else {
+			u, v = rng.Int31n(n), rng.Int31n(n)
+		}
+		if rng.Intn(2) == 0 {
+			d.DeleteEdge(u, v)
+		} else {
+			d.InsertEdge(u, v)
+		}
+		checkAgainstRecompute(t, d)
+		checkStore(t, d)
+	}
+}
+
+// TestDynamicEpochWrap runs updates across the repair-mark counter's
+// wrap-around: marks left by the first updates carry the small epochs the
+// counter reaches again after the wrap, and must not read as current.
+func TestDynamicEpochWrap(t *testing.T) {
+	d := NewDynamic(gen.ChungLu(200, 800, 2.3, 44))
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 600; i++ {
+		if i == 300 {
+			d.epoch = math.MaxUint32 - 20
+		}
+		u, v := rng.Int31n(200), rng.Int31n(200)
+		if i%3 == 0 {
+			d.DeleteEdge(u, v)
+		} else {
+			d.InsertEdge(u, v)
+		}
+		checkAgainstRecompute(t, d)
+	}
+	if d.epoch > 600 {
+		t.Fatalf("epoch = %d, want it wrapped", d.epoch)
 	}
 }
 

@@ -30,11 +30,6 @@ const (
 	// SiteLiveApply fires at the head of every live mutation batch, before
 	// any edge is applied — an injected error rejects the batch atomically.
 	SiteLiveApply = "live.apply"
-	// SiteLiveCompact fires when a live graph's delta log crosses the
-	// compaction threshold, before the snapshot rebase and full core
-	// recompute — an injected error defers the compaction (the delta log
-	// is kept and retriggers on the next batch).
-	SiteLiveCompact = "live.compact"
 	// SiteLivePublish fires after a mutation batch is applied, just before
 	// the new graph version is published to the registry — an injected
 	// error leaves the mutations applied but unversioned; the next
@@ -74,7 +69,6 @@ func Sites() []string {
 		SiteGraphIOEdges,
 		SiteRegistryLoad,
 		SiteLiveApply,
-		SiteLiveCompact,
 		SiteLivePublish,
 		SiteFlightLeader,
 		SiteQuotaClock,

@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -13,11 +12,6 @@ import (
 
 // Config tunes one live graph. The zero value is a sensible serving setup.
 type Config struct {
-	// CompactEvery bounds the delta log: once at least this many distinct
-	// edge slots have been touched since the last compaction, the snapshot
-	// is rebased and the core decomposition recomputed from scratch.
-	// <= 0 means 4096.
-	CompactEvery int
 	// RecomputeBatch is the batch size at which a single batch skips
 	// per-edge incremental repair and goes straight to the full-recompute
 	// fallback (applying that many traversal repairs would cost more than
@@ -29,9 +23,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 4096
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -79,8 +70,9 @@ type ApplyResult struct {
 	Touched int `json:"touched"`
 	// Recomputed marks the full-recompute fallback (oversized batch).
 	Recomputed bool `json:"recomputed,omitempty"`
-	// Compacted marks a delta-log compaction after this batch (the
-	// full-recompute fallback always compacts).
+	// Compacted is never set: live graphs do not compact. It stays in the
+	// wire format because the repository benchmark (perfbench) decodes it,
+	// and goes when that benchmark drops its live.compactions row.
 	Compacted bool `json:"compacted,omitempty"`
 	// The standing 2-approximate densest-subgraph answer after the batch.
 	KStar    int32   `json:"k_star"`
@@ -89,10 +81,9 @@ type ApplyResult struct {
 	// Post-batch graph size.
 	N int   `json:"n"`
 	M int64 `json:"m"`
-	// ApplyMs is the wall time of the batch application (repair included,
-	// compaction excluded); CompactMs the compaction that followed, if any.
-	ApplyMs   float64 `json:"apply_ms"`
-	CompactMs float64 `json:"compact_ms,omitempty"`
+	// ApplyMs is the wall time of the batch application, repair or
+	// full recompute included.
+	ApplyMs float64 `json:"apply_ms"`
 }
 
 // Densest is the standing incremental answer served without a solve: the
@@ -105,8 +96,8 @@ type Densest struct {
 }
 
 // ApplyPanicError reports a panic contained by the writer while applying a
-// batch. The live graph heals itself with a full rebuild from the delta
-// log before the error is returned, so subsequent batches see consistent
+// batch. The live graph heals itself with a full rebuild over its edge
+// store before the error is returned, so subsequent batches see consistent
 // state; the panicking batch may be partially applied up to the mutation
 // that died.
 type ApplyPanicError struct {
@@ -125,27 +116,15 @@ type Graph struct {
 	cfg     Config
 	publish PublishFunc
 
-	mu  sync.RWMutex
+	mu sync.RWMutex
+	// dyn is the graph's only edge store: sorted adjacency plus the
+	// maintained core numbers. Snapshots are built from it.
 	dyn *dsd.DynamicGraph
 	// densest is the k*-core answer of the current state, refreshed by
 	// every batch that changes the graph; Densest pairs it with version.
 	densest Densest
 	n       int
 	m       int64
-	// maxDeg is exact after compactions and insert-only traffic, and an
-	// upper bound between a deletion and the next compaction.
-	maxDeg int32
-	// base and delta are the delta log: base is the edge list at the last
-	// compaction, in canonical order (u < v, ascending), and delta the
-	// present/absent overlay of every edge slot touched since. A snapshot
-	// merges the two: base edges the overlay does not mark absent, plus the
-	// overlay's present slots.
-	base  []dsd.Edge
-	delta map[uint64]bool
-	// compactions counts delta-log rebases since the graph was wrapped —
-	// the warm-restart manifest's compaction cursor: while it is zero the
-	// original source plus the delta log reproduces the state exactly.
-	compactions int64
 	// version mirrors the registry; snap caches the last materialized
 	// snapshot so repeated solves between batches share one build.
 	version     int64
@@ -174,9 +153,6 @@ func New(g *dsd.Graph, cfg Config, publish PublishFunc) *Graph {
 		dyn:     dsd.NewDynamicGraph(g),
 		n:       g.N(),
 		m:       g.M(),
-		maxDeg:  g.Stats().MaxDegree,
-		base:    g.Edges(),
-		delta:   map[uint64]bool{},
 		queue:   make(chan request, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -216,53 +192,20 @@ func (lg *Graph) SetVersion(v int64) {
 	lg.version = v
 }
 
-// DeltaLen returns the current delta-log size (diagnostics, tests).
-func (lg *Graph) DeltaLen() int {
-	lg.mu.RLock()
-	defer lg.mu.RUnlock()
-	return len(lg.delta)
-}
-
-// Compactions returns how many delta-log compactions have run since the
-// graph was wrapped. Warm restart uses it as the compaction cursor: at
-// zero, replaying DeltaMutations over the original source reproduces the
-// current state; after any compaction the base has been rebased away from
-// the source and the state must be rematerialized instead.
-func (lg *Graph) Compactions() int64 {
-	lg.mu.RLock()
-	defer lg.mu.RUnlock()
-	return lg.compactions
-}
-
-// DeltaMutations returns the delta log as a replayable batch: one OpInsert
-// per present overlay slot, one OpDelete per absent one (order is
-// irrelevant — each slot is independent). Replaying it over the edge state
-// at the last compaction reproduces the current graph.
-func (lg *Graph) DeltaMutations() []Mutation {
-	lg.mu.RLock()
-	defer lg.mu.RUnlock()
-	out := make([]Mutation, 0, len(lg.delta))
-	for k, present := range lg.delta {
-		u, v := unpackKey(k)
-		op := OpDelete
-		if present {
-			op = OpInsert
-		}
-		out = append(out, Mutation{Op: op, U: u, V: v})
-	}
-	return out
-}
-
-// Stats summarizes the current graph. MaxDegree is an upper bound between
-// a deletion and the next compaction, exact otherwise.
+// Stats summarizes the current graph.
 func (lg *Graph) Stats() dsd.Stats {
 	lg.mu.RLock()
 	defer lg.mu.RUnlock()
 	return lg.statsLocked()
 }
 
+// statsLocked scans the store for the maximum degree, O(n): the same order
+// as the k*-core refresh every changing batch already pays.
 func (lg *Graph) statsLocked() dsd.Stats {
-	s := dsd.Stats{N: lg.n, M: lg.m, MaxDegree: lg.maxDeg}
+	s := dsd.Stats{N: lg.n, M: lg.m}
+	for v := range int32(lg.n) {
+		s.MaxDegree = max(s.MaxDegree, lg.dyn.Degree(v))
+	}
 	if lg.n > 0 {
 		s.AvgDegree = 2 * float64(lg.m) / float64(lg.n)
 	}
@@ -285,7 +228,7 @@ func (lg *Graph) Snapshot() (*dsd.Graph, int64) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	if lg.snap == nil || lg.snapVersion != lg.version {
-		lg.snap = dsd.NewGraph(lg.n, lg.snapshotEdgesLocked())
+		lg.snap = lg.dyn.Snapshot()
 		lg.snapVersion = lg.version
 	}
 	return lg.snap, lg.version
@@ -311,56 +254,6 @@ func (lg *Graph) refreshDensestLocked() {
 	lg.densest = Densest{KStar: r.KStar, Vertices: r.Vertices, Density: r.Density}
 }
 
-// packKey canonicalizes an edge slot {u, v} (u != v) into one map key.
-func packKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
-func unpackKey(k uint64) (u, v int32) {
-	return int32(uint32(k >> 32)), int32(uint32(k))
-}
-
-// snapshotEdgesLocked materializes the current edge list from the delta
-// log, in canonical order and without duplicates. packKey orders slots as
-// the base is ordered, so one merge of the base with the sorted overlay
-// keys replaces a map lookup per base edge: a slot in both takes the
-// overlay's state, a slot in one alone keeps that one's.
-func (lg *Graph) snapshotEdgesLocked() []dsd.Edge {
-	keys := make([]uint64, 0, len(lg.delta))
-	for k := range lg.delta {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	edges := make([]dsd.Edge, 0, lg.m)
-	overlay := func(k uint64) {
-		if lg.delta[k] {
-			u, v := unpackKey(k)
-			edges = append(edges, dsd.Edge{U: u, V: v})
-		}
-	}
-	i := 0
-	for _, e := range lg.base {
-		be := packKey(e.U, e.V)
-		for ; i < len(keys) && keys[i] < be; i++ {
-			overlay(keys[i])
-		}
-		if i < len(keys) && keys[i] == be {
-			i++
-			if !lg.delta[be] {
-				continue
-			}
-		}
-		edges = append(edges, e)
-	}
-	for _, k := range keys[i:] {
-		overlay(k)
-	}
-	return edges
-}
-
 // Validate rejects a malformed batch before anything is applied: unknown
 // ops and out-of-range endpoints are errors (self-loops, duplicates and
 // absent deletes are well-formed no-ops, not errors).
@@ -377,8 +270,7 @@ func (lg *Graph) Validate(batch []Mutation) error {
 }
 
 // Apply applies one mutation batch: validation, incremental repair (or the
-// full-recompute fallback for oversized batches), delta-log bookkeeping,
-// compaction when the log crosses its threshold, and the version publish.
+// full-recompute fallback for oversized batches), and the version publish.
 // It must only be called from the graph's single writer goroutine (the
 // Writer enforces this at the server boundary; tests may call it directly
 // from one goroutine).
@@ -397,29 +289,13 @@ func (lg *Graph) Apply(batch []Mutation) (ApplyResult, error) {
 	start := time.Now()
 	threshold := lg.cfg.RecomputeBatch
 	if threshold <= 0 {
-		threshold = int(max64(4096, lg.m/8))
+		threshold = int(max(4096, lg.m/8))
 	}
-	if len(batch) >= threshold {
-		lg.applyFullLocked(batch, &res)
-	} else {
-		lg.applyIncrementalLocked(batch, &res)
-	}
+	lg.applyLocked(batch, len(batch) >= threshold, &res)
 	res.ApplyMs = msSince(start)
 
-	if !res.Compacted && len(lg.delta) >= lg.cfg.CompactEvery {
-		// Compaction is best-effort maintenance: an injected error defers
-		// it (the delta log is kept and retriggers next batch); a panic
-		// propagates to the writer's containment barrier.
-		if err := faultinject.Hit(faultinject.SiteLiveCompact); err == nil {
-			cstart := time.Now()
-			lg.compactLocked()
-			res.Compacted = true
-			res.CompactMs = msSince(cstart)
-		}
-	}
-
-	if res.Inserted+res.Deleted > 0 && !res.Compacted {
-		lg.refreshDensestLocked() // a compaction has refreshed it already
+	if res.Inserted+res.Deleted > 0 && !res.Recomputed {
+		lg.refreshDensestLocked() // a rebuild has refreshed it already
 	}
 	res.KStar, res.CoreSize, res.Density = lg.densest.KStar, len(lg.densest.Vertices), lg.densest.Density
 	res.N, res.M = lg.n, lg.m
@@ -446,120 +322,66 @@ func (lg *Graph) Apply(batch []Mutation) (ApplyResult, error) {
 	return res, nil
 }
 
-// applyIncrementalLocked repairs core numbers per edge via the traversal
-// algorithm — O(changed neighborhood) per mutation.
-func (lg *Graph) applyIncrementalLocked(batch []Mutation, res *ApplyResult) {
+// applyLocked applies the batch to the edge store. Each mutation resolves
+// against the store as the batch has left it, so an insert and a delete
+// of one slot in the same batch cancel. Normally every edge change is
+// repaired by the traversal algorithm, O(changed neighborhood) per
+// mutation; an oversized batch (full) edits the store unrepaired and
+// rebuilds the decomposition once at the end.
+func (lg *Graph) applyLocked(batch []Mutation, full bool, res *ApplyResult) {
 	for _, mu := range batch {
-		switch mu.Op {
-		case OpInsert:
-			applied, changed := lg.dyn.ApplyInsert(mu.U, mu.V)
-			if !applied {
-				res.Noops++
-				continue
-			}
-			res.Inserted++
-			res.Touched += changed
-			lg.m++
-			if d := lg.dyn.Degree(mu.U); d > lg.maxDeg {
-				lg.maxDeg = d
-			}
-			if d := lg.dyn.Degree(mu.V); d > lg.maxDeg {
-				lg.maxDeg = d
-			}
-			lg.delta[packKey(mu.U, mu.V)] = true
-		case OpDelete:
-			applied, changed := lg.dyn.ApplyDelete(mu.U, mu.V)
-			if !applied {
-				res.Noops++
-				continue
-			}
-			res.Deleted++
-			res.Touched += changed
-			lg.m--
-			lg.delta[packKey(mu.U, mu.V)] = false
+		insert := mu.Op == OpInsert
+		var applied bool
+		var changed int
+		switch {
+		case full:
+			applied = lg.dyn.SetEdge(mu.U, mu.V, insert)
+		case insert:
+			applied, changed = lg.dyn.ApplyInsert(mu.U, mu.V)
+		default:
+			applied, changed = lg.dyn.ApplyDelete(mu.U, mu.V)
 		}
-	}
-}
-
-// applyFullLocked is the oversized-batch fallback: mutations land in the
-// delta overlay only (presence resolved against the pre-batch state plus
-// earlier mutations of the same batch), then the whole structure is rebuilt
-// and the decomposition recomputed once.
-func (lg *Graph) applyFullLocked(batch []Mutation, res *ApplyResult) {
-	batchState := map[uint64]bool{}
-	present := func(u, v int32) bool {
-		if s, ok := batchState[packKey(u, v)]; ok {
-			return s
-		}
-		return lg.dyn.HasEdge(u, v)
-	}
-	for _, mu := range batch {
-		if mu.U == mu.V {
+		switch {
+		case !applied:
 			res.Noops++
-			continue
-		}
-		switch mu.Op {
-		case OpInsert:
-			if present(mu.U, mu.V) {
-				res.Noops++
-				continue
-			}
+		case insert:
 			res.Inserted++
 			lg.m++
-			batchState[packKey(mu.U, mu.V)] = true
-			lg.delta[packKey(mu.U, mu.V)] = true
-		case OpDelete:
-			if !present(mu.U, mu.V) {
-				res.Noops++
-				continue
-			}
+		default:
 			res.Deleted++
 			lg.m--
-			batchState[packKey(mu.U, mu.V)] = false
-			lg.delta[packKey(mu.U, mu.V)] = false
 		}
+		res.Touched += changed
 	}
-	lg.compactLocked()
-	res.Recomputed = true
-	res.Compacted = true
+	if full {
+		lg.rebuildLocked()
+		res.Recomputed = true
+	}
 }
 
-// compactLocked rebases the delta log: materialize the current edge list,
-// make it the new base, clear the overlay, and recompute the decomposition
-// and the standing answer from scratch — the full-recompute fallback that
-// heals any state and re-canonicalizes memory after heavy deletion traffic.
-func (lg *Graph) compactLocked() {
-	edges := lg.snapshotEdgesLocked() // canonical, so it is the new base as is
-	g := dsd.NewGraph(lg.n, edges)
+// rebuildLocked reseeds the store from a snapshot of itself, which runs
+// BZ over the snapshot, recounts m from it and refreshes the standing
+// answer. It closes the oversized-batch fallback and heals the graph after
+// a contained apply panic, when a batch died mid-way.
+func (lg *Graph) rebuildLocked() {
+	g := lg.dyn.Snapshot()
 	lg.dyn = dsd.NewDynamicGraph(g)
-	lg.base = edges
-	lg.delta = map[uint64]bool{}
-	lg.compactions++
 	lg.m = g.M()
-	lg.maxDeg = g.Stats().MaxDegree
 	lg.snap = nil
 	lg.refreshDensestLocked()
 }
 
-// recoverRebuild heals the graph after a contained apply panic: the state
-// is rebuilt from the delta log (bookkept per successfully applied
-// mutation, so at worst the panicking mutation is lost) and the
-// decomposition recomputed.
+// recoverRebuild heals the graph after a contained apply panic: the store
+// keeps every mutation applied before the panic, and the decomposition,
+// edge count and answer are rebuilt over it.
 func (lg *Graph) recoverRebuild() {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	lg.compactLocked()
+	lg.rebuildLocked()
 }
 
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Errors reported by the mutation path.

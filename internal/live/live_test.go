@@ -56,10 +56,10 @@ func assertMatchesReference(t *testing.T, lg *Graph) {
 // TestApplyEquivalenceRandomized is the live graph's core contract: randomized
 // insert/delete sequences — including deletes of absent edges, self-loops
 // and duplicate entries within one batch — must leave the incremental
-// state equal to a from-scratch BZ decomposition after every batch. The
-// batches also compact and take the full-recompute fallback, and after each
-// one the snapshot's edge list must be canonical (strictly ascending,
-// u < v) and its CSR equal to a from-scratch build of the current edge set.
+// state equal to a from-scratch BZ decomposition after every batch. Some
+// batches take the full-recompute fallback, and after each one the
+// snapshot's edge list must be canonical (strictly ascending, u < v) and
+// its CSR equal to a from-scratch build of the current edge set.
 func TestApplyEquivalenceRandomized(t *testing.T) {
 	const n = 60
 	rng := rand.New(rand.NewSource(7))
@@ -73,9 +73,9 @@ func TestApplyEquivalenceRandomized(t *testing.T) {
 			}
 		}
 	}
-	lg := New(seedGraph(n, edges), Config{CompactEvery: 64, RecomputeBatch: 40}, nil)
+	lg := New(seedGraph(n, edges), Config{RecomputeBatch: 40}, nil)
 
-	var compactions, recomputes int
+	var recomputes int
 	for batchNo := 0; batchNo < 40; batchNo++ {
 		size := 1 + rng.Intn(24)
 		if batchNo%8 == 7 {
@@ -103,9 +103,6 @@ func TestApplyEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", batchNo, err)
 		}
-		if res.Compacted {
-			compactions++
-		}
 		if res.Recomputed {
 			recomputes++
 		}
@@ -116,9 +113,8 @@ func TestApplyEquivalenceRandomized(t *testing.T) {
 			}
 		}
 		rebuilt := dsd.NewGraph(n, current)
-		lg.mu.RLock()
-		merged := lg.snapshotEdgesLocked()
-		lg.mu.RUnlock()
+		snap := lg.Snapshot2()
+		merged := snap.Edges()
 		for i := 1; i < len(merged); i++ {
 			if a, b := merged[i-1], merged[i]; a.U >= a.V || a.U > b.U || (a.U == b.U && a.V >= b.V) {
 				t.Fatalf("batch %d: snapshot edges not canonical at %d: %v then %v", batchNo, i, a, b)
@@ -127,7 +123,6 @@ func TestApplyEquivalenceRandomized(t *testing.T) {
 		if !slices.Equal(merged, rebuilt.Edges()) {
 			t.Fatalf("batch %d: snapshot has %d edges, the current edge set %d", batchNo, len(merged), rebuilt.M())
 		}
-		snap := lg.Snapshot2()
 		if res.M != lg.M() || snap.M() != rebuilt.M() || res.M != rebuilt.M() {
 			t.Fatalf("batch %d: edge-count bookkeeping diverged: res.M=%d lg.M=%d snapshot=%d rebuilt=%d",
 				batchNo, res.M, lg.M(), snap.M(), rebuilt.M())
@@ -139,8 +134,8 @@ func TestApplyEquivalenceRandomized(t *testing.T) {
 		}
 		assertMatchesReference(t, lg)
 	}
-	if compactions == 0 || recomputes == 0 {
-		t.Fatalf("saw %d compactions and %d full recomputes, want both", compactions, recomputes)
+	if recomputes == 0 {
+		t.Fatal("no batch took the full-recompute fallback")
 	}
 }
 
@@ -156,7 +151,7 @@ func TestApplyFullRecomputeFallback(t *testing.T) {
 	const n = 40
 	rng := rand.New(rand.NewSource(11))
 	lg := New(seedGraph(n, []dsd.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}),
-		Config{RecomputeBatch: 8, CompactEvery: 1 << 20}, nil)
+		Config{RecomputeBatch: 8}, nil)
 
 	batch := make([]Mutation, 0, 64)
 	for i := 0; i < 64; i++ {
@@ -169,14 +164,11 @@ func TestApplyFullRecomputeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Recomputed || !res.Compacted {
+	if !res.Recomputed {
 		t.Fatalf("expected full-recompute fallback, got %+v", res)
 	}
 	if lg.Snapshot2().HasEdge(30, 31) {
 		t.Fatal("insert-then-delete within one batch left the edge present")
-	}
-	if lg.DeltaLen() != 0 {
-		t.Fatalf("fallback should compact the delta log, %d entries remain", lg.DeltaLen())
 	}
 	assertMatchesReference(t, lg)
 }
@@ -215,34 +207,6 @@ func TestApplyValidation(t *testing.T) {
 	if _, err := lg.Apply([]Mutation{{Op: Op(9), U: 0, V: 1}}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
-}
-
-// TestCompaction checks the delta log is rebased once it crosses the
-// threshold and that the compacted state still matches the reference.
-func TestCompaction(t *testing.T) {
-	const n = 30
-	lg := New(seedGraph(n, nil), Config{CompactEvery: 10, RecomputeBatch: 1 << 20}, nil)
-	sawCompaction := false
-	for i := 0; i < 40; i++ {
-		u, v := int32(i%n), int32((i*7+1)%n)
-		if u == v {
-			continue
-		}
-		res, err := lg.Apply([]Mutation{{Op: OpInsert, U: u, V: v}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Compacted {
-			sawCompaction = true
-			if lg.DeltaLen() != 0 {
-				t.Fatalf("delta log not cleared by compaction: %d", lg.DeltaLen())
-			}
-		}
-	}
-	if !sawCompaction {
-		t.Fatal("40 inserts with CompactEvery=10 never compacted")
-	}
-	assertMatchesReference(t, lg)
 }
 
 // TestSnapshotImmutability checks copy-on-write: a snapshot taken before a

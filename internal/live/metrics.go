@@ -4,7 +4,7 @@ package live
 // metrics surface (internal/server/metrics.go) renders these series from
 // counters it maintains on the subsystem's behalf, but the names belong
 // here: they describe live-graph behavior (mutation batches, incremental
-// repair sizes, delta-log compactions), and a dashboard keyed on them
+// repair sizes, full recomputes), and a dashboard keyed on them
 // must keep working even if the serving tier is rebuilt. The registry
 // analyzer enforces that each constant is listed exactly once in
 // MetricNames(); TestMetricNameRegistry in internal/server pins
@@ -19,12 +19,9 @@ const (
 	// MetricRepairTouchedHist is the log₂-bucketed histogram of per-batch
 	// incremental-repair sizes (vertices moved by the traversal repair).
 	MetricRepairTouchedHist = "repair_touched_hist"
-	// MetricLiveCompactions / MetricLiveCompactionMsSum track delta-log
-	// compactions and their cumulative wall time; MetricLiveRecomputes
-	// counts batches that took the oversized full-recompute fallback.
-	MetricLiveCompactions     = "live_compactions"
-	MetricLiveCompactionMsSum = "live_compaction_ms_sum"
-	MetricLiveRecomputes      = "live_recomputes"
+	// MetricLiveRecomputes counts batches that took the oversized
+	// full-recompute fallback.
+	MetricLiveRecomputes = "live_recomputes"
 )
 
 // MetricNames returns every live-owned expvar series name, in declaration
@@ -36,8 +33,6 @@ func MetricNames() []string {
 		MetricMutationsByGraph,
 		MetricMutationEdges,
 		MetricRepairTouchedHist,
-		MetricLiveCompactions,
-		MetricLiveCompactionMsSum,
 		MetricLiveRecomputes,
 	}
 }

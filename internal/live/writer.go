@@ -97,8 +97,8 @@ func (lg *Graph) writerLoop() {
 
 // applyGuarded is Apply behind a panic barrier: the writer goroutine must
 // not die (it is not covered by the HTTP middleware's containment), so a
-// panic is caught, the graph heals itself with a full rebuild from the
-// delta log, and the caller gets a structured error.
+// panic is caught, the graph heals itself with a full rebuild over its
+// edge store, and the caller gets a structured error.
 func (lg *Graph) applyGuarded(batch []Mutation) (res ApplyResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {

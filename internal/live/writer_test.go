@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -100,7 +101,8 @@ func TestWriterContextCancel(t *testing.T) {
 
 // TestWriterPanicContainment checks a panic inside apply does not kill the
 // writer goroutine: the caller gets an ApplyPanicError, the state heals via
-// full rebuild, and the next batch works.
+// full rebuild — edge count, stats and snapshot all match the store — and
+// the next batch works.
 func TestWriterPanicContainment(t *testing.T) {
 	lg := newWriterGraph(t, Config{})
 	faultinject.Arm(faultinject.SiteLiveApply, faultinject.Fault{
@@ -111,6 +113,14 @@ func TestWriterPanicContainment(t *testing.T) {
 	var pe *ApplyPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("contained panic: got %v, want ApplyPanicError", err)
+	}
+	// The probe fires before the batch touches the store, so the healed
+	// graph is the seed path 0-1-2.
+	if m, st := lg.M(), lg.Stats(); m != 2 || st.N != 16 || st.M != 2 || st.MaxDegree != 2 {
+		t.Fatalf("after heal: M()=%d Stats()=%+v, want m=2 n=16 max_degree=2", m, st)
+	}
+	if got := lg.Snapshot2().Edges(); !slices.Equal(got, []dsd.Edge{{U: 0, V: 1}, {U: 1, V: 2}}) {
+		t.Fatalf("snapshot after heal = %v, want the seed path", got)
 	}
 	res, err := lg.Enqueue(context.Background(), []Mutation{{Op: OpInsert, U: 5, V: 6}})
 	if err != nil || res.Inserted != 1 {

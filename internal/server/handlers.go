@@ -598,7 +598,7 @@ type MutateRequest struct {
 }
 
 // MutateResponse reports one applied batch: the post-batch version, the
-// apply accounting (repair size, recompute/compaction flags), and the
+// apply accounting (repair size, recompute flag), and the
 // standing densest-subgraph answer.
 type MutateResponse struct {
 	Graph string `json:"graph"`
@@ -674,8 +674,7 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) *apiE
 			return errBadRequest(err.Error()) // batch validation
 		}
 	}
-	s.metrics.ObserveMutation(e.Name, res.Inserted+res.Deleted, res.Touched,
-		res.Recomputed, res.Compacted, res.CompactMs)
+	s.metrics.ObserveMutation(e.Name, res.Inserted+res.Deleted, res.Touched, res.Recomputed)
 	writeJSON(w, http.StatusOK, MutateResponse{Graph: e.Name, ApplyResult: res, ElapsedMs: msSince(start)})
 	return nil
 }

@@ -130,6 +130,33 @@ func TestLiveHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestLiveMaxDegreeAfterDeletes checks that a live graph's published
+// max_degree is exact at every version, deletions included: once every
+// edge of the max-degree vertex is deleted, GET /graphs/{name} reports the
+// new maximum, not the old one as an upper bound.
+func TestLiveMaxDegreeAfterDeletes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Hub 0 has degree 4; vertex 2, degree 3, is the runner-up.
+	info := loadLive(t, ts.URL, "hub", "0 1\n0 2\n0 3\n0 4\n1 2\n2 3\n")
+	if info.MaxDegree != 4 {
+		t.Fatalf("loaded max_degree = %d, want 4", info.MaxDegree)
+	}
+	var mres MutateResponse
+	req := MutateRequest{Mutations: []MutationOp{
+		{Op: "delete", U: 0, V: 1}, {Op: "delete", U: 2, V: 0},
+		{Op: "delete", U: 0, V: 3}, {Op: "delete", U: 4, V: 0},
+	}}
+	if got := doJSON(t, "POST", ts.URL+"/graphs/hub/edges", req, &mres); got != http.StatusOK || mres.Deleted != 4 {
+		t.Fatalf("deleting the hub's edges = %d %+v, want 200 deleted=4", got, mres)
+	}
+	var after GraphInfo
+	doJSON(t, "GET", ts.URL+"/graphs/hub", nil, &after)
+	if after.M != 2 || after.MaxDegree != 2 || after.Version != mres.Version {
+		t.Fatalf("after deletes: m=%d max_degree=%d version=%d, want m=2 max_degree=2 version=%d",
+			after.M, after.MaxDegree, after.Version, mres.Version)
+	}
+}
+
 // TestLiveDeleteClosesWriter checks DELETE on a live graph shuts the
 // writer down: later mutations are structured errors, not hangs.
 func TestLiveDeleteClosesWriter(t *testing.T) {
@@ -160,7 +187,7 @@ func TestLiveDeleteClosesWriter(t *testing.T) {
 // serializes all structural change. Consistency is then proven by a final
 // equivalence check of the standing answer against a fresh exact solve.
 func TestLiveConcurrentMutateSolve(t *testing.T) {
-	s, ts := newTestServer(t, Config{LiveQueueDepth: 256, LiveCompactEvery: 32})
+	s, ts := newTestServer(t, Config{LiveQueueDepth: 256})
 	const n = 24
 	var seed strings.Builder
 	for v := 1; v < n; v++ {
@@ -341,14 +368,14 @@ func TestLivePublishMidFlight(t *testing.T) {
 }
 
 // TestMaintainedSolveRandomized pins the maintained route to the library:
-// on ER and Chung–Lu live graphs under random insert/delete batches (with
-// compactions), after every batch each k*-core solver — and the family
+// on ER and Chung–Lu live graphs under random insert/delete batches,
+// after every batch each k*-core solver — and the family
 // default — is answered from the maintained core with exactly what
 // dsd.SolveUDS returns on the snapshot at the same version: density (==),
 // k*, the sorted vertex set and the version. A traced request for the same
 // solver still runs on the snapshot and agrees.
 func TestMaintainedSolveRandomized(t *testing.T) {
-	s, ts := newTestServer(t, Config{LiveCompactEvery: 64})
+	s, ts := newTestServer(t, Config{})
 	graphs := map[string]*dsd.Graph{
 		"er":      dsd.GenerateErdosRenyi(80, 320, 31),
 		"chunglu": dsd.GenerateChungLu(120, 420, 2.3, 32),

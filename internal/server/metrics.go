@@ -19,7 +19,7 @@ import (
 // every name is listed exactly once in MetricNames(), and
 // TestMetricNameRegistry pins that every name is snake_case, that names
 // are distinct across this package and internal/live (which owns the
-// mutation/compaction series), and that every registered name actually
+// mutation series), and that every registered name actually
 // appears on the wire.
 const (
 	MetricRequests             = "requests"
@@ -120,13 +120,9 @@ type Metrics struct {
 	// keys "le_1", "le_2", ... "le_32768", "inf". Full recomputes are
 	// counted in LiveRecomputes instead, not here.
 	RepairTouchedHist expvar.Map
-	// LiveCompactions / LiveCompactionMsSum track delta-log compactions
-	// (snapshot rebase + from-scratch core recompute) and their cumulative
-	// wall time; LiveRecomputes counts batches that took the oversized
-	// full-recompute fallback instead of per-edge repair.
-	LiveCompactions     expvar.Int
-	LiveCompactionMsSum expvar.Float
-	LiveRecomputes      expvar.Int
+	// LiveRecomputes counts batches that took the oversized full-recompute
+	// fallback instead of per-edge repair.
+	LiveRecomputes expvar.Int
 	// CoalescedSolves counts requests that rode another request's in-flight
 	// solve instead of running their own — the singleflight savings gauge
 	// (a burst of N identical queries shows N-1 here and 1 in the solve
@@ -250,21 +246,17 @@ func countBucket(n int) string {
 	return "inf"
 }
 
-// ObserveMutation records one applied mutation batch on a live graph:
-// batch and edge-change counters, the repair-size histogram (incremental
-// batches only — a full recompute has no meaningful touched count), and
-// compaction accounting.
-func (m *Metrics) ObserveMutation(graphName string, edges, touched int, recomputed, compacted bool, compactMs float64) {
+// ObserveMutation records one applied mutation batch on a live graph: the
+// batch and edge-change counters, then the repair-size histogram for an
+// incremental batch or the recompute counter for a full recompute (which
+// has no meaningful touched count).
+func (m *Metrics) ObserveMutation(graphName string, edges, touched int, recomputed bool) {
 	m.MutationsByGraph.Add(graphName, 1)
 	m.MutationEdges.Add(int64(edges))
 	if recomputed {
 		m.LiveRecomputes.Add(1)
 	} else {
 		m.RepairTouchedHist.Add(countBucket(touched), 1)
-	}
-	if compacted {
-		m.LiveCompactions.Add(1)
-		m.LiveCompactionMsSum.Add(compactMs)
 	}
 }
 
@@ -327,8 +319,6 @@ func (m *Metrics) series() []metricSeries {
 		{live.MetricMutationsByGraph, &m.MutationsByGraph},
 		{live.MetricMutationEdges, &m.MutationEdges},
 		{live.MetricRepairTouchedHist, &m.RepairTouchedHist},
-		{live.MetricLiveCompactions, &m.LiveCompactions},
-		{live.MetricLiveCompactionMsSum, &m.LiveCompactionMsSum},
 		{live.MetricLiveRecomputes, &m.LiveRecomputes},
 		{MetricCoalescedSolves, &m.CoalescedSolves},
 		{MetricDegradedSolves, &m.DegradedSolves},

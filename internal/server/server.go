@@ -61,10 +61,6 @@ type Config struct {
 	// queue; an enqueue beyond it is a 429 mutation_backlog. <= 0 means
 	// the live package default (64).
 	LiveQueueDepth int
-	// LiveCompactEvery bounds each live graph's delta log: crossing it
-	// triggers a compaction (snapshot rebase + full core recompute).
-	// <= 0 means the live package default (4096).
-	LiveCompactEvery int
 	// DegradePolicy selects the deadline-aware degradation behavior:
 	// DegradeOff (the default, run exactly what was asked) or DegradeAuto
 	// (downgrade exact solves predicted to miss their deadline to a
@@ -182,7 +178,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // liveConfig derives the per-graph live configuration from the server's.
 func (s *Server) liveConfig() live.Config {
-	return live.Config{QueueDepth: s.cfg.LiveQueueDepth, CompactEvery: s.cfg.LiveCompactEvery}
+	return live.Config{QueueDepth: s.cfg.LiveQueueDepth}
 }
 
 // PutLive registers an already-built undirected graph as a live graph —

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/faultinject"
-	"repro/internal/live"
 )
 
 // Warm restart: the registry's resident-graph set is serialized to a small
@@ -22,21 +20,21 @@ import (
 // /readyz so the first post-restart request finds its graphs resident
 // instead of 404ing until an operator reloads them.
 //
-// The manifest records identity and provenance, not payloads: a graph
-// loaded from a file is restored by re-reading that file. Only state that
-// has no durable home — inline/generated graphs, and live graphs whose
-// delta log has been compacted away from their source — is materialized
-// into the state directory as a binary edge dump. Live graphs still within
-// their first compaction window are restored as source + delta-log replay,
-// so mutations accepted since load survive the restart.
+// The manifest records identity and provenance, not payloads: a static
+// graph loaded from a file is restored by re-reading that file. State that
+// has no durable home — inline/generated graphs, and every live graph,
+// whose mutations exist only in memory — is materialized into the state
+// directory as a binary edge dump, so mutations accepted since load
+// survive the restart.
 const (
 	// ManifestName is the snapshot manifest's filename inside the state
 	// directory.
 	ManifestName = "manifest.json"
-	// manifestFormatVersion gates restores: a manifest written by an
-	// incompatible future format degrades to a cold start, never a
-	// misparse.
-	manifestFormatVersion = 1
+	// manifestFormatVersion gates restores: a manifest written in any
+	// other format degrades to a cold start, never a misparse. Format 1
+	// could carry a live graph as its source plus a replayable delta log,
+	// which this build no longer reads.
+	manifestFormatVersion = 2
 )
 
 // manifestGraph is one resident graph's entry in the snapshot manifest.
@@ -52,12 +50,6 @@ type manifestGraph struct {
 	// StateFile, when set, names a materialized edge dump inside the state
 	// directory that supersedes Source for restoring.
 	StateFile string `json:"state_file,omitempty"`
-	// Compactions is the live graph's compaction cursor at save time
-	// (diagnostic; a nonzero cursor is why StateFile was written).
-	Compactions int64 `json:"compactions,omitempty"`
-	// Deltas is the live graph's delta log, replayed over Source on
-	// restore. Present only while Compactions is zero.
-	Deltas []MutationOp `json:"deltas,omitempty"`
 }
 
 // manifest is the snapshot file's schema.
@@ -72,15 +64,6 @@ type manifest struct {
 // graphs).
 func fileSource(source string) bool {
 	return source != "" && source != "inline" && source != "generated"
-}
-
-// wireMutation converts one live delta-log entry to its wire shape.
-func wireMutation(m live.Mutation) MutationOp {
-	op := "insert"
-	if m.Op == live.OpDelete {
-		op = "delete"
-	}
-	return MutationOp{Op: op, U: m.U, V: m.V}
 }
 
 // WriteSnapshot serializes the resident-graph manifest (plus any needed
@@ -113,16 +96,9 @@ func (s *Server) WriteSnapshot(dir string) (int, error) {
 		switch {
 		case e.Live != nil:
 			mg.Live = true
-			mg.Compactions = e.Live.Compactions()
-			if fileSource(e.Source) && mg.Compactions == 0 {
-				for _, m := range e.Live.DeltaMutations() {
-					mg.Deltas = append(mg.Deltas, wireMutation(m))
-				}
-			} else {
-				g, version := e.Live.Snapshot()
-				mg.Version = version
-				err = materialize(func(p string) error { return dsd.SaveGraph(g, p) })
-			}
+			g, version := e.Live.Snapshot()
+			mg.Version = version
+			err = materialize(func(p string) error { return dsd.SaveGraph(g, p) })
 		case fileSource(e.Source):
 			// Restorable by re-reading its own path; nothing to write.
 		case e.G != nil:
@@ -257,28 +233,7 @@ func (s *Server) restoreGraph(dir string, mg manifestGraph) error {
 		return err
 	}
 	// Provenance must match content: a graph restored from a state dump
-	// records the dump as its source, so the next snapshot cycle's
-	// source-plus-deltas shortcut replays over the right base.
-	e, err := s.reg.PutLive(mg.Name, g, path, false, s.liveConfig())
-	if err != nil {
-		return err
-	}
-	if len(mg.Deltas) == 0 {
-		return nil
-	}
-	batch := make([]live.Mutation, len(mg.Deltas))
-	for i, op := range mg.Deltas {
-		switch op.Op {
-		case "insert":
-			batch[i] = live.Mutation{Op: live.OpInsert, U: op.U, V: op.V}
-		case "delete":
-			batch[i] = live.Mutation{Op: live.OpDelete, U: op.U, V: op.V}
-		default:
-			return fmt.Errorf("delta %d: unknown op %q", i, op.Op)
-		}
-	}
-	if _, err := e.Live.Enqueue(context.Background(), batch); err != nil {
-		return fmt.Errorf("replaying delta log: %w", err)
-	}
-	return nil
+	// records the dump as its source.
+	_, err = s.reg.PutLive(mg.Name, g, path, false, s.liveConfig())
+	return err
 }

@@ -36,7 +36,7 @@ func mustGraph(t *testing.T, edges string) *dsd.Graph {
 
 // TestSnapshotRoundTrip is the headline warm-restart test: a server with
 // every flavor of resident graph — inline static, file-sourced static,
-// inline live, file-sourced live with pending deltas — snapshots to a state
+// inline live, mutated file-sourced live — snapshots to a state
 // directory, and a fresh server restores all of them with content, liveness,
 // and mutation history intact.
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -57,8 +57,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two mutations stay inside the first compaction window, so the
-	// manifest should carry them as a replayable delta log over the file.
+	// Two mutations the source file does not hold: the live graph's dump
+	// must carry them across the restart.
 	if _, err := lf.Live.Enqueue(context.Background(), []live.Mutation{
 		{Op: live.OpInsert, U: 0, V: 2},
 		{Op: live.OpInsert, U: 1, V: 3},
@@ -93,7 +93,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"inline":     7, // the clique list
 		"filegraph":  3, // the path
 		"liveinline": 7,
-		"livefile":   5, // path + two replayed inserts
+		"livefile":   5, // path + the two inserts, restored from the dump
 	} {
 		e, err := b.Registry().Get(name)
 		if err != nil {
@@ -132,24 +132,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompactedLiveUsesDump covers the other live branch: once a
-// live graph has compacted, its source no longer matches its delta log, so
-// the snapshot must materialize a dump — and restore from it, deltas empty.
-func TestSnapshotCompactedLiveUsesDump(t *testing.T) {
+// TestSnapshotMutatedLiveRestoresFromDump pins that a live graph is saved
+// as a dump, never as a pointer to its source: a mutated file-sourced live
+// graph restores, mutation included, after its source file is deleted.
+func TestSnapshotMutatedLiveRestoresFromDump(t *testing.T) {
 	dir := t.TempDir()
 	path := writeEdgeFile(t, path4Edges)
 
-	a := New(Config{LiveCompactEvery: 1})
+	a := New(Config{})
 	e, err := a.PutLive("live", mustGraph(t, path4Edges), path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Live.Enqueue(context.Background(), []live.Mutation{{Op: live.OpInsert, U: 0, V: 3}})
-	if err != nil {
+	if _, err := e.Live.Enqueue(context.Background(), []live.Mutation{{Op: live.OpInsert, U: 0, V: 3}}); err != nil {
 		t.Fatal(err)
-	}
-	if !res.Compacted {
-		t.Fatal("mutation did not compact; the test premise is off")
 	}
 	if _, err := a.WriteSnapshot(dir); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -168,7 +164,7 @@ func TestSnapshotCompactedLiveUsesDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	if be.Stats.M != 4 {
-		t.Fatalf("restored compacted live graph has m=%d, want 4", be.Stats.M)
+		t.Fatalf("restored mutated live graph has m=%d, want 4", be.Stats.M)
 	}
 	if be.Live == nil {
 		t.Fatal("restored graph is not live")
@@ -284,6 +280,28 @@ func TestSnapshotRestoreFailures(t *testing.T) {
 	}
 	if _, gerr := d.Registry().Get("survivor"); gerr != nil {
 		t.Fatalf("survivor missing: %v", gerr)
+	}
+}
+
+// TestSnapshotFormatV1ColdStarts pins the format gate: a format-1
+// manifest may describe a live graph as its source plus a delta log this
+// build cannot replay, so it is refused whole — a cold start — rather than
+// restored without its mutations.
+func TestSnapshotFormatV1ColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	path := writeEdgeFile(t, path4Edges)
+	v1 := `{"format_version": 1, "graphs": [{"name": "feed", "live": true, "version": 3,
+		"source": "` + path + `", "deltas": [{"op": "insert", "u": 0, "v": 2}]}]}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	n, err := s.RestoreSnapshot(dir)
+	if err == nil || !strings.Contains(err.Error(), "unsupported") || n != 0 {
+		t.Fatalf("format-1 restore = (%d, %v), want (0, an unsupported-format error)", n, err)
+	}
+	if _, err := s.Registry().Get("feed"); err == nil {
+		t.Fatal("format-1 manifest restored a graph")
 	}
 }
 
