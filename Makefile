@@ -89,15 +89,19 @@ fuzz:
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzExactPruned -fuzztime 30s ./internal/uds
+	$(GO) test -fuzz FuzzWStarSearch -fuzztime 30s ./internal/dds
 
 # Quick CI-grade pass over every fuzz target: seeds plus a few seconds of
-# mutation each, enough to catch reader regressions, and an exact-pruned
-# answer that differs from the oracles', without a long soak.
+# mutation each, enough to catch reader regressions, an exact-pruned
+# answer that differs from the oracles', and a w* search or PWC pair that
+# differs from the naive peel and the brute-force core product, without a
+# long soak.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzExactPruned -fuzztime 5s ./internal/uds
+	$(GO) test -fuzz FuzzWStarSearch -fuzztime 5s ./internal/dds
 
 # Every testing.B benchmark in the module, one iteration each: at the root,
 # BenchmarkPaper (every case of internal/bench's experiment table, the same

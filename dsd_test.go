@@ -183,6 +183,11 @@ func TestWStarAPI(t *testing.T) {
 	if len(vs) != 4 {
 		t.Fatalf("w*-subgraph vertices = %v", vs)
 	}
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1] >= vs[i] {
+			t.Fatalf("w*-subgraph vertices %v are not strictly ascending", vs)
+		}
+	}
 }
 
 func TestGraphIORoundTrip(t *testing.T) {

@@ -698,10 +698,35 @@ func naiveWPeel(d *graph.Directed, warm bool) (removal []int64, levels int, afte
 	return removal, levels, afterWarm
 }
 
+// searchProbes counts the peels WStarSubgraph's threshold search runs,
+// the warm start included, from the levels of the warm-start remainder in
+// ascending order: a probe at T keeps arcs exactly when T <= w*, and the
+// least weight it leaves is the first level >= T.
+func searchProbes(levels []int64) int {
+	wstar := levels[len(levels)-1]
+	probes, lo, hi, step := 1, levels[0], int64(0), int64(1)
+	for hi == 0 || hi-lo > 1 {
+		t := lo + step
+		if hi != 0 {
+			t = lo + (hi-lo)/2
+		}
+		probes++
+		if t > wstar {
+			hi = t
+			continue
+		}
+		i, _ := slices.BinarySearch(levels, t)
+		lo = levels[i]
+		step *= 2
+	}
+	return probes
+}
+
 // TestWPeelMatchesNaive holds WDecompose and WStarSubgraph to naiveWPeel
 // on random digraphs, planted bicliques and small catalog samples at
-// several worker counts: every induce-number, w*, the level count, the
-// Table-7 arc counts and the w*-induced subgraph's vertex set.
+// several worker counts: every induce-number, w*, WDecompose's level
+// count, the search's probe count, the Table-7 arc counts and the
+// w*-induced subgraph's vertex set.
 func TestWPeelMatchesNaive(t *testing.T) {
 	var inputs []*graph.Directed
 	for seed := int64(1); seed <= 40; seed++ {
@@ -717,7 +742,207 @@ func TestWPeelMatchesNaive(t *testing.T) {
 		}
 		induce, levels, _ := naiveWPeel(d, false)
 		wstar := slices.Max(induce)
-		removal, warmLevels, afterWarm := naiveWPeel(d, true)
+		removal, _, afterWarm := naiveWPeel(d, true)
+		dmax := int64(max(d.MaxOutDegree(), d.MaxInDegree()))
+		var atWStar int64
+		var vs []int32
+		var warmLevels []int64
+		for a, tail := range d.ArcTails() {
+			if removal[a] == wstar {
+				atWStar++
+				vs = append(vs, tail, d.ArcHead(int64(a)))
+			}
+			if removal[a] >= dmax {
+				warmLevels = append(warmLevels, removal[a])
+			}
+		}
+		slices.Sort(vs)
+		vs = slices.Compact(vs)
+		slices.Sort(warmLevels)
+		probes := searchProbes(slices.Compact(warmLevels))
+		for _, p := range []int{1, 2, 4} {
+			dec := WDecompose(d, p)
+			if !slices.Equal(dec.InduceNumber, induce) || dec.WStar != wstar || dec.Levels != levels {
+				t.Fatalf("input %d, p=%d: WDecompose (w* %d, %d levels) differs from the reference (w* %d, %d levels)",
+					i, p, dec.WStar, dec.Levels, wstar, levels)
+			}
+			ws := WStarSubgraph(d, p)
+			if ws.WStar != wstar || ws.Levels != probes || ws.ArcsAfterWarmStart != afterWarm ||
+				ws.ArcsAtWStar != atWStar || !slices.Equal(ws.Original, vs) {
+				t.Fatalf("input %d, p=%d: WStarSubgraph (w* %d, %d probes, %d/%d arcs, %d vertices) differs from "+
+					"the reference (w* %d, %d probes, %d/%d arcs, %d vertices)", i, p,
+					ws.WStar, ws.Levels, ws.ArcsAfterWarmStart, ws.ArcsAtWStar, len(ws.Original),
+					wstar, probes, afterWarm, atWStar, len(vs))
+			}
+		}
+	}
+}
+
+// livePrefixes lists each tail's live out-arcs as sorted arc ids, checking
+// that every slot's head is its arc id's head.
+func livePrefixes(t *testing.T, st *wState) [][]int64 {
+	t.Helper()
+	out := make([][]int64, st.d.N())
+	for u := int32(0); int(u) < st.d.N(); u++ {
+		lo, _ := st.d.OutArcRange(u)
+		for a := lo; a < lo+int64(st.dplus[u]); a++ {
+			id := lo + int64(st.slot[a])
+			if st.heads[a] != st.d.ArcHead(id) {
+				t.Fatalf("tail %d: slot %d holds head %d, but its arc %d points to %d", u, a, st.heads[a], id, st.d.ArcHead(id))
+			}
+			out[u] = append(out[u], id)
+		}
+		slices.Sort(out[u])
+	}
+	return out
+}
+
+// TestWStarProbeRestore pins what the threshold search relies on: after a
+// probe that empties the graph, restoring the last saved state gives back
+// every tail's live arcs, the degrees, the active list and the arc count,
+// both for the warm start and for a state a successful probe reached.
+func TestWStarProbeRestore(t *testing.T) {
+	inputs := []*graph.Directed{fig3Graph(), fig4Graph(), catalogSample(t, "WE", 0.01, 9)}
+	for seed := int64(1); seed <= 10; seed++ {
+		inputs = append(inputs, gen.CompositeDirected(gen.ErdosRenyiDirected(100, 600, seed), 5, 7, seed))
+	}
+	for i, d := range inputs {
+		for _, p := range []int{1, 4} {
+			st := newWState(d, p)
+			dmax := int64(max(d.MaxOutDegree(), d.MaxInDegree()))
+			lo := st.peelLevel(dmax-1, p)
+			var snap wSnapshot
+			snap.save(st)
+			for step := 0; step < 2; step++ {
+				prefixes := livePrefixes(t, st)
+				dplus, active, left := slices.Clone(st.dplus), slices.Clone(st.active), st.arcsLeft
+				st.peelLevel(noArc, p)
+				if st.arcsLeft != 0 {
+					t.Fatalf("input %d, p=%d: %d arcs survive a probe above every weight", i, p, st.arcsLeft)
+				}
+				snap.restore(st)
+				if !slices.EqualFunc(livePrefixes(t, st), prefixes, slices.Equal) || !slices.Equal(st.dplus, dplus) ||
+					!slices.Equal(st.active, active) || st.arcsLeft != left {
+					t.Fatalf("input %d, p=%d, step %d: the restored state differs from the saved one", i, p, step)
+				}
+				indeg := make([]int32, d.N())
+				for _, arcs := range prefixes {
+					for _, a := range arcs {
+						indeg[d.ArcHead(a)]++
+					}
+				}
+				for v := range indeg {
+					if got := st.dminus[v].Load(); got != indeg[v] {
+						t.Fatalf("input %d, p=%d, step %d: restored in-degree of %d is %d, want %d", i, p, step, v, got, indeg[v])
+					}
+				}
+				// A successful probe one level up, saved, is the next
+				// state to restore.
+				if st.peelLevel(lo, p); st.arcsLeft == 0 {
+					break
+				}
+				snap.save(st)
+			}
+		}
+	}
+}
+
+// maxCoreProduct is the largest x·y over the non-empty [x, y]-cores of d,
+// given a product from that is known to have one. YMax is non-increasing
+// in x, so x·YMax(d, x') for x' < x bounds x·YMax(d, x), and YMax only
+// runs where that bound beats the best product so far.
+func maxCoreProduct(d *graph.Directed, from int64) int64 {
+	best, yBound := from, d.MaxInDegree()
+	for x := int32(1); x <= d.MaxOutDegree(); x++ {
+		if int64(x)*int64(yBound) <= best {
+			continue
+		}
+		yBound = YMax(d, x)
+		best = max(best, int64(x)*int64(yBound))
+	}
+	return best
+}
+
+// TestPWCCertifiedPair holds PWC's x*·y* to the maximum core product on
+// WE 0.1 samples and on the small random digraphs where w* > x*·y*. It
+// also checks that both branches of the fallback run: among WE seeds
+// 1-40, seed 7 is certified by one enumeration on the w*-subgraph, and
+// seeds 6, 9, 12, 18 and 20 need a second one on the P-induced subgraph.
+func TestPWCCertifiedPair(t *testing.T) {
+	// catalogSample would rebuild the model for every seed.
+	var inputs []*graph.Directed
+	ds, _ := gen.FindDataset("WE")
+	we := ds.BuildDirected(0.1)
+	for seed := int64(1); seed <= 40; seed++ {
+		inputs = append(inputs, we.SampleEdges(0.95, seed))
+	}
+	for seed := int64(1); seed <= 3000; seed++ {
+		d := randomDigraph(seed, 12, 24)
+		if d.M() > 0 && WStarSubgraph(d, 1).WStar > maxCoreProduct(d, 0) {
+			inputs = append(inputs, d)
+		}
+	}
+	if len(inputs) < 45 {
+		t.Fatalf("only %d random digraphs have w* > x*·y*", len(inputs)-40)
+	}
+	branches := map[bool]int{}
+	for i, d := range inputs {
+		res, stats := pwcCounters(d, 2)
+		s, tt := XYCore(d, res.XStar, res.YStar)
+		if len(s) == 0 || len(tt) == 0 || !sameSet(res.S, s) || !sameSet(res.T, tt) {
+			t.Fatalf("input %d: answer is not the non-empty [%d, %d]-core of the input", i, res.XStar, res.YStar)
+		}
+		// Every core of product x·y lies in the non-empty (x·y)-induced
+		// subgraph, so w* bounds every core product.
+		prod := int64(res.XStar) * int64(res.YStar)
+		if prod == stats["wstar"] {
+			continue
+		}
+		if want := maxCoreProduct(d, prod); prod != want {
+			t.Fatalf("input %d: x*·y* = %d, but a core has product %d", i, prod, want)
+		}
+		// The fallback's first test: is the (P+1)-induced subgraph the
+		// w*-subgraph itself?
+		ws := WStarSubgraph(d, 2)
+		x, y, _ := maxProductPair(ws.Subgraph, 2)
+		ws.warm.restore(ws.st)
+		ws.st.peelLevel(int64(x)*int64(y), 2)
+		branches[ws.st.arcsLeft == ws.ArcsAtWStar]++
+	}
+	if branches[true] == 0 || branches[false] == 0 {
+		t.Fatalf("fallback branches taken: %d one-enumeration, %d two-enumeration; want both", branches[true], branches[false])
+	}
+}
+
+// FuzzWStarSearch turns bytes into a digraph on at most 12 vertices (the
+// first byte picks n, each later byte pair one arc) and checks the
+// threshold search against the naive peel (w*, the arcs at w* and their
+// vertices) and PWC's x*·y* against the brute-force maximum core product.
+func FuzzWStarSearch(f *testing.F) {
+	f.Add([]byte{9, 0, 4, 0, 5, 0, 6, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 2, 6, 2, 7, 3, 7})
+	for _, seed := range []int64{100, 306, 2572} {
+		d := randomDigraph(seed, 12, 24)
+		data := []byte{byte(d.N() - 1)}
+		for a, u := range d.ArcTails() {
+			data = append(data, byte(u), byte(d.ArcHead(int64(a))))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%12
+		var arcs []graph.Edge
+		for i := 1; i+1 < len(data); i += 2 {
+			arcs = append(arcs, graph.Edge{U: int32(int(data[i]) % n), V: int32(int(data[i+1]) % n)})
+		}
+		d := graph.NewDirected(n, arcs)
+		if d.M() == 0 {
+			return
+		}
+		removal, _, _ := naiveWPeel(d, false)
+		wstar := slices.Max(removal)
 		var atWStar int64
 		var vs []int32
 		for a, tail := range d.ArcTails() {
@@ -728,22 +953,20 @@ func TestWPeelMatchesNaive(t *testing.T) {
 		}
 		slices.Sort(vs)
 		vs = slices.Compact(vs)
-		for _, p := range []int{1, 2, 4} {
-			dec := WDecompose(d, p)
-			if !slices.Equal(dec.InduceNumber, induce) || dec.WStar != wstar || dec.Levels != levels {
-				t.Fatalf("input %d, p=%d: WDecompose (w* %d, %d levels) differs from the reference (w* %d, %d levels)",
-					i, p, dec.WStar, dec.Levels, wstar, levels)
-			}
-			ws := WStarSubgraph(d, p)
-			if ws.WStar != wstar || ws.Levels != warmLevels || ws.ArcsAfterWarmStart != afterWarm ||
-				ws.ArcsAtWStar != atWStar || !slices.Equal(ws.Original, vs) {
-				t.Fatalf("input %d, p=%d: WStarSubgraph (w* %d, %d levels, %d/%d arcs, %d vertices) differs from "+
-					"the reference (w* %d, %d levels, %d/%d arcs, %d vertices)", i, p,
-					ws.WStar, ws.Levels, ws.ArcsAfterWarmStart, ws.ArcsAtWStar, len(ws.Original),
-					wstar, warmLevels, afterWarm, atWStar, len(vs))
-			}
+		ws := WStarSubgraph(d, 2)
+		if ws.WStar != wstar || ws.ArcsAtWStar != atWStar || !slices.Equal(ws.Original, vs) {
+			t.Fatalf("search: w* %d, %d arcs, vertices %v; naive peel: w* %d, %d arcs, vertices %v",
+				ws.WStar, ws.ArcsAtWStar, ws.Original, wstar, atWStar, vs)
 		}
-	}
+		var best int64
+		for x := int32(1); x <= d.MaxOutDegree(); x++ {
+			best = max(best, int64(x)*int64(naiveYMax(d, x)))
+		}
+		res := must(PWC(nil, d, solver.Params{Workers: 2}))
+		if prod := int64(res.XStar) * int64(res.YStar); prod != best {
+			t.Fatalf("PWC x*·y* = %d, brute force %d", prod, best)
+		}
+	})
 }
 
 // TestWDecomposeValidity checks Definition 9 against the induce numbers:

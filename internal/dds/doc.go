@@ -12,12 +12,12 @@
 // (the paper claims equality, which fails on some graphs). When equality
 // holds, the densest pair's core lives inside the (much smaller)
 // w*-induced subgraph and one decomposition replaces PXY's enumeration
-// over all (x, y) candidates; when it does not, PWC walks down the peel
-// levels to the graph that holds the core. WStarSubgraph is Algorithm 3;
-// PWC is Algorithm 4, and its trace counters carry the Table-7 arc counts.
-// The w-peel keeps each tail's live out-arcs as a prefix of its CSR range,
-// so every sweep scans only the arcs still left — the paper's "reduce the
-// size of the graph in each iteration" — and no graph is rebuilt mid-peel.
+// over all (x, y) candidates; when it does not, PWC certifies the maximum
+// pair with at most two enumerations. WDecompose is Algorithm 3, and
+// WStarSubgraph finds w* by threshold probes after its warm start; PWC is
+// Algorithm 4, and its trace counters carry the Table-7 arc counts. Each
+// w-peel sweep scans only the live arcs, a prefix of each tail's CSR range
+// — the paper's "reduce the size of the graph in each iteration".
 //
 // Every registered solver is one exported function with the registry's
 // signature, func(ctx, d, solver.Params) (solver.DirectedResult, error),

@@ -18,8 +18,8 @@ import (
 // in-degree until the subgraph collapses (Lemma 6), and (3) peels the
 // [x*, y*]-core out of the w*-induced subgraph (legitimate when w* = x*·y*,
 // since the core is contained in it by Lemma 4). Only w* >= x*·y* holds
-// in general; when the core comes back empty, certifiedMaxPair walks down
-// the peel levels to the true maximum pair.
+// in general; when the core comes back empty, the fallback certifies the
+// true maximum pair with at most two enumerations (see below).
 //
 // An armed opts.Trace times the three stages — the w*-induced subgraph
 // decomposition (Algorithm 3), the Lemma-6 edge-deletion search for
@@ -28,8 +28,8 @@ import (
 // graphs actually processed (arcs_input, the "PXY" row, which re-processes
 // all m arcs per candidate; arcs_after_warm_start, "PWC₁"; arcs_at_wstar,
 // "PWC_w*"; arcs_densest, "PWC_D*" = |E(S,T)| of the returned core), plus
-// wstar and levels. Its work total arcs_scanned counts the live arcs the
-// w-peel's sweeps visited. PWC cannot be canceled.
+// wstar and levels (the w*-search's peels). Its work total arcs_scanned
+// counts the live arcs the w-peel's sweeps visited. PWC cannot be canceled.
 func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
 	tr, p := opts.Trace, opts.Workers
 	tr.SetAlgorithm("PWC")
@@ -64,17 +64,21 @@ func PWC(_ context.Context, d *graph.Directed, opts solver.Params) (solver.Direc
 	s, t := XYCore(h, x, y)
 	orig := ws.Original
 	if len(s) == 0 || len(t) == 0 {
-		// w* exceeded x*·y*, so h holds no core of product w*. Certify
-		// the maximum pair by walking down the levels instead, and peel
-		// its core out of the warm-start remainder, which contains it.
-		// This runs inside the extraction phase.
-		rest, restOrig, removal := arcsFrom(d, ws.removal, ws.steps[0])
-		x, y = certifiedMaxPair(rest, removal, ws.steps, p)
-		s, t = XYCore(rest, x, y)
-		orig = restOrig
-		if len(s) == 0 || len(t) == 0 {
-			return solver.DirectedResult{Algorithm: "PWC"}, nil
+		// w* exceeded x*·y*. PXY's enumeration on h finds the best
+		// product P <= x*·y* of a core in h. Every core of product >= L
+		// lies in the L-induced subgraph H_L (Lemma 4), so if H_{P+1} is
+		// h, P is certified; otherwise one more enumeration on H_P is.
+		// H_P holds the core, where h may hold only part of it.
+		x, y, _ = maxProductPair(h, p)
+		prod := int64(x) * int64(y)
+		ws.warm.restore(ws.st)
+		ws.st.peelLevel(prod-1, p)
+		h, orig = ws.st.liveSubgraph()
+		if ws.st.peelLevel(prod, p); ws.st.arcsLeft != ws.ArcsAtWStar {
+			x, y, _ = maxProductPair(h, p)
 		}
+		ws.ArcsScanned = ws.st.scanned.Load()
+		s, t = XYCore(h, x, y)
 	}
 	sOrig := mapBack(s, orig)
 	tOrig := mapBack(t, orig)
@@ -206,28 +210,6 @@ func (st *wState) deleteExact(wstar int64, dstar int32, p int) bool {
 		}
 		st.arcsLeft -= swept
 	}
-}
-
-// certifiedMaxPair finds the maximum cn-pair when the w*-induced subgraph
-// holds no core of product w* (w* can exceed x*·y*). Let H_L be the arcs
-// whose removal level is at least L. Every [x, y]-core with x·y >= L lies
-// in H_L, and H_L is the same graph for every L in (L_{j-1}, L_j] of two
-// consecutive levels. So the walk runs PXY's enumeration on H_{L_j} for
-// the levels after the warm start, from w* down, and stops at the first
-// whose best product P reaches L_{j-1}: a larger product would exceed
-// L_{j-1}, lie in H_{L_j}, and have been found. The walk ends at the
-// first level, whose H is the whole warm-start remainder rest: it holds
-// the [x*, y*]-core because x*·y* >= d_max. removal is rest's arc levels
-// and steps the levels in ascending order.
-func certifiedMaxPair(rest *graph.Directed, removal, steps []int64, p int) (x, y int32) {
-	for j := len(steps) - 1; j >= 0; j-- {
-		h, _, _ := arcsFrom(rest, removal, steps[j])
-		x, y, _ = maxProductPair(h, p)
-		if j == 0 || int64(x)*int64(y) >= steps[j-1] {
-			break
-		}
-	}
-	return x, y
 }
 
 func mapBack(local []int32, original []int32) []int32 {

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -13,7 +14,7 @@ import (
 // the maximal subgraph whose every arc weighs at least w; w* is the largest
 // w with a non-empty w-induced subgraph. Theorem 2 states w* = x*·y*, which
 // is what lets PWC find the [x*, y*]-core from one decomposition; only
-// w* >= x*·y* holds in general, and PWC falls back on the peel levels
+// w* >= x*·y* holds in general, and PWC falls back on threshold probes
 // when the two differ.
 
 // noArc is the minimum weight a sweep reports when it sees no live arc.
@@ -22,11 +23,11 @@ const noArc = int64(1) << 62
 // wState is the mutable arc-peeling state over a Directed. Tail u's live
 // out-arcs are the prefix heads[lo : lo+dplus[u]] of its own out-CSR range
 // [lo, hi), so d⁺(u) is the prefix length and a sweep scans live arcs
-// only: removing an arc swaps it with the prefix's last slot. slot holds
-// each slot's original arc id as an offset from lo. The sweep body is
-// prebound as a method value at construction (with its per-call inputs
-// staged in fields), so the //dsd:hotpath peel never allocates a closure
-// per sweep.
+// only: removing an arc swaps it with the prefix's last slot, where it
+// stays for a wSnapshot to restore. slot holds each slot's original arc id
+// as an offset from lo. The sweep body is prebound as a method value at
+// construction (with its per-call inputs staged in fields), so the
+// //dsd:hotpath peel never allocates a closure per sweep.
 //
 // Ownership rule: every parallel sweep (peelBlock, deleteExact,
 // exactInDegrees) partitions st.active, and active lists each tail once,
@@ -97,15 +98,45 @@ func (st *wState) refreshActive() {
 }
 
 // drop removes the live arc in slot i of the tail range starting at lo,
-// whose live prefix ends at slot last: the arc in slot last moves into
-// slot i, and the caller shortens the prefix. Only the block owning the
-// tail calls it.
+// whose live prefix ends at slot last: it swaps slots i and last, and the
+// caller shortens the prefix. Only the block owning the tail calls it.
 func (st *wState) drop(lo, i, last int64) {
 	st.dminus[st.heads[i]].Add(-1)
 	if st.removal != nil {
 		st.removal[lo+int64(st.slot[i])] = st.level
 	}
-	st.heads[i], st.slot[i] = st.heads[last], st.slot[last]
+	st.heads[i], st.heads[last] = st.heads[last], st.heads[i]
+	st.slot[i], st.slot[last] = st.slot[last], st.slot[i]
+}
+
+// wSnapshot is a saved wState. Peels only shorten live prefixes and drop
+// keeps removed arcs in their tail's range, so the degrees, the active
+// list and the arc count undo any peel since the save, in O(n).
+type wSnapshot struct {
+	dplus, dminus, active []int32
+	arcsLeft              int64
+}
+
+func (s *wSnapshot) save(st *wState) {
+	s.dminus = slices.Grow(s.dminus[:0], len(st.dminus))
+	for v := range st.dminus {
+		s.dminus = append(s.dminus, st.dminus[v].Load())
+	}
+	s.dplus = append(s.dplus[:0], st.dplus...)
+	s.active = append(s.active[:0], st.active...)
+	s.arcsLeft = st.arcsLeft
+}
+
+func (s *wSnapshot) restore(st *wState) {
+	copy(st.dplus, s.dplus)
+	for v, dv := range s.dminus {
+		// A probe changes few in-degrees, and loads are cheaper.
+		if st.dminus[v].Load() != dv {
+			st.dminus[v].Store(dv)
+		}
+	}
+	st.active = append(st.active[:0], s.active...)
+	st.arcsLeft = s.arcsLeft
 }
 
 // peelLevel removes, to a fixpoint, every live arc whose current weight is
@@ -209,17 +240,14 @@ type WStarResult struct {
 	ArcsAfterWarmStart int64
 	// ArcsAtWStar is |E| of the w*-induced subgraph ("PWC_w*" in Table 7).
 	ArcsAtWStar int64
-	// Levels is the number of weight levels processed (including the warm
-	// start), i.e. the t counter of Algorithm 3.
+	// Levels counts the threshold peels run, the warm start included.
 	Levels int
 	// ArcsScanned is the number of live arcs the peel sweeps visited.
 	ArcsScanned int64
 
-	// What PWC's certified fallback walks down: the level that removed
-	// each arc id (d_max - 1 for the warm start), and the levels after the
-	// warm start in ascending order.
-	removal []int64
-	steps   []int64
+	// The peel state and its warm start, for PWC's certified fallback.
+	st   *wState
+	warm wSnapshot
 }
 
 // WStarSubgraph computes only the w*-induced subgraph, using the paper's
@@ -228,9 +256,11 @@ type WStarResult struct {
 // < d_max — on the benchmark graphs this one step discards most of the
 // graph, which is where PWC's advantage over PXY comes from (Exp-6).
 //
-// The sweeps scan only each tail's live prefix, so every level costs work
-// proportional to the arcs still left: this is the paper's "reduce the
-// size of the graph in each iteration" (Exp-6), with no re-built graph.
+// Then a threshold search: peeling the arcs of weight below T from any
+// superset of the T-induced subgraph stops exactly at it, so peelLevel(T-1)
+// from the last non-empty state answers "is w* >= T?", and a miss restores
+// that state. Probes gallop up from the least surviving weight (step 1,
+// doubling), then bisect once one empties the graph.
 func WStarSubgraph(d *graph.Directed, p int) WStarResult {
 	var res WStarResult
 	if d.M() == 0 {
@@ -238,69 +268,49 @@ func WStarSubgraph(d *graph.Directed, p int) WStarResult {
 		return res
 	}
 	st := newWState(d, p)
-	st.removal = make([]int64, d.M())
 	dmax := int64(max(d.MaxOutDegree(), d.MaxInDegree()))
 	// Warm start: remove everything strictly below d_max. The remainder
 	// is the d_max-induced subgraph, non-empty by the Remark.
-	level := st.peelLevel(dmax-1, p)
+	lo := st.peelLevel(dmax-1, p)
 	res.Levels = 1
 	res.ArcsAfterWarmStart = st.arcsLeft
-
-	// Level loop: levels strictly increase, and the last one empties the
-	// graph, so the arcs it removed are the w*-induced subgraph.
-	for st.arcsLeft > 0 {
-		res.WStar = level
-		res.steps = append(res.steps, level)
-		level = st.peelLevel(level, p)
+	res.st = st
+	res.warm.save(st)
+	var kept wSnapshot
+	kept.save(st)
+	// lo <= w* < hi. t gallops up by step until a probe empties the
+	// graph and sets hi; from then on (hi-lo)/2 < step, so t bisects.
+	for step, hi := int64(1), noArc; hi-lo > 1; step *= 2 {
+		t := lo + min(step, (hi-lo)/2)
+		next := st.peelLevel(t-1, p)
 		res.Levels++
+		if st.arcsLeft == 0 {
+			hi = t
+			kept.restore(st)
+		} else {
+			lo = next
+			kept.save(st)
+		}
 	}
-	res.removal = st.removal
+	res.WStar = lo
 	res.ArcsScanned = st.scanned.Load()
-	res.Subgraph, res.Original, _ = arcsFrom(d, st.removal, res.WStar)
+	res.Subgraph, res.Original = st.liveSubgraph()
 	res.ArcsAtWStar = res.Subgraph.M()
 	return res
 }
 
-// arcsFrom builds the subdigraph of d formed by the arcs whose removal
-// level is at least level, re-labeled to dense ids in ascending order. It
-// returns the mapping of its vertices back to d and its own arcs' removal
-// levels: the relabeling keeps the CSR order, so arc ids stay in step.
-func arcsFrom(d *graph.Directed, removal []int64, level int64) (*graph.Directed, []int32, []int64) {
-	var arcs []graph.Edge
-	var kept []int64
-	for u := int32(0); int(u) < d.N(); u++ {
-		lo, hi := d.OutArcRange(u)
-		for a := lo; a < hi; a++ {
-			if removal[a] >= level {
-				arcs = append(arcs, graph.Edge{U: u, V: d.ArcHead(a)})
-				kept = append(kept, removal[a])
-			}
-		}
-	}
-	sub, original := relabel(d.N(), arcs)
-	return sub, original, kept
-}
-
-// liveSubgraph builds the subdigraph of the arcs still live in st,
-// re-labeled like arcsFrom.
+// liveSubgraph builds the subdigraph of the arcs still live in st, keeping
+// only the vertices some arc touches and numbering them in ascending id
+// order. It returns the mapping of its vertices back to st.d.
 func (st *wState) liveSubgraph() (*graph.Directed, []int32) {
 	arcs := make([]graph.Edge, 0, st.arcsLeft)
+	id := make([]int32, st.d.N())
 	for _, u := range st.active {
 		lo, _ := st.d.OutArcRange(u)
 		for _, v := range st.heads[lo : lo+int64(st.dplus[u])] {
 			arcs = append(arcs, graph.Edge{U: u, V: v})
+			id[u], id[v] = 1, 1
 		}
-	}
-	return relabel(st.d.N(), arcs)
-}
-
-// relabel builds a digraph from arcs over vertices 0..n-1, keeping only
-// the vertices some arc touches and numbering them in ascending order. It
-// rewrites arcs in place and returns the new-to-old vertex mapping.
-func relabel(n int, arcs []graph.Edge) (*graph.Directed, []int32) {
-	id := make([]int32, n)
-	for _, e := range arcs {
-		id[e.U], id[e.V] = 1, 1
 	}
 	var original []int32
 	for v, seen := range id {

@@ -169,10 +169,10 @@ func TestWorkCounters(t *testing.T) {
 		{"U2", dsd.AlgoPKMCSync, map[string]int64{"iterations": 38, "peak_candidates": 19992, "k_star": 6, "vertices": 19992}},
 		{"U2", dsd.AlgoLocal, map[string]int64{"iterations": 38}},
 		{"U2", dsd.AlgoPKC, map[string]int64{"iterations": 7}},
-		{"D1", dsd.AlgoPWC, map[string]int64{"levels": 3, "arcs_after_warm_start": 1514, "arcs_at_wstar": 1500,
-			"arcs_densest": 1500, "wstar": 1500, "x_star": 50, "y_star": 30, "arcs_scanned": 135583}},
-		{"D2", dsd.AlgoPWC, map[string]int64{"levels": 29, "arcs_after_warm_start": 59961, "arcs_at_wstar": 96,
-			"arcs_densest": 96, "wstar": 96, "x_star": 12, "y_star": 8, "arcs_scanned": 8567597}},
+		{"D1", dsd.AlgoPWC, map[string]int64{"levels": 4, "arcs_after_warm_start": 1514, "arcs_at_wstar": 1500,
+			"arcs_densest": 1500, "wstar": 1500, "x_star": 50, "y_star": 30, "arcs_scanned": 137083}},
+		{"D2", dsd.AlgoPWC, map[string]int64{"levels": 14, "arcs_after_warm_start": 59961, "arcs_at_wstar": 96,
+			"arcs_densest": 96, "wstar": 96, "x_star": 12, "y_star": 8, "arcs_scanned": 1665069}},
 	}
 	for _, pin := range pins {
 		tr := &dsd.Trace{}

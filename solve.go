@@ -2,7 +2,6 @@ package dsd
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"repro/internal/cancel"
@@ -246,12 +245,11 @@ func XYCore(d *Digraph, x, y int32) (s, t []int32) {
 }
 
 // WStar returns the maximum induce-number w* of a digraph and the vertex
-// set of its w*-induced subgraph (Definitions 8-10 of the paper).
+// set of its w*-induced subgraph (Definitions 8-10 of the paper), in
+// ascending order.
 func WStar(d *Digraph, workers int) (int64, []int32) {
 	res := dds.WStarSubgraph(d.d, workers)
-	out := append([]int32(nil), res.Original...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return res.WStar, out
+	return res.WStar, res.Original
 }
 
 // CNPairSkyline returns the maximal [x, y]-core pairs of a digraph (every
