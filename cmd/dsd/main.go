@@ -299,7 +299,10 @@ func analyze(path, mode string, directed bool, workers int, out io.Writer) error
 				best = p
 			}
 		}
-		fmt.Fprintf(out, "w* = %d\n", best)
+		// The best skyline product is x*·y*; w* (the largest w with a
+		// non-empty w-induced subgraph) can exceed it.
+		wstar, _ := dsd.WStar(d, workers)
+		fmt.Fprintf(out, "x*·y* = %d\nw* = %d\n", best, wstar)
 		return nil
 	case "tiers":
 		if directed {

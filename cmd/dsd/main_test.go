@@ -112,8 +112,20 @@ func TestRunAnalysisModes(t *testing.T) {
 	if err := run([]string{"-in", dir, "-directed", "-mode", "skyline"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "w* = 4") {
+	if !strings.Contains(out.String(), "w* = 4") || !strings.Contains(out.String(), "x*·y* = 4") {
 		t.Fatalf("skyline mode:\n%s", out.String())
+	}
+
+	// A digraph whose w* exceeds every core product x·y: the skyline's best
+	// product is x*·y* = 4, while the 6-induced subgraph is non-empty.
+	wide := writeFile(t, "w.txt", "0 3\n0 5\n1 0\n1 4\n2 0\n2 6\n3 0\n3 5\n3 6\n"+
+		"4 1\n4 2\n4 3\n4 5\n5 4\n5 6\n6 1\n6 2\n6 4\n")
+	out.Reset()
+	if err := run([]string{"-in", wide, "-directed", "-mode", "skyline"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "x*·y* = 4\n") || !strings.Contains(out.String(), "w* = 6\n") {
+		t.Fatalf("skyline mode with w* > x*·y*:\n%s", out.String())
 	}
 
 	out.Reset()

@@ -3,13 +3,8 @@ package dds
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/cancel"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/solver"
 )
 
@@ -23,13 +18,10 @@ import (
 // ε=1). Parallelism is one ratio per claimed task. δ and ε are
 // opts.Delta and opts.Epsilon.
 //
-// PBD runs under cooperative cancellation and opts.Budget: the sweep
-// workers poll ctx and the budget deadline between claimed ratios. A
-// budget expiry keeps the best-so-far answer (TimedOut set); a ctx expiry
-// abandons the run with a wrapped cancel.ErrCanceled. A nil ctx never
-// cancels.
+// PBD runs under cooperative cancellation and opts.Budget with
+// ratioSweep's contract; Iterations counts the rounds of every ratio.
 func PBD(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
-	delta, eps, p, budget := opts.Delta, opts.Epsilon, opts.Workers, opts.Budget
+	delta, eps := opts.Delta, opts.Epsilon
 	n := d.N()
 	if n == 0 || d.M() == 0 {
 		return solver.DirectedResult{Algorithm: "PBD"}, nil
@@ -45,50 +37,9 @@ func PBD(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.Dir
 	for i := -k; i <= k; i++ {
 		ratios = append(ratios, math.Pow(delta, float64(i)))
 	}
-	deadline := time.Time{}
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
-	var mu sync.Mutex
-	best := peelOutcome{density: -1}
-	var rounds atomic.Int64
-	var timedOut atomic.Bool
-	var canceled atomic.Bool
-	var next atomic.Int64
-	parallel.Workers(p, func(int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(ratios) {
-				return
-			}
-			if cancel.Check(ctx) != nil {
-				canceled.Store(true)
-				return
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				timedOut.Store(true)
-				return
-			}
-			out, r := batchPeel(d, ratios[i], eps)
-			rounds.Add(int64(r))
-			mu.Lock()
-			if out.density > best.density {
-				best = out
-			}
-			mu.Unlock()
-		}
+	return ratioSweep(ctx, "PBD", int64(len(ratios)), opts, func(i int64) (peelOutcome, int) {
+		return batchPeel(d, ratios[i], eps)
 	})
-	if canceled.Load() {
-		return solver.DirectedResult{}, cancel.Check(ctx)
-	}
-	return solver.DirectedResult{
-		Algorithm:  "PBD",
-		S:          best.s,
-		T:          best.t,
-		Density:    best.density,
-		Iterations: int(rounds.Load()),
-		TimedOut:   timedOut.Load(),
-	}, nil
 }
 
 // batchPeel runs Bahmani-style synchronous rounds for one target ratio c.

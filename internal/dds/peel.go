@@ -114,123 +114,76 @@ func ratioPeel(d *graph.Directed, c float64) peelOutcome {
 	return out
 }
 
-// ratioSweepLazy runs ratioPeel over the a/b candidate grid (a, b in
-// [1, n]), claiming pairs lazily from an atomic counter. Duplicate ratios
-// (2/4 after 1/2) are re-peeled — the naive baseline's honest cost profile.
-func ratioSweepLazy(ctx context.Context, d *graph.Directed, n, p int, budget time.Duration) (peelOutcome, int, bool, error) {
-	deadline := time.Time{}
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
-	total := int64(n) * int64(n)
-	var mu sync.Mutex
-	best := peelOutcome{density: -1}
-	var done atomic.Int64
-	var timedOut atomic.Bool
-	var canceled atomic.Bool
-	var next atomic.Int64
-	parallel.Workers(p, func(int) {
-		for {
-			i := next.Add(1) - 1
-			if i >= total {
-				return
-			}
-			if cancel.Check(ctx) != nil {
-				canceled.Store(true)
-				return
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				timedOut.Store(true)
-				return
-			}
-			a := int(i/int64(n)) + 1
-			b := int(i%int64(n)) + 1
-			out := ratioPeel(d, float64(a)/float64(b))
-			done.Add(1)
-			mu.Lock()
-			if out.density > best.density {
-				best = out
-			}
-			mu.Unlock()
-		}
-	})
-	if canceled.Load() {
-		return peelOutcome{}, 0, false, cancel.Check(ctx)
-	}
-	return best, int(done.Load()), timedOut.Load(), nil
-}
-
-// ratioSweep runs ratioPeel for every candidate ratio in parallel with a
-// deadline; returns the best outcome, how many ratios were completed, and
-// whether the deadline cut the sweep short.
-func ratioSweep(ctx context.Context, d *graph.Directed, ratios []float64, p int, budget time.Duration) (peelOutcome, int, bool, error) {
-	deadline := time.Time{}
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
-	var mu sync.Mutex
-	best := peelOutcome{density: -1}
-	var done atomic.Int64
-	var timedOut atomic.Bool
-	var canceled atomic.Bool
-	var next atomic.Int64
-	parallel.Workers(p, func(int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(ratios) {
-				return
-			}
-			if cancel.Check(ctx) != nil {
-				canceled.Store(true)
-				return
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				timedOut.Store(true)
-				return
-			}
-			out := ratioPeel(d, ratios[i])
-			done.Add(1)
-			mu.Lock()
-			if out.density > best.density {
-				best = out
-			}
-			mu.Unlock()
-		}
-	})
-	if canceled.Load() {
-		return peelOutcome{}, 0, false, cancel.Check(ctx)
-	}
-	return best, int(done.Load()), timedOut.Load(), nil
-}
-
-// PBS is the parallelized Charikar 2-approximation: the full O(n²) ratio
-// sweep over all a/b pairs, one peel per thread-claimed candidate, with
-// the pairs enumerated lazily — materializing n² candidates up front would
-// dwarf the peeling cost itself on large n. Budget > 0 imposes a deadline
-// (the paper uses 10⁵ seconds); a result with TimedOut set reports how far
-// the sweep got.
-//
-// PBS runs under cooperative cancellation: the sweep workers poll ctx
-// between claimed ratios. A budget expiry keeps the best-so-far answer
+// ratioSweep runs peel(i) for every candidate index i in [0, count) on p
+// workers, which claim indices from an atomic counter, and returns the
+// densest outcome as name's result, with Iterations the sum of the work
+// the peels report. Before each peel a worker polls ctx and then the budget
+// deadline (budget > 0): a budget expiry keeps the best-so-far answer
 // (TimedOut set); a ctx expiry abandons the run with a wrapped
 // cancel.ErrCanceled. A nil ctx never cancels.
-func PBS(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
-	n := d.N()
-	if n == 0 || d.M() == 0 {
-		return solver.DirectedResult{Algorithm: "PBS"}, nil
+func ratioSweep(ctx context.Context, name string, count int64, opts solver.Params, peel func(i int64) (peelOutcome, int)) (solver.DirectedResult, error) {
+	deadline := time.Time{}
+	if opts.Budget > 0 {
+		deadline = time.Now().Add(opts.Budget)
 	}
-	best, doneCount, timedOut, err := ratioSweepLazy(ctx, d, n, opts.Workers, opts.Budget)
-	if err != nil {
-		return solver.DirectedResult{}, err
+	var mu sync.Mutex
+	best := peelOutcome{density: -1}
+	var work atomic.Int64
+	var timedOut atomic.Bool
+	var canceled atomic.Bool
+	var next atomic.Int64
+	parallel.Workers(opts.Workers, func(int) {
+		for {
+			i := next.Add(1) - 1
+			if i >= count {
+				return
+			}
+			if cancel.Check(ctx) != nil {
+				canceled.Store(true)
+				return
+			}
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				timedOut.Store(true)
+				return
+			}
+			out, w := peel(i)
+			work.Add(int64(w))
+			mu.Lock()
+			if out.density > best.density {
+				best = out
+			}
+			mu.Unlock()
+		}
+	})
+	if canceled.Load() {
+		return solver.DirectedResult{}, cancel.Check(ctx)
 	}
 	return solver.DirectedResult{
-		Algorithm:  "PBS",
+		Algorithm:  name,
 		S:          best.s,
 		T:          best.t,
 		Density:    best.density,
-		Iterations: doneCount,
-		TimedOut:   timedOut,
+		Iterations: int(work.Load()),
+		TimedOut:   timedOut.Load(),
 	}, nil
+}
+
+// PBS is the parallelized Charikar 2-approximation: the full O(n²) ratio
+// sweep over all a/b pairs (a, b in [1, n]), one peel per thread-claimed
+// candidate, with the pairs enumerated lazily — materializing n² candidates
+// up front would dwarf the peeling cost itself on large n. Duplicate
+// ratios (2/4 after 1/2) are re-peeled — the naive baseline's honest cost
+// profile. Budget > 0 imposes a deadline (the paper uses 10⁵ seconds); a
+// result with TimedOut set reports how far the sweep got. Cancellation and
+// the budget follow ratioSweep's contract.
+func PBS(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.DirectedResult, error) {
+	n := int64(d.N())
+	if n == 0 || d.M() == 0 {
+		return solver.DirectedResult{Algorithm: "PBS"}, nil
+	}
+	return ratioSweep(ctx, "PBS", n*n, opts, func(i int64) (peelOutcome, int) {
+		return ratioPeel(d, float64(i/n+1)/float64(i%n+1)), 1
+	})
 }
 
 // PFKS is the fixed Khuller–Saha linear-per-pass baseline: n geometrically
@@ -243,18 +196,9 @@ func PFKS(ctx context.Context, d *graph.Directed, opts solver.Params) (solver.Di
 		return solver.DirectedResult{Algorithm: "PFKS"}, nil
 	}
 	ratios := geometricRatios(n, n)
-	best, doneCount, timedOut, err := ratioSweep(ctx, d, ratios, opts.Workers, opts.Budget)
-	if err != nil {
-		return solver.DirectedResult{}, err
-	}
-	return solver.DirectedResult{
-		Algorithm:  "PFKS",
-		S:          best.s,
-		T:          best.t,
-		Density:    best.density,
-		Iterations: doneCount,
-		TimedOut:   timedOut,
-	}, nil
+	return ratioSweep(ctx, "PFKS", int64(len(ratios)), opts, func(i int64) (peelOutcome, int) {
+		return ratioPeel(d, ratios[i]), 1
+	})
 }
 
 // geometricRatios returns k ratios geometrically spanning [1/n, n].

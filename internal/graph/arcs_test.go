@@ -73,5 +73,5 @@ func TestInArcIDsConsistency(t *testing.T) {
 
 // dInOff exposes the in-CSR offset for tests without widening the API.
 func dInOff(d *Directed, v int32) int64 {
-	return d.inOff[v]
+	return d.in.off[v]
 }

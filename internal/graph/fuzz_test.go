@@ -7,8 +7,10 @@ import (
 )
 
 // FuzzReadEdgeList drives the text parser with arbitrary bytes: it must
-// never panic, and anything it accepts must survive a write/read round
-// trip with sizes intact.
+// never panic, both graph kinds built from what it accepts must match the
+// naive reference builder (text arrives unsorted, so this reaches the
+// builder's sort and dedup), and both must survive a write/read round trip
+// with their adjacency intact.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("% comment\n10 20 1.5 999\n\n20 30\n")
@@ -16,6 +18,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("-1 5\n")
 	f.Add("9999999999999999999999 1\n")
 	f.Add("1\n")
+	f.Add("3 1\n1 3\n2 2\n3 1\n0 3\n3 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		edges, n, ids, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
@@ -29,6 +32,11 @@ func FuzzReadEdgeList(f *testing.F) {
 				t.Fatalf("edge %v outside compacted range [0,%d)", e, n)
 			}
 		}
+		if err := checkAgainstReference(n, edges); err != nil {
+			t.Fatal(err)
+		}
+		// Reading the output back renumbers ids and loses isolated
+		// vertices, so the round trips compare edge and arc counts.
 		g := NewUndirected(n, edges)
 		var buf bytes.Buffer
 		if err := g.WriteEdgeList(&buf); err != nil {
@@ -40,6 +48,18 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if g2.M() != g.M() {
 			t.Fatalf("round trip changed edge count: %d -> %d", g.M(), g2.M())
+		}
+		d := NewDirected(n, edges)
+		buf.Reset()
+		if err := d.WriteEdgeList(&buf); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := ReadDirected(&buf)
+		if err != nil {
+			t.Fatalf("rejecting own directed output: %v", err)
+		}
+		if d2.M() != d.M() {
+			t.Fatalf("round trip changed arc count: %d -> %d", d.M(), d2.M())
 		}
 	})
 }

@@ -128,54 +128,68 @@ func ReadDirected(r io.Reader) (*Directed, error) {
 
 // WriteEdgeList writes g in the text format with a leading comment header.
 func (g *Undirected) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%% undirected n=%d m=%d\n", g.N(), g.M())
-	for u := int32(0); int(u) < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				fmt.Fprintf(bw, "%d %d\n", u, v)
-			}
-		}
-	}
-	return bw.Flush()
+	return writeEdgeList(w, false, g.N(), g.M(), g.adj)
 }
 
 // WriteEdgeList writes d in the text format (one arc per line).
 func (d *Directed) WriteEdgeList(w io.Writer) error {
+	return writeEdgeList(w, true, d.N(), d.M(), d.out)
+}
+
+// WriteBinary writes g in the compact binary format.
+func (g *Undirected) WriteBinary(w io.Writer) error {
+	return writeBinary(w, false, g.N(), g.M(), g.adj)
+}
+
+// WriteBinary writes d in the compact binary format.
+func (d *Directed) WriteBinary(w io.Writer) error {
+	return writeBinary(w, true, d.N(), d.M(), d.out)
+}
+
+// kind names a graph kind in headers and messages.
+func kind(directed bool) string {
+	if directed {
+		return "directed"
+	}
+	return "undirected"
+}
+
+// writeEdgeList writes the header line and then one "u v" line per edge
+// of c, the graph's only adjacency if undirected (each edge once, u < v)
+// and its out-adjacency if directed.
+func writeEdgeList(w io.Writer, directed bool, n int, m int64, c csr) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%% directed n=%d m=%d\n", d.N(), d.M())
-	for u := int32(0); int(u) < d.N(); u++ {
-		for _, v := range d.OutNeighbors(u) {
-			fmt.Fprintf(bw, "%d %d\n", u, v)
-		}
+	fmt.Fprintf(bw, "%% %s n=%d m=%d\n", kind(directed), n, m)
+	err := c.walk(!directed, func(u, v int32) error {
+		_, err := fmt.Fprintf(bw, "%d %d\n", u, v)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-func writeBinary(w io.Writer, directed bool, n int, edges func(emit func(u, v int32) error) error, m int64) error {
+// writeBinary writes the v2 header, one record per edge of c (as in
+// writeEdgeList), and the CRC32 footer.
+func writeBinary(w io.Writer, directed bool, n int, m int64, c csr) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
 	// Everything before the footer flows through the hash; crc32 writes
 	// never fail, so the MultiWriter's error is bw's.
 	hw := io.MultiWriter(bw, crc)
-	if _, err := io.WriteString(hw, binaryMagicV2); err != nil {
-		return err
-	}
-	dirByte := []byte{0}
+	var hdr [len(binaryMagicV2) + 13]byte
+	copy(hdr[:], binaryMagicV2)
 	if directed {
-		dirByte[0] = 1
+		hdr[4] = 1
 	}
-	if _, err := hw.Write(dirByte); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(m))
+	binary.LittleEndian.PutUint32(hdr[5:9], uint32(n))
+	binary.LittleEndian.PutUint64(hdr[9:17], uint64(m))
 	if _, err := hw.Write(hdr[:]); err != nil {
 		return err
 	}
 	var rec [8]byte
-	err := edges(func(u, v int32) error {
+	err := c.walk(!directed, func(u, v int32) error {
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(u))
 		binary.LittleEndian.PutUint32(rec[4:8], uint32(v))
 		_, err := hw.Write(rec[:])
@@ -190,36 +204,6 @@ func writeBinary(w io.Writer, directed bool, n int, edges func(emit func(u, v in
 		return err
 	}
 	return bw.Flush()
-}
-
-// WriteBinary writes g in the compact binary format.
-func (g *Undirected) WriteBinary(w io.Writer) error {
-	return writeBinary(w, false, g.N(), func(emit func(u, v int32) error) error {
-		for u := int32(0); int(u) < g.N(); u++ {
-			for _, v := range g.Neighbors(u) {
-				if u < v {
-					if err := emit(u, v); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}, g.M())
-}
-
-// WriteBinary writes d in the compact binary format.
-func (d *Directed) WriteBinary(w io.Writer) error {
-	return writeBinary(w, true, d.N(), func(emit func(u, v int32) error) error {
-		for u := int32(0); int(u) < d.N(); u++ {
-			for _, v := range d.OutNeighbors(u) {
-				if err := emit(u, v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}, d.M())
 }
 
 // readFull reads len(buf) bytes, feeding crc when non-nil (a v2 stream).
@@ -285,14 +269,10 @@ func readBinaryEdges(r *bufio.Reader, n int, m int64, crc hash.Hash32) ([]Edge, 
 	if err := faultinject.Hit(faultinject.SiteGraphIOEdges); err != nil {
 		return nil, err
 	}
-	capHint := m
-	if capHint > edgeChunk {
-		capHint = edgeChunk
-	}
-	edges := make([]Edge, 0, capHint)
-	buf := make([]byte, 0, min64(m, edgeChunk)*8)
+	edges := make([]Edge, 0, min(m, edgeChunk))
+	buf := make([]byte, 0, min(m, edgeChunk)*8)
 	for read := int64(0); read < m; {
-		cnt := min64(m-read, edgeChunk)
+		cnt := min(m-read, edgeChunk)
 		buf = buf[:cnt*8]
 		if err := readFull(r, buf, crc); err != nil {
 			return nil, fmt.Errorf("graph: reading edges %d..%d of %d: %w", read, read+cnt, m, err)
@@ -308,13 +288,6 @@ func readBinaryEdges(r *bufio.Reader, n int, m int64, crc hash.Hash32) ([]Edge, 
 		read += cnt
 	}
 	return edges, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // finishBinary verifies the v2 CRC footer (crc nil means a v1 file, which
@@ -336,24 +309,36 @@ func finishBinary(r *bufio.Reader, n int, nEdges int, crc hash.Hash32) error {
 	return nil
 }
 
-// ReadBinaryUndirected loads an Undirected graph written by WriteBinary
-// (either format version). It rejects files whose header marks them
-// directed, and treats the stream as untrusted: validated header, range
-// checked endpoints, chunked allocation, CRC verification on v2.
-func ReadBinaryUndirected(r io.Reader) (*Undirected, error) {
+// readBinary reads a graph file written by WriteBinary (either format
+// version) and returns its vertex count and edge list. It rejects a file
+// whose header marks the other kind, and treats the stream as untrusted:
+// validated header, range checked endpoints, chunked allocation, CRC
+// verification on v2.
+func readBinary(r io.Reader, directed bool) (int, []Edge, error) {
 	br := bufio.NewReader(r)
-	directed, n, m, crc, err := readBinaryHeader(br)
+	fileDirected, n, m, crc, err := readBinaryHeader(br)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if directed {
-		return nil, fmt.Errorf("graph: binary file is directed, want undirected")
+	if fileDirected != directed {
+		return 0, nil, fmt.Errorf("graph: binary file is %s, want %s", kind(fileDirected), kind(directed))
 	}
 	edges, err := readBinaryEdges(br, n, m, crc)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if err := finishBinary(br, n, len(edges), crc); err != nil {
+		return 0, nil, err
+	}
+	return n, edges, nil
+}
+
+// ReadBinaryUndirected loads an Undirected graph written by WriteBinary
+// (either format version). It rejects files whose header marks them
+// directed, and treats the stream as untrusted (see readBinary).
+func ReadBinaryUndirected(r io.Reader) (*Undirected, error) {
+	n, edges, err := readBinary(r, false)
+	if err != nil {
 		return nil, err
 	}
 	return NewUndirectedChecked(n, edges)
@@ -363,19 +348,8 @@ func ReadBinaryUndirected(r io.Reader) (*Undirected, error) {
 // format version). It rejects files whose header marks them undirected,
 // with the same untrusted-input validation as ReadBinaryUndirected.
 func ReadBinaryDirected(r io.Reader) (*Directed, error) {
-	br := bufio.NewReader(r)
-	directed, n, m, crc, err := readBinaryHeader(br)
+	n, edges, err := readBinary(r, true)
 	if err != nil {
-		return nil, err
-	}
-	if !directed {
-		return nil, fmt.Errorf("graph: binary file is undirected, want directed")
-	}
-	edges, err := readBinaryEdges(br, n, m, crc)
-	if err != nil {
-		return nil, err
-	}
-	if err := finishBinary(br, n, len(edges), crc); err != nil {
 		return nil, err
 	}
 	return NewDirectedChecked(n, edges)

@@ -12,19 +12,7 @@ func (g *Undirected) SampleEdges(frac float64, seed int64) *Undirected {
 	if frac >= 1 {
 		return g
 	}
-	if frac < 0 {
-		frac = 0
-	}
-	rng := rand.New(rand.NewSource(seed))
-	kept := make([]Edge, 0, int(float64(g.M())*frac)+16)
-	for u := int32(0); int(u) < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v && rng.Float64() < frac {
-				kept = append(kept, Edge{u, v})
-			}
-		}
-	}
-	return NewUndirected(g.N(), kept)
+	return NewUndirected(g.N(), g.adj.sample(true, g.M(), frac, seed))
 }
 
 // SampleEdges returns the sub-digraph obtained by keeping each arc with
@@ -33,17 +21,20 @@ func (d *Directed) SampleEdges(frac float64, seed int64) *Directed {
 	if frac >= 1 {
 		return d
 	}
-	if frac < 0 {
-		frac = 0
-	}
+	return NewDirected(d.N(), d.out.sample(false, d.M(), frac, seed))
+}
+
+// sample keeps each pair of walk(upper) with probability frac, drawing one
+// number per pair in CSR order; m is the pair count.
+func (c csr) sample(upper bool, m int64, frac float64, seed int64) []Edge {
+	frac = max(frac, 0)
 	rng := rand.New(rand.NewSource(seed))
-	kept := make([]Edge, 0, int(float64(d.M())*frac)+16)
-	for u := int32(0); int(u) < d.N(); u++ {
-		for _, v := range d.OutNeighbors(u) {
-			if rng.Float64() < frac {
-				kept = append(kept, Edge{u, v})
-			}
+	kept := make([]Edge, 0, int(float64(m)*frac)+16)
+	c.walk(upper, func(u, v int32) error {
+		if rng.Float64() < frac {
+			kept = append(kept, Edge{u, v})
 		}
-	}
-	return NewDirected(d.N(), kept)
+		return nil
+	})
+	return kept
 }

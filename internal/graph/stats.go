@@ -71,13 +71,9 @@ func (g *Undirected) RelabelByDegree() (*Undirected, []int32) {
 	for i, old := range original {
 		newID[old] = int32(i)
 	}
-	edges := make([]Edge, 0, g.M())
-	for u := int32(0); int(u) < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				edges = append(edges, Edge{U: newID[u], V: newID[v]})
-			}
-		}
+	edges := g.Edges()
+	for i, e := range edges {
+		edges[i] = Edge{U: newID[e.U], V: newID[e.V]}
 	}
 	return NewUndirected(n, edges), original
 }

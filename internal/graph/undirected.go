@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Edge is one undirected edge (or one directed arc U->V in package contexts
 // that say so). The builder treats (U,V) and (V,U) as the same undirected
 // edge.
@@ -12,11 +7,11 @@ type Edge struct {
 	U, V int32
 }
 
-// Undirected is an immutable simple undirected graph in CSR form. Neighbor
-// lists are sorted ascending and contain no duplicates or self-loops.
+// Undirected is an immutable simple undirected graph: one CSR adjacency
+// holding each edge in both endpoints' lists. Neighbor lists are sorted
+// ascending and contain no duplicates or self-loops.
 type Undirected struct {
-	offsets []int64 // len n+1; neighbor list of v is adj[offsets[v]:offsets[v+1]]
-	adj     []int32
+	adj csr
 }
 
 // NewUndirected builds a graph on vertices 0..n-1 from an edge list.
@@ -24,11 +19,7 @@ type Undirected struct {
 // in either orientation. It panics if an endpoint is outside [0, n); code
 // handling untrusted input should use NewUndirectedChecked instead.
 func NewUndirected(n int, edges []Edge) *Undirected {
-	g, err := NewUndirectedChecked(n, edges)
-	if err != nil {
-		panic(err.Error())
-	}
-	return g
+	return must(NewUndirectedChecked(n, edges))
 }
 
 // NewUndirectedChecked is NewUndirected with the validation failures —
@@ -36,82 +27,24 @@ func NewUndirected(n int, edges []Edge) *Undirected {
 // instead of panics. It is the builder every path that consumes untrusted
 // bytes (file loaders, the HTTP service) goes through.
 func NewUndirectedChecked(n int, edges []Edge) (*Undirected, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	if err := checkRange(n, edges, "edge"); err != nil {
+		return nil, err
 	}
-	deg := make([]int64, n+1)
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) outside vertex range [0,%d)", e.U, e.V, n)
-		}
-		if e.U == e.V {
-			continue
-		}
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
-	offsets := deg // reuse: prefix-sum in place
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	adj := make([]int32, offsets[n])
-	fill := make([]int64, n)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		adj[offsets[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[offsets[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
-	}
-	g := &Undirected{offsets: offsets, adj: adj}
-	g.sortAndDedup()
-	return g, nil
-}
-
-// sortAndDedup sorts every neighbor list and removes duplicates, compacting
-// the CSR arrays in place.
-func (g *Undirected) sortAndDedup() {
-	n := g.N()
-	newOff := make([]int64, n+1)
-	var w int64
-	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		list := g.adj[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		start := w
-		for i := range list {
-			if i > 0 && list[i] == list[i-1] {
-				continue
-			}
-			g.adj[w] = list[i]
-			w++
-		}
-		newOff[v] = start
-	}
-	newOff[n] = w
-	// shift starts into place: newOff[v] currently holds start of v
-	g.offsets = newOff
-	g.adj = g.adj[:w:w]
+	return &Undirected{adj: newCSR(n, edges, true, true)}, nil
 }
 
 // N returns the number of vertices.
-func (g *Undirected) N() int { return len(g.offsets) - 1 }
+func (g *Undirected) N() int { return len(g.adj.off) - 1 }
 
 // M returns the number of (undirected) edges.
-func (g *Undirected) M() int64 { return g.offsets[g.N()] / 2 }
+func (g *Undirected) M() int64 { return int64(len(g.adj.adj)) / 2 }
 
 // Degree returns the degree of v.
-func (g *Undirected) Degree(v int32) int32 {
-	return int32(g.offsets[v+1] - g.offsets[v])
-}
+func (g *Undirected) Degree(v int32) int32 { return g.adj.degree(v) }
 
 // Neighbors returns v's sorted neighbor list. The slice aliases the graph's
 // internal storage and must not be modified.
-func (g *Undirected) Neighbors(v int32) []int32 {
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
-}
+func (g *Undirected) Neighbors(v int32) []int32 { return g.adj.list(v) }
 
 // HasEdge reports whether {u, v} is an edge, by binary search in the shorter
 // neighbor list.
@@ -119,21 +52,11 @@ func (g *Undirected) HasEdge(u, v int32) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	list := g.Neighbors(u)
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-	return i < len(list) && list[i] == v
+	return g.adj.has(u, v)
 }
 
 // MaxDegree returns the maximum degree, or 0 on an empty graph.
-func (g *Undirected) MaxDegree() int32 {
-	var max int32
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(int32(v)); d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (g *Undirected) MaxDegree() int32 { return g.adj.maxDegree() }
 
 // Degrees returns a fresh slice of all vertex degrees.
 func (g *Undirected) Degrees() []int32 {
@@ -145,17 +68,7 @@ func (g *Undirected) Degrees() []int32 {
 }
 
 // Edges returns the edge list with U < V in each edge, in CSR order.
-func (g *Undirected) Edges() []Edge {
-	out := make([]Edge, 0, g.M())
-	for u := int32(0); int(u) < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				out = append(out, Edge{u, v})
-			}
-		}
-	}
-	return out
-}
+func (g *Undirected) Edges() []Edge { return g.adj.edges(true, g.M()) }
 
 // Density returns |E|/|V|, the paper's Definition 1 applied to the whole
 // graph; 0 on an empty graph.
@@ -170,25 +83,15 @@ func (g *Undirected) Density() float64 {
 // the mapping back to original ids: vertex i of the subgraph is
 // original[i]. Duplicate ids in the set are ignored.
 func (g *Undirected) Induced(vertices []int32) (sub *Undirected, original []int32) {
-	local := make(map[int32]int32, len(vertices))
+	seen := make(map[int32]bool, len(vertices))
 	original = make([]int32, 0, len(vertices))
 	for _, v := range vertices {
-		if _, ok := local[v]; ok {
-			continue
-		}
-		local[v] = int32(len(original))
-		original = append(original, v)
-	}
-	var edges []Edge
-	for _, u := range original {
-		lu := local[u]
-		for _, v := range g.Neighbors(u) {
-			if lv, ok := local[v]; ok && lu < lv {
-				edges = append(edges, Edge{lu, lv})
-			}
+		if !seen[v] {
+			seen[v] = true
+			original = append(original, v)
 		}
 	}
-	return NewUndirected(len(original), edges), original
+	return NewUndirected(len(original), g.adj.induced(original, true)), original
 }
 
 // InducedDensity returns |E(S)|/|S| for the subgraph induced by S without
