@@ -88,18 +88,21 @@ fuzz:
 	$(GO) test -fuzz FuzzReadEdgeList -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 30s ./internal/graph
+	$(GO) test -fuzz FuzzPKMC -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzExactPruned -fuzztime 30s ./internal/uds
 	$(GO) test -fuzz FuzzWStarSearch -fuzztime 30s ./internal/dds
 
 # Quick CI-grade pass over every fuzz target: seeds plus a few seconds of
-# mutation each, enough to catch reader regressions, an exact-pruned
-# answer that differs from the oracles', and a w* search or PWC pair that
+# mutation each, enough to catch reader regressions, a PKMC k*-core or
+# floor that disagrees with BZ, an exact-pruned answer that differs from
+# the oracles', and a w* search or PWC pair that
 # differs from the naive peel and the brute-force core product, without a
 # long soak.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 5s ./internal/graph
+	$(GO) test -fuzz FuzzPKMC -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzExactPruned -fuzztime 5s ./internal/uds
 	$(GO) test -fuzz FuzzWStarSearch -fuzztime 5s ./internal/dds
 

@@ -79,7 +79,7 @@ func Experiments() []Experiment {
 			Fast: "PKMC", Slows: []string{"PBU", "Local", "PKC", "PFW"},
 			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: udsFive}.cases},
 		{Name: "exp2", Title: "Exp-2 / Table 6: core-algorithm iteration counts",
-			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: []string{"local", "pkc", "pkmc-sync", "pkmc"}}.cases},
+			cases: sweep{kind: solver.KindUDS, datasets: undirectedModels, algos: []string{"local", "pkc", "pkmc-sync", "pkmc"}, work: true}.cases},
 		// PFW is dominated by orders of magnitude; Fig. 6's timing detail
 		// is about the core-based methods and PBU.
 		{Name: "exp3", Title: "Exp-3 / Fig. 6: UDS runtime vs threads", Render: Series,
@@ -122,6 +122,7 @@ type sweep struct {
 	algos    []string // registry names
 	axis     axis
 	seed     int64 // sample-seed base of the fractions axis
+	work     bool  // trace each run and report the solver's work totals (trace.Work) as Extra
 }
 
 func (s sweep) cases(cfg Config) []Case {
@@ -153,8 +154,17 @@ func (s sweep) cases(cfg Config) []Case {
 			}
 			for _, name := range s.algos {
 				d := lookup(s.kind, name)
-				out = append(out, Case{Dataset: abbr, Algorithm: d.Display, Param: pt.label,
-					Run: func() Row { return solve(d, in, p) }})
+				run := func() Row { return solve(d, in, p) }
+				if s.work {
+					run = func() Row {
+						q := p
+						q.Trace = &trace.Trace{}
+						r := solve(d, in, q)
+						r.Extra = q.Trace.Work
+						return r
+					}
+				}
+				out = append(out, Case{Dataset: abbr, Algorithm: d.Display, Param: pt.label, Run: run})
 			}
 		}
 	}

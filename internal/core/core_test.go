@@ -379,6 +379,35 @@ func TestPKMCMatchesBZOnRandomFamilies(t *testing.T) {
 	}
 }
 
+// FuzzPKMC turns bytes into a graph on at most 16 vertices (the first
+// byte picks n, each later byte pair one edge) and holds PKMC at p = 1
+// and p = 2 to BZ's k*-core, vertex for vertex, and its floor to k*.
+func FuzzPKMC(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3})
+	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7})                          // a matching: floor = k* = 1
+	f.Add([]byte{14, 0, 1, 0, 2, 0, 3, 1, 4, 1, 5, 2, 6, 2, 7, 3, 8}) // a tree of three hubs: floor = k* = 1
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%16
+		var edges []graph.Edge
+		for i := 1; i+1 < len(data); i += 2 {
+			edges = append(edges, graph.Edge{U: int32(int(data[i]) % n), V: int32(int(data[i+1]) % n)})
+		}
+		g := graph.NewUndirected(n, edges)
+		wantK, wantCore := KStarCore(BZ(g))
+		if floor := DensityFloor(g); floor > wantK {
+			t.Fatalf("floor %d above k* %d", floor, wantK)
+		}
+		for _, p := range []int{1, 2} {
+			if res := PKMC(g, p, nil); res.KStar != wantK || !slices.Equal(res.Vertices, wantCore) {
+				t.Fatalf("p=%d: PKMC k*=%d core %v, BZ k*=%d core %v", p, res.KStar, res.Vertices, wantK, wantCore)
+			}
+		}
+	})
+}
+
 func TestHIndexOf(t *testing.T) {
 	h := []int32{5, 3, 3, 1, 0}
 	buf := make([]int32, 16)

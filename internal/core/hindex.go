@@ -96,6 +96,7 @@ type hSweeper struct {
 
 	changed  atomic.Int64
 	deltaMax atomic.Int32
+	scanned  atomic.Int64 // adjacency entries the sweeps read
 	body     func(lo, hi int)
 }
 
@@ -135,10 +136,12 @@ func (s *hSweeper) sweep() (changed int64, maxDelta int32) {
 func (s *hSweeper) sweepBlock(lo, hi int) {
 	bufp := s.scratch.get()
 	cur, next := s.cur, s.next
-	var localChanged int64
+	var localChanged, localScanned int64
 	var localDelta int32
 	for v := lo; v < hi; v++ {
-		nv := hIndexOf(cur, s.g.Neighbors(int32(v)), *bufp)
+		nbrs := s.g.Neighbors(int32(v))
+		localScanned += int64(len(nbrs))
+		nv := hIndexOf(cur, nbrs, *bufp)
 		next[v] = nv
 		if nv != cur[v] {
 			localChanged++
@@ -148,6 +151,7 @@ func (s *hSweeper) sweepBlock(lo, hi int) {
 		}
 	}
 	s.scratch.put(bufp)
+	s.scanned.Add(localScanned)
 	if localChanged > 0 {
 		s.changed.Add(localChanged)
 		parallel.MaxInt32(&s.deltaMax, localDelta)
@@ -160,15 +164,18 @@ func (s *hSweeper) sweepBlock(lo, hi int) {
 // in the same sweep (Sariyüce et al.'s asynchronous local algorithms).
 // Other workers write h concurrently, so every access is atomic. Like
 // hSweeper it prebinds its block bodies, so the steady-state loop
-// allocates nothing.
+// allocates nothing. The sweeps visit only vertices whose h is at least
+// floor, a lower bound on k* (see PKMC for why that is sound).
 type asyncSweeper struct {
 	g       *graph.Undirected
 	scratch *hScratch
 	h       []atomic.Int32
 	p       int
+	floor   int32 // densityFloor's F: a vertex with h below it is never swept again
 
 	changed  atomic.Int64
 	deltaMax atomic.Int32
+	scanned  atomic.Int64  // adjacency entries the sweeps and certify read
 	top      atomic.Uint64 // this sweep's (h_max, count) pair, packed by mergeTop
 	target   int32         // the h_max certifyBlock tests against
 	short    atomic.Bool   // certifyBlock found a candidate with too few candidate neighbors
@@ -177,26 +184,66 @@ type asyncSweeper struct {
 }
 
 func newAsyncSweeper(g *graph.Undirected, p int) *asyncSweeper {
-	s := &asyncSweeper{
-		g:       g,
-		scratch: newHScratch(g.MaxDegree()),
-		h:       make([]atomic.Int32, g.N()),
-		p:       p,
-	}
+	n := g.N()
+	s := &asyncSweeper{g: g, h: make([]atomic.Int32, n), p: p}
 	s.body = s.sweepBlock
 	s.certBody = s.certifyBlock
-	parallel.For(g.N(), p, func(v int) {
-		s.h[v].Store(g.Degree(int32(v)))
-	})
+	// One pass over the degrees seeds h⁰ = deg and yields both the
+	// maximum degree and the degree histogram the floor starts from.
+	// Clamping a degree to n leaves the histogram's h-index, which is at
+	// most n, unchanged.
+	degCount := make([]int32, n+1)
+	var maxDeg int32
+	for v := range n {
+		d := g.Degree(int32(v))
+		s.h[v].Store(d)
+		degCount[min(d, int32(n))]++
+		maxDeg = max(maxDeg, d)
+	}
+	s.scratch = newHScratch(maxDeg)
+	s.floor = densityFloor(g, degCount, p)
 	return s
 }
 
-// sweep performs one in-place h-index iteration over all vertices. Each
-// vertex is written only while its own block visits it, so after the
-// barrier h[v] is the value this sweep computed for v, and the maximum
-// and its count gathered on the way are exact. It returns how many
-// vertices changed, the largest single decrease, h_max and how many
-// vertices attain it.
+// densityFloor returns F = ⌈|E(S)|/|S|⌉ for S = {v : deg(v) >= H}, where H
+// is the h-index of the degree sequence and degCount[d] counts the
+// vertices of degree d (degrees above len(degCount)-1 clamped to it). F is
+// ⌈ρ(S)⌉, so F <= ⌈ρ*⌉ <= k* (see PKMC). It costs one scan of the degrees
+// plus vol(S), and is 0 on a graph without edges.
+func densityFloor(g *graph.Undirected, degCount []int32, p int) int32 {
+	hd := hIndexFromCounts(degCount)
+	var size int64
+	for _, c := range degCount[hd:] {
+		size += int64(c)
+	}
+	if size == 0 {
+		return 0
+	}
+	var ends atomic.Int64 // 2|E(S)|: each edge inside S is seen from both ends
+	parallel.ForBlocks(g.N(), p, parallel.DefaultGrain, func(lo, hi int) {
+		var local int64
+		for v := lo; v < hi; v++ {
+			if g.Degree(int32(v)) < hd {
+				continue
+			}
+			for _, u := range g.Neighbors(int32(v)) {
+				if g.Degree(u) >= hd {
+					local++
+				}
+			}
+		}
+		ends.Add(local)
+	})
+	return int32((ends.Load()/2 + size - 1) / size)
+}
+
+// sweep performs one in-place h-index iteration over the vertices whose h
+// is at least the floor. Each vertex is written only while its own block
+// visits it, so after the barrier h[v] is the value this sweep computed
+// for v, and the maximum and its count gathered on the way are exact
+// (a skipped vertex is below the floor, so below h_max). It returns how
+// many swept vertices changed, the largest single decrease, h_max and
+// how many vertices attain it.
 //
 //dsd:hotpath
 func (s *asyncSweeper) sweep() (changed int64, maxDelta, hmax int32, atMax int64) {
@@ -208,18 +255,24 @@ func (s *asyncSweeper) sweep() (changed int64, maxDelta, hmax int32, atMax int64
 	return s.changed.Load(), s.deltaMax.Load(), int32(top >> 32), int64(uint32(top))
 }
 
-// sweepBlock is the asynchronous sweep's block body.
+// sweepBlock is the asynchronous sweep's block body. It skips every
+// vertex whose h is below the floor.
 //
 //dsd:hotpath
 func (s *asyncSweeper) sweepBlock(lo, hi int) {
 	bufp := s.scratch.get()
-	h := s.h
-	var localChanged int64
+	h, floor := s.h, s.floor
+	var localChanged, localScanned int64
 	var localDelta, localMax int32
 	var localCount int64
 	for v := lo; v < hi; v++ {
 		old := h[v].Load()
-		nv := hIndexOfLoad(h, s.g.Neighbors(int32(v)), *bufp)
+		if old < floor {
+			continue
+		}
+		nbrs := s.g.Neighbors(int32(v))
+		localScanned += int64(len(nbrs))
+		nv := hIndexOfLoad(h, nbrs, *bufp)
 		if nv != old {
 			h[v].Store(nv)
 			localChanged++
@@ -233,6 +286,7 @@ func (s *asyncSweeper) sweepBlock(lo, hi int) {
 		}
 	}
 	s.scratch.put(bufp)
+	s.scanned.Add(localScanned)
 	if localChanged > 0 {
 		s.changed.Add(localChanged)
 		parallel.MaxInt32(&s.deltaMax, localDelta)
@@ -281,15 +335,17 @@ func (s *asyncSweeper) certify(hmax int32) bool {
 //dsd:hotpath
 func (s *asyncSweeper) certifyBlock(lo, hi int) {
 	h, k := s.h, s.target
+	var scanned int64
 	for v := lo; v < hi; v++ {
 		if h[v].Load() != k {
 			continue
 		}
 		if s.short.Load() {
-			return // another block already refuted C
+			break // another block already refuted C
 		}
 		var in int32
 		for _, u := range s.g.Neighbors(int32(v)) {
+			scanned++
 			if h[u].Load() == k {
 				in++
 				if in >= k {
@@ -299,9 +355,10 @@ func (s *asyncSweeper) certifyBlock(lo, hi int) {
 		}
 		if in < k {
 			s.short.Store(true)
-			return
+			break
 		}
 	}
+	s.scanned.Add(scanned)
 }
 
 // initDegrees fills h with the vertex degrees in parallel — the h⁰

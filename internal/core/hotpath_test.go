@@ -43,12 +43,14 @@ func checkZeroAlloc(t *testing.T, entries []string, runners map[string]func()) {
 }
 
 func TestHotPathsZeroAlloc(t *testing.T) {
-	g := graph.NewUndirected(8, []graph.Edge{
+	g := graph.NewUndirected(9, []graph.Edge{
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3},
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 6}, {U: 6, V: 7}, {U: 1, V: 7},
+		{U: 0, V: 8},
 	})
 	sw := newHSweeper(g, 1) // p = 1 keeps the parallel helpers inline: no goroutines
 	as := newAsyncSweeper(g, 1)
+	as.floor = 2 // the 2-core is swept, the pendant vertex 8 is skipped
 	buf := make([]int32, int(g.MaxDegree())+2)
 	runners := map[string]func(){
 		"asyncSweeper.certify":      func() { as.certify(2) },

@@ -8,8 +8,9 @@ import (
 
 // LocalResult is the outcome of a full h-index core decomposition.
 type LocalResult struct {
-	CoreNum    []int32 // converged h-index = core number of every vertex
-	Iterations int     // number of synchronous sweeps until convergence
+	CoreNum      []int32 // converged h-index = core number of every vertex
+	Iterations   int     // number of synchronous sweeps until convergence
+	EdgesScanned int64   // adjacency entries the sweeps read: 2m per sweep
 }
 
 // Local runs the h-index–based parallel core decomposition of Sariyüce et
@@ -39,5 +40,5 @@ func Local(g *graph.Undirected, p int, tr *trace.Trace) LocalResult {
 			break
 		}
 	}
-	return LocalResult{CoreNum: sw.cur, Iterations: iters}
+	return LocalResult{CoreNum: sw.cur, Iterations: iters, EdgesScanned: sw.scanned.Load()}
 }

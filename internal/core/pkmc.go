@@ -11,6 +11,10 @@ type PKMCResult struct {
 	KStar      int32   // the maximum core number k*
 	Vertices   []int32 // the vertex set of the k*-core
 	Iterations int     // h-index sweeps actually executed
+	// EdgesScanned counts the adjacency entries the sweeps (and PKMC's
+	// certificate tests) read. It is exact at p = 1; above that, PKMC's
+	// count depends on the schedule.
+	EdgesScanned int64
 }
 
 // PKMC computes k* and the k*-core with asynchronous h-index sweeps that
@@ -34,11 +38,37 @@ type PKMCResult struct {
 // changes nothing has reached the fixed point, h equals the core numbers,
 // and C is again the k*-core.
 //
+// The sweeps visit only vertices that can still reach the k*-core. Before
+// the first sweep PKMC computes a floor F = ⌈|E(S)|/|S|⌉, where S holds
+// the vertices whose degree is at least H, the h-index of the degree
+// sequence. A densest subgraph has minimum degree at least ρ* (dropping a
+// vertex of smaller degree would raise its density), so it lies in the
+// ⌈ρ*⌉-core, and F = ⌈ρ(S)⌉ <= ⌈ρ*⌉ <= k*. A sweep skips every vertex
+// whose h is below F, so a vertex with deg < F is never swept at all. The
+// floor changes no answer, for three reasons:
+//   - The h-index a vertex computes is at least F exactly when F of its
+//     neighbors hold values >= F, and then its value depends on those
+//     neighbors alone. Values only fall, so a skipped neighbor would stay
+//     below F anyway, and a neighbor below F cannot move a value that is
+//     >= F. Every value >= F thus follows the trajectory it would follow
+//     without the floor, and the certified stop comes at the same sweep.
+//     (The fixed-point stop can come earlier: changes below F no longer
+//     count.)
+//   - A skipped vertex keeps a value computed earlier, which is still at
+//     least its core number, so h(v) >= core(v) holds everywhere, and the
+//     k*-core's vertices, whose core is k* >= F, are never skipped.
+//   - h_max >= k* >= F, so C, the certificate and the fixed-point stop
+//     see only swept vertices, and the argument above returns exactly the
+//     k*-core. A sweep that changes no swept vertex leaves every value
+//     >= F at its h-index, so C then induces minimum degree h_max.
+//
 // The answer is certified, so it does not depend on p or the schedule;
 // the sweep count can at p > 1. tr, when non-nil, records one
-// trace.Iteration per sweep, with EarlyStop set on the certified one.
+// trace.Iteration per sweep, with EarlyStop set on the certified one and
+// Changed counting swept vertices only, and the counter "floor".
 func PKMC(g *graph.Undirected, p int, tr *trace.Trace) PKMCResult {
 	sw := newAsyncSweeper(g, p)
+	tr.Counter("floor", int64(sw.floor))
 	for iters := 1; ; iters++ {
 		nChanged, maxDelta, hmax, atMax := sw.sweep()
 		certified := nChanged > 0 && atMax > int64(hmax) && sw.certify(hmax)
@@ -48,7 +78,7 @@ func PKMC(g *graph.Undirected, p int, tr *trace.Trace) PKMCResult {
 		if certified || nChanged == 0 {
 			h := sw.h
 			vertices := collectAt(g.N(), p, func(v int) bool { return h[v].Load() == hmax })
-			return PKMCResult{KStar: hmax, Vertices: vertices, Iterations: iters}
+			return PKMCResult{KStar: hmax, Vertices: vertices, Iterations: iters, EdgesScanned: sw.scanned.Load()}
 		}
 	}
 }
@@ -99,7 +129,7 @@ func PKMCSync(g *graph.Undirected, p int, tr *trace.Trace) PKMCResult {
 	kstar, _ := parallel.MaxIndexInt32(sw.cur, p)
 	h := sw.cur
 	vertices := collectAt(g.N(), p, func(v int) bool { return h[v] == kstar })
-	return PKMCResult{KStar: kstar, Vertices: vertices, Iterations: iters}
+	return PKMCResult{KStar: kstar, Vertices: vertices, Iterations: iters, EdgesScanned: sw.scanned.Load()}
 }
 
 // collectAt gathers, in parallel, the vertices v in [0, n) for which at(v)

@@ -158,7 +158,7 @@ func BruteForce(g *graph.Undirected) solver.Result {
 // the solve into the PKMC lower bound ("approx-lower-bound", with its
 // h-index sweeps), the single-threshold peel to the ⌈ρ̃⌉-core ("prune"),
 // and the min-cut search on the remnant ("flow-search"), plus the pruning
-// and probe counters.
+// and probe counters and the lower bound's density floor ("floor").
 func ExactPruned(ctx context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
 	tr, p := opts.Trace, opts.Workers
 	tr.SetAlgorithm("ExactPruned")

@@ -12,7 +12,7 @@ func init() {
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
 		Paper:        "Algorithm 2 (the reproduced paper) with in-place sweeps and a certified k*-core stop",
-		TraceColumns: []string{"phases", "iterations", "counters"},
+		TraceColumns: []string{"phases", "iterations", "counters", "work"},
 		Default:      true, DegradeRank: 2, KStarCore: true,
 		SolveUDS: PKMC,
 	})
@@ -21,7 +21,7 @@ func init() {
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation: the k*-core's density is at least ρ*/2 (Lemma 1)",
 		Paper:        "Algorithm 2 as published (synchronous sweeps, Theorem-1 stop)",
-		TraceColumns: []string{"phases", "iterations", "counters"},
+		TraceColumns: []string{"phases", "iterations", "counters", "work"},
 		KStarCore:    true,
 		SolveUDS:     PKMCSync,
 	})
@@ -30,7 +30,7 @@ func init() {
 		Grade:        solver.Grade2Approx,
 		Guarantee:    "2-approximation via full h-index core decomposition",
 		Paper:        "Sariyüce et al. (baseline of the reproduced paper's Exp-1)",
-		TraceColumns: []string{"phases", "iterations", "counters"},
+		TraceColumns: []string{"phases", "iterations", "counters", "work"},
 		KStarCore:    true,
 		SolveUDS:     Local,
 	})

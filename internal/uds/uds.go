@@ -13,8 +13,10 @@ import (
 // — computed by core.PKMC's asynchronous h-index sweeps with their
 // certified stop, with opts.Workers workers. An armed opts.Trace receives
 // the phase timings, the per-sweep h-index record (h_max, its candidate
-// count, and the certified stop), and the k* / core-size counters. PKMC
-// cannot be canceled: its sweeps stop after a handful of iterations.
+// count, and the certified stop), the k* / core-size / floor counters,
+// and the work total edges_scanned: the adjacency entries the sweeps and
+// certificate tests read. PKMC cannot be canceled: its sweeps stop after
+// a handful of iterations.
 func PKMC(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
 	return kStarCoreSolve("PKMC", core.PKMC, g, opts), nil
 }
@@ -22,7 +24,8 @@ func PKMC(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Re
 // PKMCSync is the paper's Algorithm 2 as published: core.PKMCSync's
 // synchronous sweeps with the Theorem-1 early stop. It returns the same
 // k*-core as PKMC; Exp-2 runs both to show the paper's sweep count
-// beside the asynchronous one. Its trace is PKMC's.
+// beside the asynchronous one. Its trace is PKMC's, without the floor:
+// its sweeps visit every vertex.
 func PKMCSync(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.Result, error) {
 	return kStarCoreSolve("PKMC-Sync", core.PKMCSync, g, opts), nil
 }
@@ -41,6 +44,7 @@ func kStarCoreSolve(name string, engine func(*graph.Undirected, int, *trace.Trac
 	endDensity()
 	tr.Counter("k_star", int64(res.KStar))
 	tr.Counter("core_size", int64(len(res.Vertices)))
+	tr.AddWork("edges_scanned", res.EdgesScanned)
 	return solver.Result{
 		Algorithm:  name,
 		Vertices:   res.Vertices,
@@ -67,6 +71,7 @@ func Local(_ context.Context, g *graph.Undirected, opts solver.Params) (solver.R
 	endDensity()
 	tr.Counter("k_star", int64(k))
 	tr.Counter("core_size", int64(len(vs)))
+	tr.AddWork("edges_scanned", res.EdgesScanned)
 	return solver.Result{
 		Algorithm:  "Local",
 		Vertices:   vs,

@@ -131,8 +131,11 @@ func TestClaimGraphSizeCollapse(t *testing.T) {
 }
 
 // TestWorkCounters pins the exact work the paper's solvers do on fixed
-// inputs at Workers=1: Table 6's iteration counts, Table 7's arc counts
-// and exact-pruned's flow calls. Work counters do not depend on the
+// inputs at Workers=1: Table 6's iteration counts, Table 7's arc counts,
+// exact-pruned's flow calls, and the adjacency entries the h-index sweeps
+// read (edges_scanned), whose pkmc/pkmc-sync ratio is the work PKMC's
+// in-place sweeps and density floor save over Algorithm 2 as published.
+// Work counters do not depend on the
 // machine, so the pins need no slack, baseline file or thresholds. A
 // change that moves one is either a regression or a deliberate change of
 // algorithm, and the latter must be explained in CHANGES.md.
@@ -159,14 +162,14 @@ func TestWorkCounters(t *testing.T) {
 		algo  dsd.Algo
 		want  map[string]int64
 	}{
-		{"U1", dsd.AlgoPKMC, map[string]int64{"iterations": 2, "peak_candidates": 40, "k_star": 39, "vertices": 40}},
-		{"U1", dsd.AlgoPKMCSync, map[string]int64{"iterations": 3, "peak_candidates": 40, "k_star": 39, "vertices": 40}},
+		{"U1", dsd.AlgoPKMC, map[string]int64{"iterations": 2, "peak_candidates": 40, "k_star": 39, "vertices": 40, "edges_scanned": 483937, "floor": 5}},
+		{"U1", dsd.AlgoPKMCSync, map[string]int64{"iterations": 3, "peak_candidates": 40, "k_star": 39, "vertices": 40, "edges_scanned": 730032}},
 		{"U1", dsd.AlgoLocal, map[string]int64{"iterations": 60}},
 		{"U1", dsd.AlgoPKC, map[string]int64{"iterations": 40}},
 		{"U1", dsd.AlgoPBU, map[string]int64{"iterations": 4}},
 		{"U1", dsd.AlgoExactPruned, map[string]int64{"flow_probes": 2, "flow_vertices": 40, "pruned_vertices": 21160}},
-		{"U2", dsd.AlgoPKMC, map[string]int64{"iterations": 36, "peak_candidates": 19992, "k_star": 6, "vertices": 19992}},
-		{"U2", dsd.AlgoPKMCSync, map[string]int64{"iterations": 38, "peak_candidates": 19992, "k_star": 6, "vertices": 19992}},
+		{"U2", dsd.AlgoPKMC, map[string]int64{"iterations": 36, "peak_candidates": 19992, "k_star": 6, "vertices": 19992, "edges_scanned": 8762485, "floor": 5}},
+		{"U2", dsd.AlgoPKMCSync, map[string]int64{"iterations": 38, "peak_candidates": 19992, "k_star": 6, "vertices": 19992, "edges_scanned": 9096668}},
 		{"U2", dsd.AlgoLocal, map[string]int64{"iterations": 38}},
 		{"U2", dsd.AlgoPKC, map[string]int64{"iterations": 7}},
 		{"D1", dsd.AlgoPWC, map[string]int64{"levels": 4, "arcs_after_warm_start": 1514, "arcs_at_wstar": 1500,
